@@ -155,15 +155,8 @@ def virtual_povm(n_photons: int) -> Povm:
     if n_photons < 1:
         raise ValueError(f"virtual_povm requires N >= 1, got {n_photons}")
     channel = build_squash(n_photons)
-    effects = []
-    for i in (0, 1):
-        proj = np.zeros((2, 2), dtype=complex)
-        proj[i, i] = 1.0
-        acc = np.zeros((n_photons + 1, n_photons + 1), dtype=complex)
-        for k in channel.ops:
-            acc += k.conj().T @ proj @ k
-        effects.append(acc)
-    return Povm(dim=n_photons + 1, effects=tuple(effects), labels=("bit0", "bit1"))
+    effects = tuple(channel.pull_back(np.diag(z)) for z in ([1.0, 0.0], [0.0, 1.0]))
+    return Povm(dim=n_photons + 1, effects=effects, labels=("bit0", "bit1"))
 
 
 @dataclass(frozen=True)
@@ -188,11 +181,7 @@ def verify_povm_equivalence(n_photons: int) -> PovmEquivalenceReport:
     z_ac = np.zeros((n + 1, n + 1), dtype=complex)
     z_ac[0, 0] = 1.0
     z_ac[n, n] = -1.0
-    channel = build_squash(n)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    z_vi = np.zeros((n + 1, n + 1), dtype=complex)
-    for k in channel.ops:
-        z_vi += k.conj().T @ z @ k
+    z_vi = build_squash(n).pull_back(np.diag([1.0, -1.0]))
     dev_z = float(np.max(np.abs(z_ac - z_vi)))
     return PovmEquivalenceReport(n, dev0, dev1, dev_z)
 

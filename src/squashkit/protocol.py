@@ -13,6 +13,18 @@ All three produce identical sifted-bit statistics for every source state;
 that equality is the security statement this package exists to check, and
 it is validated both on exact Born probabilities and by Monte Carlo.
 
+Each view is a stack of effects per receiver, and one Born kernel turns
+the two stacks and a joint block into the probability of every outcome
+pair.  Those probabilities form the category table the Monte Carlo engine
+samples from, and the exact law (:func:`exact_sifted_distribution`) is
+that table's marginal, so the engine and the law cannot drift apart.  The
+law itself is pinned by checks that share no code with the kernel: a
+sequential replay of the physical device built on
+:func:`squashkit.povm.detect_event`, the detector/squash POVM identity
+(:func:`squashkit.povm.actual_povm` equals
+:func:`squashkit.povm.virtual_povm`), and closed-form error rates of the
+shipped attacks.
+
 The adversary hands out an arbitrary photon-number-block-diagonal joint
 state (:class:`squashkit.povm.CompositeBlockState`); some standard attack
 families are shipped as named constructors.  Monte Carlo runs are
@@ -31,7 +43,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .povm import ClickClass, CompositeBlockState, actual_povm, classify_click
+from .povm import ClickClass, CompositeBlockState, classify_click
 from .squash import build_squash
 from .symfock import X_MODULATION, Basis, lift_gate, qubit_frame, sym_basis_state
 
@@ -264,14 +276,16 @@ def eve_state(
     if isinstance(attack, InterceptResend):
         rho = np.zeros((4, 4), dtype=complex)
         for basis in (Basis.Z, Basis.X):
-            for j in (0, 1):
-                proj = _qubit_proj(j, basis)
-                rho += 0.25 * np.kron(proj, proj)
+            for v in qubit_frame(basis).T:
+                vv = np.outer(v, v).ravel()  # |v>|v>
+                rho += 0.25 * np.outer(vv, vv.conj())
         return CompositeBlockState({(1, 1): (1.0, rho)})
     if isinstance(attack, CoincidenceInjection):
         state = sym_basis_state(attack.n_photons, attack.c)
         bob = np.outer(state.amps, state.amps.conj())
-        rho = np.kron(np.eye(2, dtype=complex) / 2.0, bob)
+        d = attack.n_photons + 1
+        rho = np.zeros((2 * d, 2 * d), dtype=complex)
+        rho[:d, :d] = rho[d:, d:] = bob / 2.0  # maximally mixed reference qubit
         return CompositeBlockState({(1, attack.n_photons): (1.0, rho)})
     if isinstance(attack, FixedBlockState):
         return attack.state
@@ -336,86 +350,53 @@ class _SideModels:
         self.vacuum_random_bit = vacuum_random_bit
         self._cache: dict = {}
 
-    def outcomes(self, n: int, basis_is_x: bool) -> list[tuple[int, int, np.ndarray]]:
-        """List of (kind, value, effect) for an N-photon block.
+    def outcomes(self, n: int, basis_is_x: bool) -> tuple:
+        """(kinds, values, effects) of an N-photon block, one entry per outcome.
 
-        kind BIT carries the reported bit in value; kind COIN carries the
-        x-readout flip to XOR onto the coin; kind VACUUM has no bit.
+        Effects are stacked into one (outcomes, N+1, N+1) array.  Kind BIT
+        carries the reported bit in value; kind COIN carries the x-readout
+        flip to XOR onto the coin; kind VACUUM has no bit.
         """
         key = (n, basis_is_x)
         if key not in self._cache:
             self._cache[key] = self._build(n, basis_is_x)
         return self._cache[key]
 
-    def _build(self, n: int, basis_is_x: bool) -> list[tuple[int, int, np.ndarray]]:
+    def _build(self, n: int, basis_is_x: bool) -> tuple:
+        flip = 1 if basis_is_x else 0
         if n == 0:
             kind = _KIND_COIN if self.vacuum_random_bit else _KIND_VACUUM
-            return [(kind, 1 if basis_is_x else 0, np.eye(1, dtype=complex))]
-        flip = 1 if basis_is_x else 0
+            return [kind], [flip], np.ones((1, 1, 1), dtype=complex)
         if self.mode == "actual":
-            mod = lift_gate(X_MODULATION, n) if basis_is_x else None
-            out = []
+            # fine z outcome c has effect mod^dagger |c><c| mod
+            mod = lift_gate(X_MODULATION, n) if basis_is_x else np.eye(n + 1)
+            kinds, values = [], []
             for c in range(n + 1):
-                eff = np.zeros((n + 1, n + 1), dtype=complex)
-                eff[c, c] = 1.0
-                if mod is not None:
-                    eff = mod.conj().T @ eff @ mod
-                kind = classify_click(c, n)
-                if kind is ClickClass.SINGLE0:
-                    out.append((_KIND_BIT, 0 ^ flip, eff))
-                elif kind is ClickClass.SINGLE1:
-                    out.append((_KIND_BIT, 1 ^ flip, eff))
+                click = classify_click(c, n)
+                if click is ClickClass.COINCIDENCE:
+                    kinds.append(_KIND_COIN)
+                    values.append(flip)
                 else:
-                    out.append((_KIND_COIN, flip, eff))
-            return out
+                    kinds.append(_KIND_BIT)
+                    values.append(int(click is ClickClass.SINGLE1) ^ flip)
+            return kinds, values, np.einsum("ci,cj->cij", mod.conj(), mod)
         channel = build_squash(n)
-        out = []
-        for j in (0, 1):
-            proj = np.zeros((2, 2), dtype=complex)
-            proj[j, j] = 1.0
+        effects = []
+        for proj in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
             if self.mode == "edp2" and basis_is_x:
                 proj = X_MODULATION.conj().T @ proj @ X_MODULATION
-            eff = np.zeros((n + 1, n + 1), dtype=complex)
-            for k in channel.ops:
-                eff += k.conj().T @ proj @ k
-            if self.mode == "edp1" and basis_is_x:
-                mod = lift_gate(X_MODULATION, n)
-                eff = mod.conj().T @ eff @ mod
-            out.append((_KIND_BIT, j ^ flip, eff))
-        return out
-
-    def bit_effects(self, n: int, basis_is_x: bool) -> Optional[list[np.ndarray]]:
-        """Two-outcome effects [bit0, bit1] with coincidences folded in.
-
-        Used by the exact-law computations.  In actual mode this is the
-        threshold POVM (conjugated and relabelled for x rounds); in the
-        virtual modes it is the squash pull-back.  Returns None on vacuum,
-        or two half-identity effects when vacuum draws a random bit.
-        """
-        if n == 0:
-            if not self.vacuum_random_bit:
-                return None
-            half = 0.5 * np.eye(1, dtype=complex)
-            return [half, half]
-        if self.mode == "actual":
-            flip = 1 if basis_is_x else 0
-            povm = actual_povm(n)
-            mod = lift_gate(X_MODULATION, n) if basis_is_x else None
-            effs = []
-            for bit in (0, 1):
-                e = povm.effects[bit ^ flip]
-                if mod is not None:
-                    e = mod.conj().T @ e @ mod
-                effs.append(e)
-            return effs
-        outs = self.outcomes(n, basis_is_x)
-        by_bit = {value: eff for kind, value, eff in outs if kind == _KIND_BIT}
-        return [by_bit[0], by_bit[1]]
+            effects.append(channel.pull_back(proj))
+        effects = np.array(effects)
+        if self.mode == "edp1" and basis_is_x:
+            mod = lift_gate(X_MODULATION, n)
+            effects = mod.conj().T @ effects @ mod
+        return [_KIND_BIT, _KIND_BIT], [flip, 1 ^ flip], effects
 
 
-def _alice_qubit_outcomes(basis_is_x: bool) -> list[tuple[int, int, np.ndarray]]:
+def _alice_qubit_outcomes(basis_is_x: bool) -> tuple:
     basis = Basis.X if basis_is_x else Basis.Z
-    return [(_KIND_BIT, a, _qubit_proj(a, basis)) for a in (0, 1)]
+    effects = np.array([_qubit_proj(a, basis) for a in (0, 1)])
+    return [_KIND_BIT, _KIND_BIT], [0, 1], effects
 
 
 def _require_bb84_blocks(state: CompositeBlockState) -> None:
@@ -431,8 +412,11 @@ def _require_bb84_blocks(state: CompositeBlockState) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _joint_prob(eff_a: np.ndarray, eff_b: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.trace(np.kron(eff_a, eff_b) @ rho).real)
+def _born(a_effects: np.ndarray, b_effects: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr[(E_p tensor F_q) rho] for every pair of stacked effects E_p, F_q."""
+    da, db = a_effects.shape[1], b_effects.shape[1]
+    rho4 = rho.reshape(da, db, da, db)
+    return np.einsum("pij,qkl,jlik->pq", a_effects, b_effects, rho4, optimize=True).real
 
 
 def exact_sifted_distribution(
@@ -447,99 +431,32 @@ def exact_sifted_distribution(
     Returns a dict with keys ``"vacuum"``, ``"mismatch"`` and
     ``(basis, bit_a, bit_b)`` for basis in {"z", "x"}; values sum to 1.
     A round is vacuum when either receiver's block carries zero photons
-    (unless vacuum draws a random bit instead).
+    (unless vacuum draws a random bit instead).  The law is the marginal
+    of the category table the Monte Carlo engine samples from.
     """
     _check_protocol_mode(protocol, mode)
     state = eve_state(attack)
     if protocol == "bb84":
         _require_bb84_blocks(state)
-    models = _SideModels(mode, vacuum_random_bit)
-    law: dict = {"vacuum": 0.0, "mismatch": 0.0}
-    for basis in "zx":
-        for a in (0, 1):
-            for b in (0, 1):
-                law[(basis, a, b)] = 0.0
-    for (m, n), (w, rho) in state.blocks.items():
-        if w == 0.0:
-            continue
-        vacuum = not vacuum_random_bit and (
-            n == 0 or (protocol == "bbm92" and m == 0)
-        )
-        if vacuum:
-            law["vacuum"] += w
-            continue
-        law["mismatch"] += 0.5 * w
-        for basis, basis_is_x in (("z", False), ("x", True)):
-            if protocol == "bb84":
-                a_effs = [_qubit_proj(a, Basis.X if basis_is_x else Basis.Z) for a in (0, 1)]
-            else:
-                a_effs = models.bit_effects(m, basis_is_x)
-            b_effs = models.bit_effects(n, basis_is_x)
-            for a in (0, 1):
-                for b in (0, 1):
-                    law[(basis, a, b)] += 0.25 * w * _joint_prob(
-                        a_effs[a], b_effs[b], rho
-                    )
-    return law
+    return _CategoryTable(state, protocol, mode, vacuum_random_bit).law()
 
 
 def exact_error_rates(attack: AttackSpec, protocol: str = "bb84") -> tuple[float, float]:
     """Exact bit and phase error rates of the squashed qubit pair.
 
-    Squashes the receiver side of every block (both sides for BBM92),
-    mixes the blocks, and reads the z-z and x-x disagreement probabilities
-    off the resulting two-qubit state.  Vacuum blocks are excluded with
+    The z-z and x-x disagreement probabilities of the sifted rounds of the
+    ``edp2`` law, where every receiver's block (both sides for BBM92) is
+    squashed before its measurement.  Vacuum blocks are excluded with
     weight renormalization.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    state = eve_state(attack)
-    if protocol == "bb84":
-        _require_bb84_blocks(state)
-    sigma = np.zeros((4, 4), dtype=complex)
-    kept = 0.0
-    for (m, n), (w, rho) in state.blocks.items():
-        if w == 0.0:
-            continue
-        if n == 0 or (protocol == "bbm92" and m == 0):
-            continue
-        reduced = _squash_pair(rho, m, n, squash_left=(protocol == "bbm92"))
-        sigma += w * reduced
-        kept += w
-    if kept <= 0.0:
-        raise ValueError("state is all vacuum; error rates undefined")
-    sigma /= kept
-    e_bit = 0.0
-    e_ph = 0.0
-    for a in (0, 1):
-        b = 1 - a
-        e_bit += _joint_prob(_qubit_proj(a, Basis.Z), _qubit_proj(b, Basis.Z), sigma)
-        e_ph += _joint_prob(_qubit_proj(a, Basis.X), _qubit_proj(b, Basis.X), sigma)
-    return e_bit, e_ph
-
-
-def _squash_pair(
-    rho: np.ndarray, m: int, n: int, *, squash_left: bool
-) -> np.ndarray:
-    """Squash the right (and optionally left) factor of a joint block."""
-    left_dim = m + 1
-    right = build_squash(n)
-    out = np.zeros((left_dim * 2, left_dim * 2), dtype=complex)
-    eye = np.eye(left_dim, dtype=complex)
-    for k in right.ops:
-        big = np.kron(eye, k)
-        out += big @ rho @ big.conj().T
-    if not squash_left:
-        if m != 1:
-            raise ValueError(f"sender side must be a qubit, got photon number {m}")
-        return out
-    left = build_squash(m)
-    final = np.zeros((4, 4), dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
-    for k in left.ops:
-        big = np.kron(k, eye2)
-        final += big @ out @ big.conj().T
-    return final
+    law = exact_sifted_distribution(attack, protocol, "edp2")
+    rates = []
+    for basis in "zx":
+        kept = sum(law[(basis, a, b)] for a in (0, 1) for b in (0, 1))
+        if kept <= 0.0:
+            raise ValueError("state is all vacuum; error rates undefined")
+        rates.append((law[(basis, 0, 1)] + law[(basis, 1, 0)]) / kept)
+    return rates[0], rates[1]
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +534,11 @@ class SimResult:
 
 
 class _CategoryTable:
-    """Flattened per-round outcome distribution for categorical sampling."""
+    """Flattened per-round outcome distribution for categorical sampling.
+
+    One category per (basis pair, block, sender outcome, receiver outcome),
+    in that nesting order, with its exact Born probability.
+    """
 
     def __init__(
         self,
@@ -627,10 +548,7 @@ class _CategoryTable:
         vacuum_random_bit: bool = False,
     ):
         models = _SideModels(mode, vacuum_random_bit)
-        alice_models = models if protocol == "bbm92" else None
-        probs = []
-        pair_idx = []
-        block_idx = []
+        probs, pair_idx, block_idx = [], [], []
         akind, aval, bkind, bval = [], [], [], []
         self.block_keys = list(state.blocks.keys())
         for p_i, (a_x, b_x) in enumerate(_PAIRS):
@@ -638,29 +556,58 @@ class _CategoryTable:
                 if w == 0.0:
                     continue
                 if protocol == "bb84":
-                    a_outs = _alice_qubit_outcomes(a_x)
+                    ka, va, ea = _alice_qubit_outcomes(a_x)
                 else:
-                    a_outs = alice_models.outcomes(m, a_x)
-                b_outs = models.outcomes(n, b_x)
-                for ka, va, ea in a_outs:
-                    for kb, vb, eb in b_outs:
-                        p = 0.25 * w * _joint_prob(ea, eb, rho)
-                        probs.append(max(p, 0.0))
-                        pair_idx.append(p_i)
-                        block_idx.append(k_i)
-                        akind.append(ka)
-                        aval.append(va)
-                        bkind.append(kb)
-                        bval.append(vb)
-        self.cdf = np.cumsum(np.array(probs))
+                    ka, va, ea = models.outcomes(m, a_x)
+                kb, vb, eb = models.outcomes(n, b_x)
+                joint = np.maximum(0.25 * w * _born(ea, eb, rho), 0.0)
+                probs.append(joint.ravel())
+                pair_idx.append(np.full(joint.size, p_i))
+                block_idx.append(np.full(joint.size, k_i))
+                akind.append(np.repeat(ka, len(kb)))
+                aval.append(np.repeat(va, len(kb)))
+                bkind.append(np.tile(kb, len(ka)))
+                bval.append(np.tile(vb, len(ka)))
+        self.probs = np.concatenate(probs)
+        self.cdf = np.cumsum(self.probs)
         self.total = float(self.cdf[-1])
-        self.pair = np.array(pair_idx, dtype=np.int64)
-        self.block = np.array(block_idx, dtype=np.int64)
-        self.akind = np.array(akind, dtype=np.int64)
-        self.aval = np.array(aval, dtype=np.int64)
-        self.bkind = np.array(bkind, dtype=np.int64)
-        self.bval = np.array(bval, dtype=np.int64)
-        self.size = len(probs)
+        self.pair = np.concatenate(pair_idx)
+        self.block = np.concatenate(block_idx)
+        self.akind = np.concatenate(akind)
+        self.aval = np.concatenate(aval)
+        self.bkind = np.concatenate(bkind)
+        self.bval = np.concatenate(bval)
+        self.size = len(self.probs)
+
+    def law(self) -> dict:
+        """Marginal law over vacuum, basis mismatch and the sifted cells.
+
+        A coin outcome reports either bit with probability 1/2.
+        """
+        vac = (self.akind == _KIND_VACUUM) | (self.bkind == _KIND_VACUUM)
+        matched = (self.pair == 0) | (self.pair == 3)
+        law = {
+            "vacuum": float(self.probs[vac].sum()),
+            "mismatch": float(self.probs[~vac & ~matched].sum()),
+        }
+        bits_a = _bit_weights(self.akind, self.aval)
+        bits_b = _bit_weights(self.bkind, self.bval)
+        for basis, p_i in (("z", 0), ("x", 3)):
+            sel = ~vac & (self.pair == p_i)
+            cells = np.einsum("c,ca,cb->ab", self.probs[sel], bits_a[sel], bits_b[sel])
+            for a in (0, 1):
+                for b in (0, 1):
+                    law[(basis, a, b)] = float(cells[a, b])
+        return law
+
+
+def _bit_weights(kind: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Probability of each reported bit (columns 0, 1) per category."""
+    weights = np.zeros((kind.size, 2))
+    weights[kind == _KIND_COIN] = 0.5
+    bit = kind == _KIND_BIT
+    weights[bit, value[bit]] = 1.0
+    return weights
 
 
 @dataclass

@@ -19,7 +19,7 @@ This module constructs the family and machine-checks all three properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -51,7 +51,8 @@ class KrausChannel:
     input_dim, output_dim : int
         Every operator is an output_dim x input_dim matrix.
     ops : tuple of ndarray
-        The Kraus operators.
+        The Kraus operators; a stacked (count, output_dim, input_dim)
+        array is accepted too.  Stored as read-only views of one stack.
     labels : tuple
         Per-operator metadata; for the squash family the index pair (b, b').
     """
@@ -60,29 +61,37 @@ class KrausChannel:
     output_dim: int
     ops: tuple
     labels: tuple = ()
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.ops)
-        for k in ops:
-            if k.shape != (self.output_dim, self.input_dim):
-                raise ValueError(
-                    f"Kraus operator shape {k.shape} does not match "
-                    f"({self.output_dim}, {self.input_dim})"
-                )
-            k.setflags(write=False)
-        object.__setattr__(self, "ops", ops)
-        if self.labels and len(self.labels) != len(ops):
+        stack = np.asarray(self.ops, dtype=complex)
+        if stack.shape[1:] != (self.output_dim, self.input_dim):
+            raise ValueError(
+                f"Kraus operator shape {stack.shape[1:]} does not match "
+                f"({self.output_dim}, {self.input_dim})"
+            )
+        if self.labels and len(self.labels) != len(stack):
             raise ValueError("labels length must match number of operators")
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "ops", tuple(stack))
         dev = np.max(np.abs(self.completeness_sum() - np.eye(self.input_dim)))
         if dev > _TP_ATOL:
             raise ValueError(f"channel is not trace preserving (deviation {dev:.3e})")
 
     def completeness_sum(self) -> np.ndarray:
         """Sum of K^dagger K over the family."""
-        acc = np.zeros((self.input_dim, self.input_dim), dtype=complex)
-        for k in self.ops:
-            acc += k.conj().T @ k
-        return acc
+        return self.pull_back(np.eye(self.output_dim))
+
+    def pull_back(self, op: np.ndarray) -> np.ndarray:
+        """Heisenberg-picture image sum_k K^dagger op K of an output operator.
+
+        Pulling back an effect gives the input-space effect with the same
+        Born probabilities as the original on the channel output; pulling
+        back the identity gives the completeness sum.
+        """
+        ks = self._stack
+        return np.einsum("kji,jl,klm->im", ks.conj(), op, ks, optimize=True)
 
 
 @dataclass(frozen=True)
@@ -136,14 +145,13 @@ def build_squash(n_photons: int) -> KrausChannel:
     frame_y = basis_change_matrix(1, Basis.Y, Basis.Z)  # qubit y-coords -> z-coords
     to_y = basis_change_matrix(n, Basis.Z, Basis.Y)  # input z-coords -> y-coords
     pairs = squash_index_pairs(n)
-    ops = []
-    for b, bp in pairs:
-        f_y = np.zeros((2, n + 1), dtype=complex)
-        f_y[1, b] = prefactor * np.sqrt(comb(n, bp))
-        f_y[0, bp] = prefactor * np.sqrt(comb(n, b))
-        ops.append(frame_y @ f_y @ to_y)
+    f_y = np.zeros((len(pairs), 2, n + 1), dtype=complex)
+    for i, (b, bp) in enumerate(pairs):
+        f_y[i, 1, b] = prefactor * np.sqrt(comb(n, bp))
+        f_y[i, 0, bp] = prefactor * np.sqrt(comb(n, b))
+    ops = frame_y @ f_y @ to_y
     return KrausChannel(
-        input_dim=n + 1, output_dim=2, ops=tuple(ops), labels=tuple(pairs)
+        input_dim=n + 1, output_dim=2, ops=ops, labels=tuple(pairs)
     )
 
 
@@ -155,10 +163,7 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
             f"state dimension {rho.shape} does not match channel input "
             f"dimension {channel.input_dim}"
         )
-    out = np.zeros((channel.output_dim, channel.output_dim), dtype=complex)
-    for k in channel.ops:
-        out += k @ rho @ k.conj().T
-    return out
+    return apply_channel_on_bob(channel, rho, channel.input_dim)
 
 
 def apply_channel_on_bob(
@@ -181,15 +186,10 @@ def apply_channel_on_bob(
             f"bob_dim {bob_dim} does not match channel input {channel.input_dim}"
         )
     alice_dim = total // bob_dim
-    eye = np.eye(alice_dim, dtype=complex)
-    out = np.zeros(
-        (alice_dim * channel.output_dim, alice_dim * channel.output_dim),
-        dtype=complex,
-    )
-    for k in channel.ops:
-        big = np.kron(eye, k)
-        out += big @ rho_ab @ big.conj().T
-    return out
+    rho4 = rho_ab.reshape(alice_dim, bob_dim, alice_dim, bob_dim)
+    ks = channel._stack
+    out = np.einsum("kij,ajbl,kml->aibm", ks, rho4, ks.conj(), optimize=True)
+    return out.reshape(alice_dim * channel.output_dim, -1)
 
 
 def verify_completeness(n_photons: int) -> CompletenessReport:
@@ -245,10 +245,9 @@ def verify_hadamard_invariance(
         )
     rng = np.random.default_rng(seed)
     chan_dev = 0.0
-    h = X_MODULATION
     for _ in range(trials):
         rho = random_density(n + 1, rng)
-        lhs = h @ apply_channel(channel, rho) @ h.conj().T
+        lhs = X_MODULATION @ apply_channel(channel, rho) @ X_MODULATION.conj().T
         rhs = apply_channel(channel, lifted_h @ rho @ lifted_h.conj().T)
         chan_dev = max(chan_dev, float(np.max(np.abs(lhs - rhs))))
     return HadamardReport(n, trials, kraus_dev < _TP_ATOL, kraus_dev, chan_dev)

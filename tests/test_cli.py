@@ -51,6 +51,39 @@ class TestVerify:
             "lift_oracle",
         }
 
+    def test_raising_check_becomes_fail_row(self, runner, tmp_path, monkeypatch):
+        import squashkit.cli as cli
+
+        real = cli.verify_completeness
+
+        def raising_at_two(n):
+            if n == 2:
+                raise RuntimeError("boom")
+            return real(n)
+
+        monkeypatch.setattr(cli, "verify_completeness", raising_at_two)
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, [
+            "verify", "--nmax", "3", "--format", "json", "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["passed"] is False
+        failed = [c for c in report["checks"] if c["max_deviation"] is None]
+        assert failed == [{
+            "check": "completeness",
+            "n": 2,
+            "max_deviation": None,
+            "error": "RuntimeError: boom",
+        }]
+        finite = [c["max_deviation"] for c in report["checks"]
+                  if c["max_deviation"] is not None]
+        assert len(finite) == len(report["checks"]) - 1
+        assert report["max_deviation"] == max(finite)
+        text = runner.invoke(main, ["verify", "--nmax", "3"])
+        assert text.exit_code == 1
+        assert "N= 2  error RuntimeError: boom  FAIL" in text.output
+
 
 class TestSimulate:
     def test_csv_row_shape(self, runner):
