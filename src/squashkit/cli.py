@@ -20,8 +20,10 @@ import click
 import numpy as np
 
 from .protocol import (
+    _require_bb84_blocks,
     attack_from_dict,
     binary_entropy,
+    eve_state,
     key_rate,
     run_simulation,
 )
@@ -235,15 +237,16 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
             raw = fh.read()
     try:
         attack = attack_from_dict(json.loads(raw))
+        state = eve_state(attack)
+        if protocol == "bb84":
+            _require_bb84_blocks(state)
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         raise click.UsageError(f"malformed attack spec: {exc}")
     start = time.perf_counter()
     try:
         result, _ = run_simulation(protocol, mode, attack, trials, seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except Exception as exc:  # pragma: no cover - defensive
-        click.echo(f"simulation failed: {exc}", err=True)
+    except Exception as exc:  # a valid input the numerics cannot handle
+        click.echo(f"simulation failed: {type(exc).__name__}: {exc}", err=True)
         sys.exit(1)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if fmt == "json":

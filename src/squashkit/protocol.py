@@ -13,31 +13,33 @@ All three produce identical sifted-bit statistics for every source state;
 that equality is the security statement this package exists to check, and
 it is validated both on exact Born probabilities and by Monte Carlo.
 
-Each view is a stack of effects per receiver, and one Born kernel turns
-the two stacks and a joint block into the probability of every outcome
-pair.  Those probabilities form the category table the Monte Carlo engine
-samples from, and the exact law (:func:`exact_sifted_distribution`) is
-that table's marginal, so the engine and the law cannot drift apart.  The
-law itself is pinned by checks that share no code with the kernel: a
-sequential replay of the physical device built on
-:func:`squashkit.povm.detect_event`, the detector/squash POVM identity
-(:func:`squashkit.povm.actual_povm` equals
+Each view is a stack of effects per receiver, coarse-grained onto the
+side states the protocol reports: bit 0, bit 1 or vacuum, with a
+coincidence reporting either bit with probability 1/2.  One Born kernel
+turns the two stacks and a joint block into the exact law over (basis
+pair, block, sender state, receiver state).  The exact law
+(:func:`exact_sifted_distribution`) and the Monte Carlo tallies are the
+same reduction of that table, applied to probabilities and to counts, so
+the engine and the law cannot drift apart.  The law itself is pinned by
+checks that share no code with the kernel: a sequential replay of the
+physical device built on :func:`squashkit.povm.detect_event`, the
+detector/squash POVM identity (:func:`squashkit.povm.actual_povm` equals
 :func:`squashkit.povm.virtual_povm`), and closed-form error rates of the
 shipped attacks.
 
 The adversary hands out an arbitrary photon-number-block-diagonal joint
 state (:class:`squashkit.povm.CompositeBlockState`); some standard attack
-families are shipped as named constructors.  Monte Carlo runs are
-reproducible bit for bit from (config, seed) under any thread count: the
-trial stream is split into fixed-size chunks, each drawing from its own
-counter-offset Philox stream.
+families are shipped as named constructors.  The Monte Carlo engine
+samples counts, not rounds: each fixed-size chunk of trials is one
+multinomial draw over the table from its own counter-offset Philox
+stream, so runs are reproducible bit for bit from (config, seed) and cost
+memory independent of the number of trials.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from math import log2
 from typing import Optional, Union
 
@@ -74,17 +76,20 @@ __all__ = [
 MODES = ("actual", "edp1", "edp2")
 PROTOCOLS = ("bb84", "bbm92")
 
-#: Fixed Monte Carlo chunk size; the RNG stream is split at chunk
-#: granularity, so results do not depend on how chunks are scheduled.
-CHUNK_TRIALS = 4096
+#: Trials per Monte Carlo chunk: one multinomial draw, one Philox stream.
+#: Public because ``perfbench/run.py --trace 1`` imports it to count chunks.
+CHUNK_TRIALS = 1 << 20
 
 # Basis pairs (alice, bob) in sampling order; Z/X per party.
 _PAIRS = ((False, False), (False, True), (True, False), (True, True))
 
-# Outcome kinds inside the category tables.
-_KIND_BIT = 0
-_KIND_COIN = 1
-_KIND_VACUUM = 2
+# Side states of the law: the reported bit (0 or 1), or vacuum (no bit).
+_VACUUM = 2
+# Weights of a fine outcome over the side states.  A coincidence reports
+# either bit with probability 1/2, so the coin is part of the law and the
+# sampler never draws one.
+_STATE_ROWS = np.eye(3)
+_COIN_ROW = np.array([0.5, 0.5, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +167,17 @@ class CustomState:
             amps.setflags(write=False)
             frozen.append((int(m), int(n), float(w), amps))
         object.__setattr__(self, "blocks", tuple(frozen))
+
+    @cached_property
+    def _block_state(self) -> CompositeBlockState:
+        # Built and validated once per attack: the CLI checks the attack
+        # through eve_state before run_simulation calls it again.
+        blocks = {}
+        for m, n, w, amps in self.blocks:
+            if (m, n) in blocks:
+                raise ValueError(f"duplicate block ({m}, {n}) in custom attack")
+            blocks[(m, n)] = (w, np.outer(amps, amps.conj()))
+        return CompositeBlockState(blocks)
 
 
 AttackSpec = Union[
@@ -290,12 +306,7 @@ def eve_state(
     if isinstance(attack, FixedBlockState):
         return attack.state
     if isinstance(attack, CustomState):
-        blocks = {}
-        for m, n, w, amps in attack.blocks:
-            if (m, n) in blocks:
-                raise ValueError(f"duplicate block ({m}, {n}) in custom attack")
-            blocks[(m, n)] = (w, np.outer(amps, amps.conj()))
-        return CompositeBlockState(blocks)
+        return attack._block_state
     raise TypeError(f"unknown attack type {type(attack).__name__}")
 
 
@@ -350,36 +361,40 @@ class _SideModels:
         self.vacuum_random_bit = vacuum_random_bit
         self._cache: dict = {}
 
-    def outcomes(self, n: int, basis_is_x: bool) -> tuple:
-        """(kinds, values, effects) of an N-photon block, one entry per outcome.
+    def effects(self, n: int, basis_is_x: bool) -> np.ndarray:
+        """Effects of the side states (bit 0, bit 1, vacuum) of an N-photon block.
 
-        Effects are stacked into one (outcomes, N+1, N+1) array.  Kind BIT
-        carries the reported bit in value; kind COIN carries the x-readout
-        flip to XOR onto the coin; kind VACUUM has no bit.
+        One (3, N+1, N+1) stack: each fine outcome's effect is added to the
+        side state it reports, a coincidence (and, with
+        ``vacuum_random_bit``, vacuum) half to each bit.
         """
         key = (n, basis_is_x)
         if key not in self._cache:
-            self._cache[key] = self._build(n, basis_is_x)
+            weights, fine = self._build(n, basis_is_x)
+            self._cache[key] = np.einsum("ps,pij->sij", weights, fine)
         return self._cache[key]
 
     def _build(self, n: int, basis_is_x: bool) -> tuple:
+        """(weights, effects) of the fine outcomes of an N-photon block.
+
+        ``weights`` holds one row over the side states per outcome and
+        ``effects`` the outcomes' effects as one (outcomes, N+1, N+1) stack.
+        """
         flip = 1 if basis_is_x else 0
         if n == 0:
-            kind = _KIND_COIN if self.vacuum_random_bit else _KIND_VACUUM
-            return [kind], [flip], np.ones((1, 1, 1), dtype=complex)
+            row = _COIN_ROW if self.vacuum_random_bit else _STATE_ROWS[_VACUUM]
+            return row[None], np.ones((1, 1, 1), dtype=complex)
         if self.mode == "actual":
             # fine z outcome c has effect mod^dagger |c><c| mod
             mod = lift_gate(X_MODULATION, n) if basis_is_x else np.eye(n + 1)
-            kinds, values = [], []
+            rows = []
             for c in range(n + 1):
                 click = classify_click(c, n)
                 if click is ClickClass.COINCIDENCE:
-                    kinds.append(_KIND_COIN)
-                    values.append(flip)
+                    rows.append(_COIN_ROW)
                 else:
-                    kinds.append(_KIND_BIT)
-                    values.append(int(click is ClickClass.SINGLE1) ^ flip)
-            return kinds, values, np.einsum("ci,cj->cij", mod.conj(), mod)
+                    rows.append(_STATE_ROWS[int(click is ClickClass.SINGLE1) ^ flip])
+            return np.array(rows), np.einsum("ci,cj->cij", mod.conj(), mod)
         channel = build_squash(n)
         effects = []
         for proj in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
@@ -390,13 +405,12 @@ class _SideModels:
         if self.mode == "edp1" and basis_is_x:
             mod = lift_gate(X_MODULATION, n)
             effects = mod.conj().T @ effects @ mod
-        return [_KIND_BIT, _KIND_BIT], [flip, 1 ^ flip], effects
+        return _STATE_ROWS[[flip, 1 ^ flip]], effects
 
 
-def _alice_qubit_outcomes(basis_is_x: bool) -> tuple:
+def _alice_qubit_effects(basis_is_x: bool) -> np.ndarray:
     basis = Basis.X if basis_is_x else Basis.Z
-    effects = np.array([_qubit_proj(a, basis) for a in (0, 1)])
-    return [_KIND_BIT, _KIND_BIT], [0, 1], effects
+    return np.array([_qubit_proj(0, basis), _qubit_proj(1, basis), np.zeros((2, 2))])
 
 
 def _require_bb84_blocks(state: CompositeBlockState) -> None:
@@ -415,8 +429,11 @@ def _require_bb84_blocks(state: CompositeBlockState) -> None:
 def _born(a_effects: np.ndarray, b_effects: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Tr[(E_p tensor F_q) rho] for every pair of stacked effects E_p, F_q."""
     da, db = a_effects.shape[1], b_effects.shape[1]
-    rho4 = rho.reshape(da, db, da, db)
-    return np.einsum("pij,qkl,jlik->pq", a_effects, b_effects, rho4, optimize=True).real
+    # rho[(j, l), (i, k)] regrouped as [(i, j), (k, l)], matching E[i, j] F[k, l]
+    rho_t = rho.reshape(da, db, da, db).transpose(2, 0, 3, 1).reshape(da * da, db * db)
+    a = a_effects.reshape(len(a_effects), -1)
+    b = b_effects.reshape(len(b_effects), -1)
+    return (a @ rho_t @ b.T).real
 
 
 def exact_sifted_distribution(
@@ -534,10 +551,11 @@ class SimResult:
 
 
 class _CategoryTable:
-    """Flattened per-round outcome distribution for categorical sampling.
+    """Exact per-round law over (basis pair, block, sender state, receiver state).
 
-    One category per (basis pair, block, sender outcome, receiver outcome),
-    in that nesting order, with its exact Born probability.
+    ``cells`` has shape (4, K, 3, 3) for K blocks: basis pairs in
+    ``_PAIRS`` order, blocks in state order, side states bit 0, bit 1 and
+    vacuum.  One Born-kernel call fills each (basis pair, block).
     """
 
     def __init__(
@@ -548,107 +566,72 @@ class _CategoryTable:
         vacuum_random_bit: bool = False,
     ):
         models = _SideModels(mode, vacuum_random_bit)
-        probs, pair_idx, block_idx = [], [], []
-        akind, aval, bkind, bval = [], [], [], []
         self.block_keys = list(state.blocks.keys())
+        self.cells = np.zeros((len(_PAIRS), len(self.block_keys), 3, 3))
         for p_i, (a_x, b_x) in enumerate(_PAIRS):
             for k_i, ((m, n), (w, rho)) in enumerate(state.blocks.items()):
                 if w == 0.0:
                     continue
                 if protocol == "bb84":
-                    ka, va, ea = _alice_qubit_outcomes(a_x)
+                    ea = _alice_qubit_effects(a_x)
                 else:
-                    ka, va, ea = models.outcomes(m, a_x)
-                kb, vb, eb = models.outcomes(n, b_x)
-                joint = np.maximum(0.25 * w * _born(ea, eb, rho), 0.0)
-                probs.append(joint.ravel())
-                pair_idx.append(np.full(joint.size, p_i))
-                block_idx.append(np.full(joint.size, k_i))
-                akind.append(np.repeat(ka, len(kb)))
-                aval.append(np.repeat(va, len(kb)))
-                bkind.append(np.tile(kb, len(ka)))
-                bval.append(np.tile(vb, len(ka)))
-        self.probs = np.concatenate(probs)
-        self.cdf = np.cumsum(self.probs)
-        self.total = float(self.cdf[-1])
-        self.pair = np.concatenate(pair_idx)
-        self.block = np.concatenate(block_idx)
-        self.akind = np.concatenate(akind)
-        self.aval = np.concatenate(aval)
-        self.bkind = np.concatenate(bkind)
-        self.bval = np.concatenate(bval)
-        self.size = len(self.probs)
+                    ea = models.effects(m, a_x)
+                eb = models.effects(n, b_x)
+                self.cells[p_i, k_i] = np.maximum(0.25 * w * _born(ea, eb, rho), 0.0)
+        self.total = float(self.cells.sum())
 
     def law(self) -> dict:
-        """Marginal law over vacuum, basis mismatch and the sifted cells.
-
-        A coin outcome reports either bit with probability 1/2.
-        """
-        vac = (self.akind == _KIND_VACUUM) | (self.bkind == _KIND_VACUUM)
-        matched = (self.pair == 0) | (self.pair == 3)
-        law = {
-            "vacuum": float(self.probs[vac].sum()),
-            "mismatch": float(self.probs[~vac & ~matched].sum()),
-        }
-        bits_a = _bit_weights(self.akind, self.aval)
-        bits_b = _bit_weights(self.bkind, self.bval)
-        for basis, p_i in (("z", 0), ("x", 3)):
-            sel = ~vac & (self.pair == p_i)
-            cells = np.einsum("c,ca,cb->ab", self.probs[sel], bits_a[sel], bits_b[sel])
+        """Marginal law over vacuum, basis mismatch and the sifted cells."""
+        vacuum, mismatch, sifted, _ = _marginals(self.cells)
+        law = {"vacuum": float(vacuum), "mismatch": float(mismatch)}
+        for b_i, basis in enumerate("zx"):
             for a in (0, 1):
                 for b in (0, 1):
-                    law[(basis, a, b)] = float(cells[a, b])
+                    law[(basis, a, b)] = float(sifted[b_i, a, b])
         return law
 
-
-def _bit_weights(kind: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Probability of each reported bit (columns 0, 1) per category."""
-    weights = np.zeros((kind.size, 2))
-    weights[kind == _KIND_COIN] = 0.5
-    bit = kind == _KIND_BIT
-    weights[bit, value[bit]] = 1.0
-    return weights
-
-
-@dataclass
-class _Tally:
-    vacuum: int = 0
-    mismatched: int = 0
-    sifted_z: int = 0
-    sifted_x: int = 0
-    errors_z: int = 0
-    errors_x: int = 0
-    counts_z: Optional[np.ndarray] = None  # sifted (bit_a, bit_b) cells, z basis
-    counts_x: Optional[np.ndarray] = None
-    rounds_per_block: Optional[np.ndarray] = None
-    sifted_per_block: Optional[np.ndarray] = None
-    errors_per_block: Optional[np.ndarray] = None
-    records: Optional[list] = None
-
-    def merge(self, other: "_Tally") -> None:
-        self.vacuum += other.vacuum
-        self.mismatched += other.mismatched
-        self.sifted_z += other.sifted_z
-        self.sifted_x += other.sifted_x
-        self.errors_z += other.errors_z
-        self.errors_x += other.errors_x
-        self.counts_z = _add_opt(self.counts_z, other.counts_z)
-        self.counts_x = _add_opt(self.counts_x, other.counts_x)
-        self.rounds_per_block = _add_opt(self.rounds_per_block, other.rounds_per_block)
-        self.sifted_per_block = _add_opt(self.sifted_per_block, other.sifted_per_block)
-        self.errors_per_block = _add_opt(self.errors_per_block, other.errors_per_block)
-        if other.records is not None:
-            if self.records is None:
-                self.records = []
-            self.records.extend(other.records)
+    def records(self) -> list:
+        """One :class:`RoundRecord` per cell, in ``cells.ravel()`` order."""
+        records = []
+        for p_i, k_i, a, b in np.ndindex(self.cells.shape):
+            a_x, b_x = _PAIRS[p_i]
+            m, n = self.block_keys[k_i]
+            if _VACUUM in (a, b):
+                cls = "vacuum"
+            elif a_x == b_x:
+                cls = "sifted"
+            else:
+                cls = "basis_mismatch"
+            records.append(
+                RoundRecord(
+                    alice_basis=Basis.X if a_x else Basis.Z,
+                    bob_basis=Basis.X if b_x else Basis.Z,
+                    alice_bit=None if a == _VACUUM else a,
+                    bob_bit=None if b == _VACUUM else b,
+                    bob_photon_number=n,
+                    outcome_class=cls,
+                    alice_photon_number=m,
+                )
+            )
+        return records
 
 
-def _add_opt(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a + b
+def _marginals(cells: np.ndarray) -> tuple:
+    """(vacuum, mismatch, sifted, per_block) of a (4, K, 3, 3) law or count array.
+
+    ``sifted`` is (basis z/x, bit_a, bit_b); ``per_block`` is (3, K): rounds,
+    sifted and errors of each block.  The exact law and the Monte Carlo
+    tallies are both this reduction, so they cannot drift apart.
+    """
+    bits = cells[:, :, :_VACUUM, :_VACUUM]
+    matched = bits[[0, 3]]  # z-z and x-x pairs
+    vacuum = cells[:, :, _VACUUM, :].sum() + cells[:, :, :_VACUUM, _VACUUM].sum()
+    per_block = np.stack([
+        cells.sum(axis=(0, 2, 3)),
+        matched.sum(axis=(0, 2, 3)),
+        (matched[..., 0, 1] + matched[..., 1, 0]).sum(axis=0),
+    ])
+    return vacuum, bits[[1, 2]].sum(), matched.sum(axis=1), per_block
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -657,96 +640,6 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     # chunk_index << 64 can never overlap.
     bitgen = np.random.Philox(key=np.uint64(seed), counter=chunk_index << 64)
     return np.random.Generator(bitgen)
-
-
-def _run_chunk(
-    table: _CategoryTable,
-    seed: int,
-    chunk_index: int,
-    n_trials: int,
-    collect_records: bool,
-) -> _Tally:
-    rng = _chunk_rng(seed, chunk_index)
-    u = rng.random(n_trials) * table.total
-    idx = np.minimum(
-        np.searchsorted(table.cdf, u, side="right"), table.size - 1
-    )
-    akind = table.akind[idx]
-    bkind = table.bkind[idx]
-    bits_a = table.aval[idx].copy()
-    bits_b = table.bval[idx].copy()
-    coin_a = akind == _KIND_COIN
-    n_coin_a = int(coin_a.sum())
-    if n_coin_a:
-        coins = (rng.random(n_coin_a) < 0.5).astype(np.int64)
-        bits_a[coin_a] = coins ^ bits_a[coin_a]
-    coin_b = bkind == _KIND_COIN
-    n_coin_b = int(coin_b.sum())
-    if n_coin_b:
-        coins = (rng.random(n_coin_b) < 0.5).astype(np.int64)
-        bits_b[coin_b] = coins ^ bits_b[coin_b]
-    vac = (akind == _KIND_VACUUM) | (bkind == _KIND_VACUUM)
-    pair = table.pair[idx]
-    matched = (pair == 0) | (pair == 3)
-    sifted = ~vac & matched
-    err = sifted & (bits_a != bits_b)
-    sifted_z = sifted & (pair == 0)
-    sifted_x = sifted & (pair == 3)
-    n_blocks = len(table.block_keys)
-    blocks = table.block[idx]
-    cells = 2 * bits_a + bits_b
-    tally = _Tally(
-        vacuum=int(vac.sum()),
-        mismatched=int((~vac & ~matched).sum()),
-        sifted_z=int(sifted_z.sum()),
-        sifted_x=int(sifted_x.sum()),
-        errors_z=int((err & sifted_z).sum()),
-        errors_x=int((err & sifted_x).sum()),
-        counts_z=np.bincount(cells[sifted_z], minlength=4),
-        counts_x=np.bincount(cells[sifted_x], minlength=4),
-        rounds_per_block=np.bincount(blocks, minlength=n_blocks),
-        sifted_per_block=np.bincount(blocks[sifted], minlength=n_blocks),
-        errors_per_block=np.bincount(blocks[err], minlength=n_blocks),
-    )
-    if collect_records:
-        records = []
-        for i in range(n_trials):
-            a_x = pair[i] >= 2
-            b_x = pair[i] % 2 == 1
-            m, n = table.block_keys[blocks[i]]
-            a_vac = akind[i] == _KIND_VACUUM
-            b_vac = bkind[i] == _KIND_VACUUM
-            if vac[i]:
-                cls = "vacuum"
-            elif matched[i]:
-                cls = "sifted"
-            else:
-                cls = "basis_mismatch"
-            records.append(
-                RoundRecord(
-                    alice_basis=Basis.X if a_x else Basis.Z,
-                    bob_basis=Basis.X if b_x else Basis.Z,
-                    alice_bit=None if a_vac else int(bits_a[i]),
-                    bob_bit=None if b_vac else int(bits_b[i]),
-                    bob_photon_number=n,
-                    outcome_class=cls,
-                    alice_photon_number=m,
-                )
-            )
-        tally.records = records
-    return tally
-
-
-def _thread_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SQUASHKIT_THREADS")
-    if env is None:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"SQUASHKIT_THREADS must be an integer, got {env!r}")
 
 
 def _clip_rate(e: float) -> float:
@@ -766,14 +659,20 @@ def run_simulation(
 ) -> tuple[SimResult, Optional[list[RoundRecord]]]:
     """Run a Monte Carlo simulation and return tallies plus optional records.
 
-    Rounds are independent given the adversarial block state, so each
-    round samples its basis pair, joint photon-number block, and
-    measurement outcomes from the exact per-round law, with coincidence
-    coins drawn separately.  The trial stream is partitioned into
-    fixed-size chunks with per-chunk counter-offset RNG streams; tallies
-    are integers merged commutatively, so the result is bit-for-bit
-    reproducible from (config, seed) under any thread count.
+    Rounds are independent given the adversarial block state, so the
+    tallies of T rounds are one multinomial draw of T over the exact
+    per-round law of :class:`_CategoryTable` (basis pair, block and both
+    side states, coincidence coins folded in).  The trials are split into
+    chunks of :data:`CHUNK_TRIALS`, each drawn from its own counter-offset
+    Philox stream, so memory does not grow with ``trials`` and the result
+    is bit-for-bit reproducible from (config, seed).  With
+    ``collect_records`` each chunk's rounds are its drawn counts in a
+    uniformly random order, which is the law of i.i.d. rounds given the
+    counts; the tallies are the same with and without records.
+    ``threads`` is accepted for compatibility and ignored: sampling is
+    single-threaded.
     """
+    del threads
     _check_protocol_mode(protocol, mode)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -783,45 +682,35 @@ def run_simulation(
     if protocol == "bb84":
         _require_bb84_blocks(state)
     table = _CategoryTable(state, protocol, mode, vacuum_random_bit)
-    n_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    sizes = [
-        min(CHUNK_TRIALS, trials - i * CHUNK_TRIALS) for i in range(n_chunks)
-    ]
-    workers = _thread_count(threads)
-    if workers == 1 or n_chunks == 1:
-        tallies = [
-            _run_chunk(table, seed, i, sizes[i], collect_records)
-            for i in range(n_chunks)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tallies = list(
-                pool.map(
-                    lambda i: _run_chunk(table, seed, i, sizes[i], collect_records),
-                    range(n_chunks),
-                )
-            )
-    total = _Tally()
-    for t in tallies:
-        total.merge(t)
-    sifted = total.sifted_z + total.sifted_x
-    errors = total.errors_z + total.errors_x
+    pvals = table.cells.ravel() / table.total
+    counts = np.zeros(pvals.size, dtype=np.int64)
+    records, cell_records = None, None
+    if collect_records:
+        records, cell_records = [], table.records()
+    for i, first in enumerate(range(0, trials, CHUNK_TRIALS)):
+        rng = _chunk_rng(seed, i)
+        drawn = rng.multinomial(min(CHUNK_TRIALS, trials - first), pvals)
+        counts += drawn
+        if collect_records:
+            order = rng.permutation(np.repeat(np.arange(pvals.size), drawn))
+            records.extend(cell_records[j] for j in order.tolist())
+    vacuum, mismatched, cells, per_block = _marginals(counts.reshape(table.cells.shape))
+    sifted_z, sifted_x = (int(c.sum()) for c in cells)
+    errors_z, errors_x = (int(c[0, 1] + c[1, 0]) for c in cells)
+    sifted = sifted_z + sifted_x
+    errors = errors_z + errors_x
     e_bit = errors / sifted if sifted else None
-    e_bit_z = total.errors_z / total.sifted_z if total.sifted_z else None
-    e_bit_x = total.errors_x / total.sifted_x if total.sifted_x else None
+    e_bit_z = errors_z / sifted_z if sifted_z else None
+    e_bit_x = errors_x / sifted_x if sifted_x else None
     e_ph = e_bit_x if mode in ("edp1", "edp2") else None
-    if total.sifted_z and total.sifted_x:
+    if sifted_z and sifted_x:
         rate = key_rate(_clip_rate(e_bit_z), _clip_rate(e_bit_x))
     else:
         rate = None
     tallies_by_key = {}
-    for i, (m, n) in enumerate(table.block_keys):
+    for (m, n), (rounds, sifted_k, errors_k) in zip(table.block_keys, per_block.T.tolist()):
         key = str(n) if protocol == "bb84" else f"{m},{n}"
-        tallies_by_key[key] = {
-            "rounds": int(total.rounds_per_block[i]),
-            "sifted": int(total.sifted_per_block[i]),
-            "errors": int(total.errors_per_block[i]),
-        }
+        tallies_by_key[key] = {"rounds": rounds, "sifted": sifted_k, "errors": errors_k}
     result = SimResult(
         protocol=protocol,
         mode=mode,
@@ -829,27 +718,22 @@ def run_simulation(
         trials=trials,
         seed=seed,
         sifted=sifted,
-        sifted_z=total.sifted_z,
-        sifted_x=total.sifted_x,
+        sifted_z=sifted_z,
+        sifted_x=sifted_x,
         errors=errors,
-        errors_z=total.errors_z,
-        errors_x=total.errors_x,
-        vacuum=total.vacuum,
-        mismatched=total.mismatched,
+        errors_z=errors_z,
+        errors_x=errors_x,
+        vacuum=int(vacuum),
+        mismatched=int(mismatched),
         e_bit=e_bit,
         e_bit_z=e_bit_z,
         e_bit_x=e_bit_x,
         e_ph=e_ph,
         key_rate=rate,
         photon_tallies=tallies_by_key,
-        sifted_counts={
-            "z": [[int(c) for c in total.counts_z[:2]],
-                  [int(c) for c in total.counts_z[2:]]],
-            "x": [[int(c) for c in total.counts_x[:2]],
-                  [int(c) for c in total.counts_x[2:]]],
-        },
+        sifted_counts={"z": cells[0].tolist(), "x": cells[1].tolist()},
     )
-    return result, total.records
+    return result, records
 
 
 def run_bb84_actual(

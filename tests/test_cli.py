@@ -209,6 +209,32 @@ class TestSimulate:
         ]
         assert runner.invoke(main, no_seed).exit_code == 2  # seed mandatory
 
+    def test_numerical_failure_exits_one(self, runner):
+        # N=50 is past the photon number where the squash channel passes its
+        # trace-preserving check: a valid input the numerics reject.
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bb84", "--mode", "edp2",
+            "--attack", '{"kind":"coincidence_injection","n_photons":50,"c":3}',
+            "--trials", "1000", "--seed", "1",
+        ])
+        assert result.exit_code == 1
+        assert "simulation failed" in result.output
+        # a BB84 sender that is not a single qubit is still a usage error
+        two_photon_sender = json.dumps({
+            "kind": "fixed_block",
+            "blocks": [{
+                "m": 2, "n": 1, "weight": 1.0,
+                "rho": [[[1.0 if i == j == 0 else 0.0, 0.0] for j in range(6)]
+                        for i in range(6)],
+            }],
+        })
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bb84", "--attack", two_photon_sender,
+            "--trials", "10", "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert "single qubit" in result.output
+
 
 class TestKeyrate:
     def test_point_evaluation(self, runner):

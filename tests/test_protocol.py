@@ -27,7 +27,7 @@ from squashkit.protocol import (
     run_bbm92,
     run_simulation,
 )
-from squashkit.symfock import projector, sym_basis_state
+from squashkit.symfock import Basis, projector, sym_basis_state
 
 
 def binomial_4sigma(p, n):
@@ -417,6 +417,27 @@ class TestReproducibility:
         assert rec1 == rec2
 
 
+def tallies_from_records(records, protocol):
+    """(sifted_counts, errors, photon_tallies) recomputed round by round."""
+    counts = {basis: [[0, 0], [0, 0]] for basis in "zx"}
+    per_block = {}
+    errors = 0
+    for r in records:
+        key = (str(r.bob_photon_number) if protocol == "bb84"
+               else f"{r.alice_photon_number},{r.bob_photon_number}")
+        block = per_block.setdefault(key, {"rounds": 0, "sifted": 0, "errors": 0})
+        block["rounds"] += 1
+        if r.outcome_class != "sifted":
+            continue
+        basis = "z" if r.alice_basis == Basis.Z else "x"
+        counts[basis][r.alice_bit][r.bob_bit] += 1
+        block["sifted"] += 1
+        if r.alice_bit != r.bob_bit:
+            block["errors"] += 1
+            errors += 1
+    return counts, errors, per_block
+
+
 class TestRoundRecords:
     def test_record_invariants(self):
         result, records = run_simulation(
@@ -433,3 +454,25 @@ class TestRoundRecords:
             assert r.bob_photon_number == 2
         vacuum = [r for r in records if r.outcome_class == "vacuum"]
         assert len(vacuum) == result.vacuum
+        for protocol, attack in (
+            ("bb84", CoincidenceInjection(2, 1)),
+            ("bb84", asymmetric_custom_attack()),
+            ("bbm92", asymmetric_bbm92_attack()),
+        ):
+            result, records = run_simulation(
+                protocol, "actual", attack, 5_000, 61, collect_records=True
+            )
+            counts, errors, per_block = tallies_from_records(records, protocol)
+            assert counts == result.sifted_counts
+            assert errors == result.errors
+            assert per_block == {
+                k: v for k, v in result.photon_tallies.items() if v["rounds"]
+            }
+            bare, no_records = run_simulation(protocol, "actual", attack, 5_000, 61)
+            assert no_records is None
+            assert bare == result
+
+    def test_bounded_resources_at_very_large_trials(self):
+        result, _ = run_simulation("bb84", "actual", Depolarize(0.05), 10**10, 3)
+        assert result.vacuum + result.mismatched + result.sifted == 10**10
+        assert sum(t["rounds"] for t in result.photon_tallies.values()) == 10**10
