@@ -12,13 +12,17 @@ the pull-back of the qubit z measurement through the squash channel,
 
     P_vi[i] = sum_{b,b'} F[b,b']^dagger |i_z><i_z| F[b,b'].
 
-Also provided: the QND photon-number block decomposition used to reduce
+Both sides of the identity, and every measurement model the protocol
+simulations use, come from one builder, :func:`side_state_effects`.  Also
+provided: the QND photon-number block decomposition used to reduce
 arbitrary incoming states to per-block density operators, and the sampled
-detection event that protocol simulations are built on.
+one-event device model (:func:`detect_event`) that the simulations are
+cross-checked against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
@@ -35,6 +39,9 @@ __all__ = [
     "BlockState",
     "CompositeBlockState",
     "PovmEquivalenceReport",
+    "SIDE_STATES",
+    "VACUUM_STATE",
+    "side_state_effects",
     "actual_povm",
     "virtual_povm",
     "verify_povm_equivalence",
@@ -46,6 +53,16 @@ __all__ = [
 ]
 
 _EFFECT_ATOL = 1e-10
+
+#: What one receiver reports for a block, in the order of every effect
+#: stack built by :func:`side_state_effects`: a bit, or vacuum (no bit).
+SIDE_STATES = ("bit0", "bit1", "vacuum")
+VACUUM_STATE = SIDE_STATES.index("vacuum")
+
+# Weights of a fine outcome over the side states: one state, or either bit
+# with probability 1/2 (a coincidence, or a vacuum that draws a random bit).
+_ONE_STATE = np.eye(len(SIDE_STATES))
+_EITHER_BIT = np.array([0.5, 0.5, 0.0])
 
 
 class Outcome(Enum):
@@ -100,31 +117,77 @@ class Povm:
     """Positive effects summing to the identity, with outcome labels."""
 
     dim: int
-    effects: tuple
+    effects: np.ndarray
     labels: tuple
 
     def __post_init__(self) -> None:
-        effects = tuple(np.asarray(e, dtype=complex) for e in self.effects)
+        effects = np.array(self.effects, dtype=complex)
         if len(effects) != len(self.labels):
             raise ValueError("one label per effect required")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for e in effects:
-            if e.shape != (self.dim, self.dim):
-                raise ValueError(f"effect shape {e.shape} != ({self.dim}, {self.dim})")
-            if np.max(np.abs(e - e.conj().T)) > _EFFECT_ATOL:
-                raise ValueError("effect is not Hermitian")
-            if np.linalg.eigvalsh(e)[0] < -_EFFECT_ATOL:
-                raise ValueError("effect is not positive semidefinite")
-            e.setflags(write=False)
-            total += e
-        dev = np.max(np.abs(total - np.eye(self.dim)))
+        if effects.shape[1:] != (self.dim, self.dim):
+            raise ValueError(
+                f"effect shape {effects.shape[1:]} != ({self.dim}, {self.dim})"
+            )
+        if np.max(np.abs(effects - effects.conj().transpose(0, 2, 1))) > _EFFECT_ATOL:
+            raise ValueError("effect is not Hermitian")
+        if np.min(np.linalg.eigvalsh(effects)[:, 0]) < -_EFFECT_ATOL:
+            raise ValueError("effect is not positive semidefinite")
+        dev = np.max(np.abs(effects.sum(axis=0) - np.eye(self.dim)))
         if dev > _EFFECT_ATOL:
             raise ValueError(f"effects do not sum to identity (deviation {dev:.3e})")
+        effects.setflags(write=False)
         object.__setattr__(self, "effects", effects)
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         """Born probabilities of every outcome on a state."""
-        return np.array([np.trace(e @ rho).real for e in self.effects])
+        return np.einsum("kij,ji->k", self.effects, rho).real
+
+
+def side_state_effects(
+    n_photons: int, mode: str, basis_is_x: bool, vacuum_random_bit: bool = False
+) -> np.ndarray:
+    """Effects of the side states (bit 0, bit 1, vacuum) of an N-photon block.
+
+    One (3, N+1, N+1) stack for a receiver measuring in the z or x basis:
+
+    * ``actual``: the lifted x modulation (x basis only), then threshold
+      detection; all photons on one detector report its bit and a
+      coincidence reports either bit with probability 1/2;
+    * ``edp1``: the lifted modulation, the squash channel, the qubit z
+      measurement;
+    * ``edp2``: the squash channel, the modulation as a qubit gate, the
+      qubit z measurement.
+
+    An x-basis bit is the complement of the detector label.  A zero-photon
+    block reports vacuum, or either bit with probability 1/2 under
+    ``vacuum_random_bit``.  At N = 1 every mode is the projective qubit
+    measurement of its basis (``actual`` exactly, the squash modes to
+    rounding).
+    """
+    n = n_photons
+    flip = int(basis_is_x)
+    if n == 0:
+        row = _EITHER_BIT if vacuum_random_bit else _ONE_STATE[VACUUM_STATE]
+        weights, fine = row[None], np.ones((1, 1, 1), dtype=complex)
+    elif mode == "actual":
+        # fine z outcome c (c photons on detector 1): mod^dagger |c><c| mod
+        mod = lift_gate(X_MODULATION, n) if basis_is_x else np.eye(n + 1)
+        weights = np.tile(_EITHER_BIT, (n + 1, 1))
+        weights[0], weights[n] = _ONE_STATE[flip], _ONE_STATE[1 ^ flip]
+        fine = np.einsum("ci,cj->cij", mod.conj(), mod)
+    elif mode in ("edp1", "edp2"):
+        channel = build_squash(n)
+        projs = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        if mode == "edp2" and basis_is_x:
+            projs = [X_MODULATION.conj().T @ proj @ X_MODULATION for proj in projs]
+        fine = np.array([channel.pull_back(proj) for proj in projs])
+        if mode == "edp1" and basis_is_x:
+            mod = lift_gate(X_MODULATION, n)
+            fine = mod.conj().T @ fine @ mod
+        weights = _ONE_STATE[[flip, 1 ^ flip]]
+    else:
+        raise ValueError(f"mode must be 'actual', 'edp1' or 'edp2', got {mode!r}")
+    return np.einsum("ps,pij->sij", weights, fine)
 
 
 def actual_povm(n_photons: int) -> Povm:
@@ -136,27 +199,16 @@ def actual_povm(n_photons: int) -> Povm:
     """
     if n_photons < 1:
         raise ValueError(f"actual_povm requires N >= 1, got {n_photons}")
-    n = n_photons
-    diag0 = np.zeros(n + 1)
-    diag0[0] = 1.0
-    diag0[1:n] = 0.5
-    diag1 = np.zeros(n + 1)
-    diag1[n] = 1.0
-    diag1[1:n] = 0.5
-    return Povm(
-        dim=n + 1,
-        effects=(np.diag(diag0).astype(complex), np.diag(diag1).astype(complex)),
-        labels=("bit0", "bit1"),
-    )
+    effects = side_state_effects(n_photons, "actual", False)[:VACUUM_STATE]
+    return Povm(n_photons + 1, effects, SIDE_STATES[:VACUUM_STATE])
 
 
 def virtual_povm(n_photons: int) -> Povm:
     """Qubit z measurement pulled back through the squash channel."""
     if n_photons < 1:
         raise ValueError(f"virtual_povm requires N >= 1, got {n_photons}")
-    channel = build_squash(n_photons)
-    effects = tuple(channel.pull_back(np.diag(z)) for z in ([1.0, 0.0], [0.0, 1.0]))
-    return Povm(dim=n_photons + 1, effects=effects, labels=("bit0", "bit1"))
+    effects = side_state_effects(n_photons, "edp2", False)[:VACUUM_STATE]
+    return Povm(n_photons + 1, effects, SIDE_STATES[:VACUUM_STATE])
 
 
 @dataclass(frozen=True)
@@ -173,48 +225,64 @@ def verify_povm_equivalence(n_photons: int) -> PovmEquivalenceReport:
     Checks both sifted-bit effects and the Z-operator form
     P(all on 0) - P(all on 1)  vs  sum F^dagger Z F.
     """
-    ac = actual_povm(n_photons)
-    vi = virtual_povm(n_photons)
-    dev0 = float(np.max(np.abs(ac.effects[0] - vi.effects[0])))
-    dev1 = float(np.max(np.abs(ac.effects[1] - vi.effects[1])))
-    n = n_photons
-    z_ac = np.zeros((n + 1, n + 1), dtype=complex)
-    z_ac[0, 0] = 1.0
-    z_ac[n, n] = -1.0
-    z_vi = build_squash(n).pull_back(np.diag([1.0, -1.0]))
-    dev_z = float(np.max(np.abs(z_ac - z_vi)))
-    return PovmEquivalenceReport(n, dev0, dev1, dev_z)
+    ac = actual_povm(n_photons).effects
+    vi = virtual_povm(n_photons).effects
+    dev0, dev1 = (float(d) for d in np.max(np.abs(ac - vi), axis=(1, 2)))
+    # sum F^dagger Z F is the difference of the pulled-back bit effects
+    dev_z = float(np.max(np.abs((ac[0] - ac[1]) - (vi[0] - vi[1]))))
+    return PovmEquivalenceReport(n_photons, dev0, dev1, dev_z)
 
 
-@dataclass(frozen=True)
-class BlockState:
-    """Photon-number-block-diagonal state: N -> (weight, density on dim N+1)."""
+class _BlockDiagonalState:
+    """Validation and content equality shared by the block-state classes.
 
-    blocks: Mapping[int, tuple[float, np.ndarray]]
+    ``blocks`` maps a photon number, or a tuple of photon numbers (one per
+    side), to a weight and a density operator on the product of the
+    symmetric subspaces.
+    """
 
     def __post_init__(self) -> None:
         cleaned = {}
         total = 0.0
-        for n, (w, rho) in sorted(self.blocks.items()):
-            if n < 0:
-                raise ValueError(f"photon number must be >= 0, got {n}")
+        for key, (w, rho) in sorted(self.blocks.items()):
+            joint = isinstance(key, tuple)
+            numbers = key if joint else (key,)
+            label = f"({', '.join(map(str, numbers))})" if joint else str(key)
+            if min(numbers) < 0:
+                raise ValueError(f"photon number{'s' * joint} must be >= 0, got {label}")
             if w < -1e-12:
                 raise ValueError(f"negative block weight {w}")
             rho = validate_density(rho)
-            if rho.shape[0] != n + 1:
+            dim = math.prod(k + 1 for k in numbers)
+            if rho.shape[0] != dim:
                 raise ValueError(
-                    f"block {n} has dimension {rho.shape[0]}, expected {n + 1}"
+                    f"block {label} has dimension {rho.shape[0]}, expected {dim}"
                 )
             rho.setflags(write=False)
-            cleaned[n] = (float(w), rho)
+            cleaned[key] = (float(w), rho)
             total += w
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"block weights sum to {total}, expected 1")
         object.__setattr__(self, "blocks", cleaned)
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.blocks.keys() == other.blocks.keys() and all(
+            w == other.blocks[key][0] and np.array_equal(rho, other.blocks[key][1])
+            for key, (w, rho) in self.blocks.items()
+        )
 
-@dataclass(frozen=True)
-class CompositeBlockState:
+
+@dataclass(frozen=True, eq=False)
+class BlockState(_BlockDiagonalState):
+    """Photon-number-block-diagonal state: N -> (weight, density on dim N+1)."""
+
+    blocks: Mapping[int, tuple[float, np.ndarray]]
+
+
+@dataclass(frozen=True, eq=False)
+class CompositeBlockState(_BlockDiagonalState):
     """Joint photon-number-block-diagonal state on (left side) x (right side).
 
     Keys are photon-number pairs (m, n); each block holds a weight and a
@@ -223,27 +291,6 @@ class CompositeBlockState:
     """
 
     blocks: Mapping[tuple[int, int], tuple[float, np.ndarray]]
-
-    def __post_init__(self) -> None:
-        cleaned = {}
-        total = 0.0
-        for (m, n), (w, rho) in sorted(self.blocks.items()):
-            if m < 0 or n < 0:
-                raise ValueError(f"photon numbers must be >= 0, got ({m}, {n})")
-            if w < -1e-12:
-                raise ValueError(f"negative block weight {w}")
-            rho = validate_density(rho)
-            dim = (m + 1) * (n + 1)
-            if rho.shape[0] != dim:
-                raise ValueError(
-                    f"block ({m}, {n}) has dimension {rho.shape[0]}, expected {dim}"
-                )
-            rho.setflags(write=False)
-            cleaned[(m, n)] = (float(w), rho)
-            total += w
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"block weights sum to {total}, expected 1")
-        object.__setattr__(self, "blocks", cleaned)
 
 
 def _fock_truncation_blocks(rho: np.ndarray) -> dict[int, np.ndarray]:

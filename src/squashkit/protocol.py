@@ -15,17 +15,20 @@ it is validated both on exact Born probabilities and by Monte Carlo.
 
 Each view is a stack of effects per receiver, coarse-grained onto the
 side states the protocol reports: bit 0, bit 1 or vacuum, with a
-coincidence reporting either bit with probability 1/2.  One Born kernel
-turns the two stacks and a joint block into the exact law over (basis
-pair, block, sender state, receiver state).  The exact law
-(:func:`exact_sifted_distribution`) and the Monte Carlo tallies are the
-same reduction of that table, applied to probabilities and to counts, so
-the engine and the law cannot drift apart.  The law itself is pinned by
-checks that share no code with the kernel: a sequential replay of the
-physical device built on :func:`squashkit.povm.detect_event`, the
-detector/squash POVM identity (:func:`squashkit.povm.actual_povm` equals
-:func:`squashkit.povm.virtual_povm`), and closed-form error rates of the
-shipped attacks.
+coincidence reporting either bit with probability 1/2.  One builder,
+:func:`squashkit.povm.side_state_effects`, makes every stack, BB84's
+one-photon sender included.  One Born kernel turns the two stacks and a
+joint block into the exact law over (basis pair, block, sender state,
+receiver state).  The exact law (:func:`exact_sifted_distribution`) and
+the Monte Carlo tallies are the same reduction of that table, applied to
+probabilities and to counts, so the engine and the law cannot drift
+apart.  The law itself is pinned by a sequential replay of the physical
+device built on :func:`squashkit.povm.detect_event`, which shares no code
+with the builder or the kernel; by the detector/squash POVM identity,
+which compares the builder's detector branch
+(:func:`squashkit.povm.actual_povm`) with its squash branch
+(:func:`squashkit.povm.virtual_povm`); and by closed-form error rates of
+the shipped attacks.
 
 The adversary hands out an arbitrary photon-number-block-diagonal joint
 state (:class:`squashkit.povm.CompositeBlockState`); some standard attack
@@ -39,15 +42,14 @@ memory independent of the number of trials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import log2
 from typing import Optional, Union
 
 import numpy as np
 
-from .povm import ClickClass, CompositeBlockState, classify_click
-from .squash import build_squash
-from .symfock import X_MODULATION, Basis, lift_gate, qubit_frame, sym_basis_state
+from .povm import SIDE_STATES, VACUUM_STATE, CompositeBlockState, side_state_effects
+from .symfock import Basis, qubit_frame, sym_basis_state
 
 __all__ = [
     "Depolarize",
@@ -82,14 +84,6 @@ CHUNK_TRIALS = 1 << 20
 
 # Basis pairs (alice, bob) in sampling order; Z/X per party.
 _PAIRS = ((False, False), (False, True), (True, False), (True, True))
-
-# Side states of the law: the reported bit (0 or 1), or vacuum (no bit).
-_VACUUM = 2
-# Weights of a fine outcome over the side states.  A coincidence reports
-# either bit with probability 1/2, so the coin is part of the law and the
-# sampler never draws one.
-_STATE_ROWS = np.eye(3)
-_COIN_ROW = np.array([0.5, 0.5, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +161,14 @@ class CustomState:
             amps.setflags(write=False)
             frozen.append((int(m), int(n), float(w), amps))
         object.__setattr__(self, "blocks", tuple(frozen))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CustomState):
+            return NotImplemented
+        return len(self.blocks) == len(other.blocks) and all(
+            mine[:3] == theirs[:3] and np.array_equal(mine[3], theirs[3])
+            for mine, theirs in zip(self.blocks, other.blocks)
+        )
 
     @cached_property
     def _block_state(self) -> CompositeBlockState:
@@ -270,11 +272,6 @@ def bell_state() -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def _qubit_proj(bit: int, basis: Basis) -> np.ndarray:
-    v = qubit_frame(basis)[:, bit]
-    return np.outer(v, v.conj())
-
-
 def eve_state(
     attack: AttackSpec, rng: Optional[np.random.Generator] = None
 ) -> CompositeBlockState:
@@ -342,7 +339,7 @@ def key_rate(e_bit: float, e_ph: float, single_photon_fraction: float = 1.0) -> 
 
 
 # ---------------------------------------------------------------------------
-# measurement models
+# argument checks
 # ---------------------------------------------------------------------------
 
 
@@ -351,66 +348,6 @@ def _check_protocol_mode(protocol: str, mode: str) -> None:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-class _SideModels:
-    """Per-photon-number measurement models for one receiver, cached."""
-
-    def __init__(self, mode: str, vacuum_random_bit: bool = False):
-        self.mode = mode
-        self.vacuum_random_bit = vacuum_random_bit
-        self._cache: dict = {}
-
-    def effects(self, n: int, basis_is_x: bool) -> np.ndarray:
-        """Effects of the side states (bit 0, bit 1, vacuum) of an N-photon block.
-
-        One (3, N+1, N+1) stack: each fine outcome's effect is added to the
-        side state it reports, a coincidence (and, with
-        ``vacuum_random_bit``, vacuum) half to each bit.
-        """
-        key = (n, basis_is_x)
-        if key not in self._cache:
-            weights, fine = self._build(n, basis_is_x)
-            self._cache[key] = np.einsum("ps,pij->sij", weights, fine)
-        return self._cache[key]
-
-    def _build(self, n: int, basis_is_x: bool) -> tuple:
-        """(weights, effects) of the fine outcomes of an N-photon block.
-
-        ``weights`` holds one row over the side states per outcome and
-        ``effects`` the outcomes' effects as one (outcomes, N+1, N+1) stack.
-        """
-        flip = 1 if basis_is_x else 0
-        if n == 0:
-            row = _COIN_ROW if self.vacuum_random_bit else _STATE_ROWS[_VACUUM]
-            return row[None], np.ones((1, 1, 1), dtype=complex)
-        if self.mode == "actual":
-            # fine z outcome c has effect mod^dagger |c><c| mod
-            mod = lift_gate(X_MODULATION, n) if basis_is_x else np.eye(n + 1)
-            rows = []
-            for c in range(n + 1):
-                click = classify_click(c, n)
-                if click is ClickClass.COINCIDENCE:
-                    rows.append(_COIN_ROW)
-                else:
-                    rows.append(_STATE_ROWS[int(click is ClickClass.SINGLE1) ^ flip])
-            return np.array(rows), np.einsum("ci,cj->cij", mod.conj(), mod)
-        channel = build_squash(n)
-        effects = []
-        for proj in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
-            if self.mode == "edp2" and basis_is_x:
-                proj = X_MODULATION.conj().T @ proj @ X_MODULATION
-            effects.append(channel.pull_back(proj))
-        effects = np.array(effects)
-        if self.mode == "edp1" and basis_is_x:
-            mod = lift_gate(X_MODULATION, n)
-            effects = mod.conj().T @ effects @ mod
-        return _STATE_ROWS[[flip, 1 ^ flip]], effects
-
-
-def _alice_qubit_effects(basis_is_x: bool) -> np.ndarray:
-    basis = Basis.X if basis_is_x else Basis.Z
-    return np.array([_qubit_proj(0, basis), _qubit_proj(1, basis), np.zeros((2, 2))])
 
 
 def _require_bb84_blocks(state: CompositeBlockState) -> None:
@@ -554,8 +491,12 @@ class _CategoryTable:
     """Exact per-round law over (basis pair, block, sender state, receiver state).
 
     ``cells`` has shape (4, K, 3, 3) for K blocks: basis pairs in
-    ``_PAIRS`` order, blocks in state order, side states bit 0, bit 1 and
-    vacuum.  One Born-kernel call fills each (basis pair, block).
+    ``_PAIRS`` order, blocks in state order, side states in
+    :data:`squashkit.povm.SIDE_STATES` order (bit 0, bit 1, vacuum).  One
+    Born-kernel call fills each (basis pair, block) from the two sides'
+    :func:`squashkit.povm.side_state_effects` stacks.  BB84's sender is a
+    one-photon block measured in ``actual`` mode, which at one photon is
+    exactly the projective qubit measurement.
     """
 
     def __init__(
@@ -565,18 +506,17 @@ class _CategoryTable:
         mode: str,
         vacuum_random_bit: bool = False,
     ):
-        models = _SideModels(mode, vacuum_random_bit)
+        sender_mode = "actual" if protocol == "bb84" else mode
+        effects = cache(side_state_effects)  # per build: no process-wide cache
         self.block_keys = list(state.blocks.keys())
-        self.cells = np.zeros((len(_PAIRS), len(self.block_keys), 3, 3))
+        states = len(SIDE_STATES)
+        self.cells = np.zeros((len(_PAIRS), len(self.block_keys), states, states))
         for p_i, (a_x, b_x) in enumerate(_PAIRS):
             for k_i, ((m, n), (w, rho)) in enumerate(state.blocks.items()):
                 if w == 0.0:
                     continue
-                if protocol == "bb84":
-                    ea = _alice_qubit_effects(a_x)
-                else:
-                    ea = models.effects(m, a_x)
-                eb = models.effects(n, b_x)
+                ea = effects(m, sender_mode, a_x, vacuum_random_bit)
+                eb = effects(n, mode, b_x, vacuum_random_bit)
                 self.cells[p_i, k_i] = np.maximum(0.25 * w * _born(ea, eb, rho), 0.0)
         self.total = float(self.cells.sum())
 
@@ -596,7 +536,7 @@ class _CategoryTable:
         for p_i, k_i, a, b in np.ndindex(self.cells.shape):
             a_x, b_x = _PAIRS[p_i]
             m, n = self.block_keys[k_i]
-            if _VACUUM in (a, b):
+            if VACUUM_STATE in (a, b):
                 cls = "vacuum"
             elif a_x == b_x:
                 cls = "sifted"
@@ -606,8 +546,8 @@ class _CategoryTable:
                 RoundRecord(
                     alice_basis=Basis.X if a_x else Basis.Z,
                     bob_basis=Basis.X if b_x else Basis.Z,
-                    alice_bit=None if a == _VACUUM else a,
-                    bob_bit=None if b == _VACUUM else b,
+                    alice_bit=None if a == VACUUM_STATE else a,
+                    bob_bit=None if b == VACUUM_STATE else b,
                     bob_photon_number=n,
                     outcome_class=cls,
                     alice_photon_number=m,
@@ -623,9 +563,9 @@ def _marginals(cells: np.ndarray) -> tuple:
     sifted and errors of each block.  The exact law and the Monte Carlo
     tallies are both this reduction, so they cannot drift apart.
     """
-    bits = cells[:, :, :_VACUUM, :_VACUUM]
+    bits = cells[:, :, :VACUUM_STATE, :VACUUM_STATE]
     matched = bits[[0, 3]]  # z-z and x-x pairs
-    vacuum = cells[:, :, _VACUUM, :].sum() + cells[:, :, :_VACUUM, _VACUUM].sum()
+    vacuum = cells[:, :, VACUUM_STATE, :].sum() + cells[:, :, :VACUUM_STATE, VACUUM_STATE].sum()
     per_block = np.stack([
         cells.sum(axis=(0, 2, 3)),
         matched.sum(axis=(0, 2, 3)),
@@ -669,8 +609,9 @@ def run_simulation(
     ``collect_records`` each chunk's rounds are its drawn counts in a
     uniformly random order, which is the law of i.i.d. rounds given the
     counts; the tallies are the same with and without records.
-    ``threads`` is accepted for compatibility and ignored: sampling is
-    single-threaded.
+    ``threads`` is ignored (sampling is single-threaded); it is still
+    accepted because the benchmark's trace mode (``perfbench/run.py
+    --trace 1``) passes it.
     """
     del threads
     _check_protocol_mode(protocol, mode)
@@ -736,37 +677,25 @@ def run_simulation(
     return result, records
 
 
-def run_bb84_actual(
-    attack: AttackSpec, trials: int, seed: int, *, threads: Optional[int] = None
-) -> SimResult:
+def run_bb84_actual(attack: AttackSpec, trials: int, seed: int) -> SimResult:
     """Simulate the physical BB84 receiver (threshold detectors, coins)."""
-    result, _ = run_simulation("bb84", "actual", attack, trials, seed, threads=threads)
+    result, _ = run_simulation("bb84", "actual", attack, trials, seed)
     return result
 
 
 def run_bb84_virtual(
-    attack: AttackSpec,
-    trials: int,
-    seed: int,
-    variant: str = "edp2",
-    *,
-    threads: Optional[int] = None,
+    attack: AttackSpec, trials: int, seed: int, variant: str = "edp2"
 ) -> SimResult:
     """Simulate a virtual BB84 protocol; variant is "edp1" or "edp2"."""
     if variant not in ("edp1", "edp2"):
         raise ValueError(f"variant must be 'edp1' or 'edp2', got {variant!r}")
-    result, _ = run_simulation("bb84", variant, attack, trials, seed, threads=threads)
+    result, _ = run_simulation("bb84", variant, attack, trials, seed)
     return result
 
 
 def run_bbm92(
-    attack: AttackSpec,
-    trials: int,
-    seed: int,
-    mode: str = "actual",
-    *,
-    threads: Optional[int] = None,
+    attack: AttackSpec, trials: int, seed: int, mode: str = "actual"
 ) -> SimResult:
     """Simulate BBM92 with both parties on threshold detectors or squashed."""
-    result, _ = run_simulation("bbm92", mode, attack, trials, seed, threads=threads)
+    result, _ = run_simulation("bbm92", mode, attack, trials, seed)
     return result

@@ -28,10 +28,7 @@ __all__ = [
     "X_MODULATION",
     "HADAMARD",
     "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
     "qubit_frame",
-    "qubit_ket",
     "sym_basis_state",
     "change_basis",
     "basis_change_matrix",
@@ -63,8 +60,6 @@ X_MODULATION = np.array([[1, -1], [1, 1]], dtype=complex) / np.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Columns are the basis kets |0_b>, |1_b> in z coordinates.
 _FRAMES = {
@@ -78,20 +73,13 @@ ORACLE_PHOTON_CAP = 8
 
 _UNITARY_ATOL = 1e-12
 
-for _m in (X_MODULATION, HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, *_FRAMES.values()):
+for _m in (X_MODULATION, HADAMARD, PAULI_X, *_FRAMES.values()):
     _m.setflags(write=False)
 
 
 def qubit_frame(basis: Basis) -> np.ndarray:
     """2x2 matrix whose columns are |0_basis>, |1_basis> in z coordinates."""
     return _FRAMES[basis]
-
-
-def qubit_ket(bit: int, basis: Basis) -> np.ndarray:
-    """Single-qubit basis ket |bit_basis> in z coordinates."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    return _FRAMES[basis][:, bit].copy()
 
 
 @dataclass(frozen=True)

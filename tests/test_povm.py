@@ -13,11 +13,12 @@ from squashkit.povm import (
     detect_event,
     modulated_block,
     qnd_split,
+    side_state_effects,
     verify_povm_equivalence,
     virtual_povm,
 )
 from squashkit.squash import apply_channel, build_squash, random_density
-from squashkit.symfock import X_MODULATION, projector, sym_basis_state
+from squashkit.symfock import X_MODULATION, Basis, projector, qubit_frame, sym_basis_state
 
 
 class TestActualPovm:
@@ -70,6 +71,31 @@ class TestVirtualPovm:
         vi = virtual_povm(n)
         total = vi.effects[0] + vi.effects[1]
         assert np.max(np.abs(total - np.eye(n + 1))) < 1e-10
+
+
+class TestSideStateEffects:
+    @pytest.mark.parametrize("vacuum_random_bit", [False, True])
+    @pytest.mark.parametrize("n", range(13))
+    @pytest.mark.parametrize("basis_is_x", [False, True])
+    @pytest.mark.parametrize("mode", ["actual", "edp1", "edp2"])
+    def test_stack_is_a_povm(self, mode, basis_is_x, n, vacuum_random_bit):
+        stack = side_state_effects(n, mode, basis_is_x, vacuum_random_bit)
+        assert stack.shape == (3, n + 1, n + 1)
+        assert np.max(np.abs(stack.sum(axis=0) - np.eye(n + 1))) < 1e-10
+        assert np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) < 1e-12
+        assert np.min(np.linalg.eigvalsh(stack)) > -1e-12
+        if n == 1:
+            # one photon: the projective qubit measurement of the basis
+            frame = qubit_frame(Basis.X if basis_is_x else Basis.Z)
+            qubit = np.array([np.outer(v, v.conj()) for v in frame.T] + [np.zeros((2, 2))])
+            if mode == "actual":
+                assert np.array_equal(stack, qubit)
+            else:
+                assert np.max(np.abs(stack - qubit)) <= 1e-15
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            side_state_effects(2, "ideal", False)
 
 
 class TestEquivalence:

@@ -158,6 +158,18 @@ class TestEveState:
         back = attack_from_dict(data)
         assert attack_to_dict(back) == data
 
+    def test_equality_compares_content(self):
+        for attack in (asymmetric_bbm92_attack(), double_coincidence_attack()):
+            data = attack_to_dict(attack)
+            assert attack_from_dict(data) == attack_from_dict(data)
+            assert eve_state(attack_from_dict(data)) == eve_state(attack)
+        assert eve_state(Depolarize(0.1)) == eve_state(Depolarize(0.1))
+        assert eve_state(Depolarize(0.1)) != eve_state(Depolarize(0.2))
+        assert honest_bbm92_attack() != double_coincidence_attack()
+        amps = np.array([1.0, 0.0])
+        assert CustomState(((0, 1, 1.0, amps),)) != CustomState(((0, 1, 1.0, amps[::-1]),))
+        assert CustomState(((0, 1, 1.0, amps),)) != CustomState(((1, 0, 1.0, amps),))
+
 
 class TestExactErrorRates:
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.22])
