@@ -41,7 +41,7 @@ memory independent of the number of trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from math import log2
 from typing import Optional, Union
@@ -272,17 +272,12 @@ def bell_state() -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def eve_state(
-    attack: AttackSpec, rng: Optional[np.random.Generator] = None
-) -> CompositeBlockState:
+def eve_state(attack: AttackSpec) -> CompositeBlockState:
     """Joint block-diagonal state the adversary hands to the two parties.
 
     For BB84 the left factor is the sender's virtual reference qubit
-    (photon number 1); for BBM92 both factors are incoming pulses.  The
-    shipped attacks are deterministic; `rng` is accepted for attack types
-    that may need it and is currently unused.
+    (photon number 1); for BBM92 both factors are incoming pulses.
     """
-    del rng
     if isinstance(attack, Depolarize):
         rho = (1.0 - attack.p) * bell_state() + attack.p * np.eye(4) / 4.0
         return CompositeBlockState({(1, 1): (1.0, rho)})
@@ -463,28 +458,7 @@ class SimResult:
     sifted_counts: dict
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "mode": self.mode,
-            "attack": self.attack,
-            "trials": self.trials,
-            "seed": self.seed,
-            "sifted": self.sifted,
-            "sifted_z": self.sifted_z,
-            "sifted_x": self.sifted_x,
-            "errors": self.errors,
-            "errors_z": self.errors_z,
-            "errors_x": self.errors_x,
-            "vacuum": self.vacuum,
-            "mismatched": self.mismatched,
-            "e_bit": self.e_bit,
-            "e_bit_z": self.e_bit_z,
-            "e_bit_x": self.e_bit_x,
-            "e_ph": self.e_ph,
-            "key_rate": self.key_rate,
-            "photon_tallies": self.photon_tallies,
-            "sifted_counts": self.sifted_counts,
-        }
+        return asdict(self)
 
 
 class _CategoryTable:

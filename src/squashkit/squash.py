@@ -20,7 +20,7 @@ This module constructs the family and machine-checks all three properties.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
@@ -147,8 +147,8 @@ def build_squash(n_photons: int) -> KrausChannel:
     pairs = squash_index_pairs(n)
     f_y = np.zeros((len(pairs), 2, n + 1), dtype=complex)
     for i, (b, bp) in enumerate(pairs):
-        f_y[i, 1, b] = prefactor * np.sqrt(comb(n, bp))
-        f_y[i, 0, bp] = prefactor * np.sqrt(comb(n, b))
+        f_y[i, 1, b] = prefactor * sqrt(comb(n, bp))
+        f_y[i, 0, bp] = prefactor * sqrt(comb(n, b))
     ops = frame_y @ f_y @ to_y
     return KrausChannel(
         input_dim=n + 1, output_dim=2, ops=ops, labels=tuple(pairs)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -50,6 +51,17 @@ class TestVerify:
             "hadamard_invariance",
             "lift_oracle",
         }
+
+    def test_passes_past_former_precision_cliff(self, runner):
+        # N=47 and N=48 broke the trace-preserving check of the old lift
+        result = runner.invoke(
+            main, ["verify", "--nmax", "48", "--format", "json"]
+        )
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert report["passed"] is True
+        assert len(report["checks"]) == 150
+        assert all(c["max_deviation"] < 1e-10 for c in report["checks"])
 
     def test_raising_check_becomes_fail_row(self, runner, tmp_path, monkeypatch):
         import squashkit.cli as cli
@@ -209,9 +221,23 @@ class TestSimulate:
         ]
         assert runner.invoke(main, no_seed).exit_code == 2  # seed mandatory
 
-    def test_numerical_failure_exits_one(self, runner):
-        # N=50 is past the photon number where the squash channel passes its
-        # trace-preserving check: a valid input the numerics reject.
+    def test_large_photon_number_attack_runs(self, runner):
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bb84", "--mode", "edp2",
+            "--attack", '{"kind":"coincidence_injection","n_photons":50,"c":3}',
+            "--trials", "1000", "--seed", "1",
+        ])
+        assert result.exit_code == 0
+
+    def test_numerical_failure_exits_one(self, runner, monkeypatch):
+        # A numerical failure inside a valid simulation (here a forced
+        # LinAlgError) is a simulation failure, not a usage error.
+        import squashkit.cli as cli
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(cli, "run_simulation", failing)
         result = runner.invoke(main, [
             "simulate", "--protocol", "bb84", "--mode", "edp2",
             "--attack", '{"kind":"coincidence_injection","n_photons":50,"c":3}',

@@ -119,7 +119,7 @@ class TestLiftGate:
         out = lift_gate(X_MODULATION, n) @ state.amps
         assert np.allclose(out, OMEGA**-1 * state.amps, atol=1e-13)
 
-    @pytest.mark.parametrize("n", range(11))
+    @pytest.mark.parametrize("n", [*range(11), 47, 68, 100, 200])
     def test_representation_homomorphism(self, n):
         rng = np.random.default_rng(100 + n)
         for _ in range(5):
@@ -127,7 +127,7 @@ class TestLiftGate:
             prod = lift_gate(u, n) @ lift_gate(v, n)
             assert np.max(np.abs(prod - lift_gate(u @ v, n))) < 1e-10
 
-    @pytest.mark.parametrize("n", range(13))
+    @pytest.mark.parametrize("n", [*range(13), 47, 68, 100, 200])
     def test_lift_is_unitary(self, n):
         rng = np.random.default_rng(7 + n)
         u = lift_gate(random_unitary(rng), n)
