@@ -61,7 +61,6 @@ from .protocol import (
     AttackSpec,
     attack_from_dict,
     attack_to_dict,
-    RoundRecord,
     SimResult,
     bell_state,
     eve_state,
@@ -70,9 +69,6 @@ from .protocol import (
     exact_error_rates,
     exact_sifted_distribution,
     run_simulation,
-    run_bb84_actual,
-    run_bb84_virtual,
-    run_bbm92,
 )
 
 __version__ = "0.1.0"
@@ -117,7 +113,6 @@ __all__ = [
     "AttackSpec",
     "attack_from_dict",
     "attack_to_dict",
-    "RoundRecord",
     "SimResult",
     "bell_state",
     "eve_state",
@@ -126,8 +121,5 @@ __all__ = [
     "exact_error_rates",
     "exact_sifted_distribution",
     "run_simulation",
-    "run_bb84_actual",
-    "run_bb84_virtual",
-    "run_bbm92",
     "__version__",
 ]

@@ -244,7 +244,7 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
         raise click.UsageError(f"malformed attack spec: {exc}")
     start = time.perf_counter()
     try:
-        result, _ = run_simulation(protocol, mode, attack, trials, seed)
+        result = run_simulation(protocol, mode, attack, trials, seed)
     except Exception as exc:  # a valid input the numerics cannot handle
         click.echo(f"simulation failed: {type(exc).__name__}: {exc}", err=True)
         sys.exit(1)

@@ -32,11 +32,12 @@ the shipped attacks.
 
 The adversary hands out an arbitrary photon-number-block-diagonal joint
 state (:class:`squashkit.povm.CompositeBlockState`); some standard attack
-families are shipped as named constructors.  The Monte Carlo engine
-samples counts, not rounds: each fixed-size chunk of trials is one
-multinomial draw over the table from its own counter-offset Philox
-stream, so runs are reproducible bit for bit from (config, seed) and cost
-memory independent of the number of trials.
+families are shipped as named constructors.  The Monte Carlo engine,
+:func:`run_simulation`, samples counts, not rounds: each fixed-size chunk
+of trials is one multinomial draw over the table from its own
+counter-offset Philox stream, and the run is reported as the count
+tallies of a :class:`SimResult`.  Runs are reproducible bit for bit from
+(config, seed) and cost memory independent of the number of trials.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "AttackSpec",
     "attack_from_dict",
     "attack_to_dict",
-    "RoundRecord",
     "SimResult",
     "bell_state",
     "eve_state",
@@ -69,9 +69,6 @@ __all__ = [
     "exact_error_rates",
     "exact_sifted_distribution",
     "run_simulation",
-    "run_bb84_actual",
-    "run_bb84_virtual",
-    "run_bbm92",
     "CHUNK_TRIALS",
 ]
 
@@ -338,19 +335,26 @@ def key_rate(e_bit: float, e_ph: float, single_photon_fraction: float = 1.0) -> 
 # ---------------------------------------------------------------------------
 
 
-def _check_protocol_mode(protocol: str, mode: str) -> None:
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
 def _require_bb84_blocks(state: CompositeBlockState) -> None:
     bad = [key for key in state.blocks if key[0] != 1]
     if bad:
         raise ValueError(
             f"BB84 requires the sender side to be a single qubit; got blocks {bad}"
         )
+
+
+def _table(
+    attack: AttackSpec, protocol: str, mode: str, vacuum_random_bit: bool
+) -> _CategoryTable:
+    """The checked category table of one (attack, protocol, mode)."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    state = eve_state(attack)
+    if protocol == "bb84":
+        _require_bb84_blocks(state)
+    return _CategoryTable(state, protocol, mode, vacuum_random_bit)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +387,7 @@ def exact_sifted_distribution(
     (unless vacuum draws a random bit instead).  The law is the marginal
     of the category table the Monte Carlo engine samples from.
     """
-    _check_protocol_mode(protocol, mode)
-    state = eve_state(attack)
-    if protocol == "bb84":
-        _require_bb84_blocks(state)
-    return _CategoryTable(state, protocol, mode, vacuum_random_bit).law()
+    return _table(attack, protocol, mode, vacuum_random_bit).law()
 
 
 def exact_error_rates(attack: AttackSpec, protocol: str = "bb84") -> tuple[float, float]:
@@ -411,19 +411,6 @@ def exact_error_rates(attack: AttackSpec, protocol: str = "bb84") -> tuple[float
 # ---------------------------------------------------------------------------
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """Outcome of one simulated transmission round."""
-
-    alice_basis: Basis
-    bob_basis: Basis
-    alice_bit: Optional[int]
-    bob_bit: Optional[int]
-    bob_photon_number: int
-    outcome_class: str  # "sifted" | "basis_mismatch" | "vacuum"
-    alice_photon_number: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -504,31 +491,6 @@ class _CategoryTable:
                     law[(basis, a, b)] = float(sifted[b_i, a, b])
         return law
 
-    def records(self) -> list:
-        """One :class:`RoundRecord` per cell, in ``cells.ravel()`` order."""
-        records = []
-        for p_i, k_i, a, b in np.ndindex(self.cells.shape):
-            a_x, b_x = _PAIRS[p_i]
-            m, n = self.block_keys[k_i]
-            if VACUUM_STATE in (a, b):
-                cls = "vacuum"
-            elif a_x == b_x:
-                cls = "sifted"
-            else:
-                cls = "basis_mismatch"
-            records.append(
-                RoundRecord(
-                    alice_basis=Basis.X if a_x else Basis.Z,
-                    bob_basis=Basis.X if b_x else Basis.Z,
-                    alice_bit=None if a == VACUUM_STATE else a,
-                    bob_bit=None if b == VACUUM_STATE else b,
-                    bob_photon_number=n,
-                    outcome_class=cls,
-                    alice_photon_number=m,
-                )
-            )
-        return records
-
 
 def _marginals(cells: np.ndarray) -> tuple:
     """(vacuum, mismatch, sifted, per_block) of a (4, K, 3, 3) law or count array.
@@ -567,11 +529,10 @@ def run_simulation(
     trials: int,
     seed: int,
     *,
-    collect_records: bool = False,
     threads: Optional[int] = None,
     vacuum_random_bit: bool = False,
-) -> tuple[SimResult, Optional[list[RoundRecord]]]:
-    """Run a Monte Carlo simulation and return tallies plus optional records.
+) -> SimResult:
+    """Run a Monte Carlo simulation and return its tallies and rates.
 
     Rounds are independent given the adversarial block state, so the
     tallies of T rounds are one multinomial draw of T over the exact
@@ -579,36 +540,20 @@ def run_simulation(
     side states, coincidence coins folded in).  The trials are split into
     chunks of :data:`CHUNK_TRIALS`, each drawn from its own counter-offset
     Philox stream, so memory does not grow with ``trials`` and the result
-    is bit-for-bit reproducible from (config, seed).  With
-    ``collect_records`` each chunk's rounds are its drawn counts in a
-    uniformly random order, which is the law of i.i.d. rounds given the
-    counts; the tallies are the same with and without records.
-    ``threads`` is ignored (sampling is single-threaded); it is still
-    accepted because the benchmark's trace mode (``perfbench/run.py
-    --trace 1``) passes it.
+    is bit-for-bit reproducible from (config, seed).  ``threads`` is
+    ignored (sampling is single-threaded); it is still accepted because
+    the benchmark's trace mode (``perfbench/run.py --trace 1``) passes it.
     """
     del threads
-    _check_protocol_mode(protocol, mode)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    state = eve_state(attack)
-    if protocol == "bb84":
-        _require_bb84_blocks(state)
-    table = _CategoryTable(state, protocol, mode, vacuum_random_bit)
+    table = _table(attack, protocol, mode, vacuum_random_bit)
     pvals = table.cells.ravel() / table.total
     counts = np.zeros(pvals.size, dtype=np.int64)
-    records, cell_records = None, None
-    if collect_records:
-        records, cell_records = [], table.records()
     for i, first in enumerate(range(0, trials, CHUNK_TRIALS)):
-        rng = _chunk_rng(seed, i)
-        drawn = rng.multinomial(min(CHUNK_TRIALS, trials - first), pvals)
-        counts += drawn
-        if collect_records:
-            order = rng.permutation(np.repeat(np.arange(pvals.size), drawn))
-            records.extend(cell_records[j] for j in order.tolist())
+        counts += _chunk_rng(seed, i).multinomial(min(CHUNK_TRIALS, trials - first), pvals)
     vacuum, mismatched, cells, per_block = _marginals(counts.reshape(table.cells.shape))
     sifted_z, sifted_x = (int(c.sum()) for c in cells)
     errors_z, errors_x = (int(c[0, 1] + c[1, 0]) for c in cells)
@@ -626,7 +571,7 @@ def run_simulation(
     for (m, n), (rounds, sifted_k, errors_k) in zip(table.block_keys, per_block.T.tolist()):
         key = str(n) if protocol == "bb84" else f"{m},{n}"
         tallies_by_key[key] = {"rounds": rounds, "sifted": sifted_k, "errors": errors_k}
-    result = SimResult(
+    return SimResult(
         protocol=protocol,
         mode=mode,
         attack=attack_to_dict(attack),
@@ -648,28 +593,3 @@ def run_simulation(
         photon_tallies=tallies_by_key,
         sifted_counts={"z": cells[0].tolist(), "x": cells[1].tolist()},
     )
-    return result, records
-
-
-def run_bb84_actual(attack: AttackSpec, trials: int, seed: int) -> SimResult:
-    """Simulate the physical BB84 receiver (threshold detectors, coins)."""
-    result, _ = run_simulation("bb84", "actual", attack, trials, seed)
-    return result
-
-
-def run_bb84_virtual(
-    attack: AttackSpec, trials: int, seed: int, variant: str = "edp2"
-) -> SimResult:
-    """Simulate a virtual BB84 protocol; variant is "edp1" or "edp2"."""
-    if variant not in ("edp1", "edp2"):
-        raise ValueError(f"variant must be 'edp1' or 'edp2', got {variant!r}")
-    result, _ = run_simulation("bb84", variant, attack, trials, seed)
-    return result
-
-
-def run_bbm92(
-    attack: AttackSpec, trials: int, seed: int, mode: str = "actual"
-) -> SimResult:
-    """Simulate BBM92 with both parties on threshold detectors or squashed."""
-    result, _ = run_simulation("bbm92", mode, attack, trials, seed)
-    return result

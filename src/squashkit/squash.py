@@ -141,15 +141,14 @@ def build_squash(n_photons: int) -> KrausChannel:
     if n_photons < 1:
         raise ValueError(f"squash requires N >= 1, got {n_photons}")
     n = n_photons
-    prefactor = 2.0 ** (-(n - 1) / 2.0)
     frame_y = basis_change_matrix(1, Basis.Y, Basis.Z)  # qubit y-coords -> z-coords
     to_y = basis_change_matrix(n, Basis.Z, Basis.Y)  # input z-coords -> y-coords
     pairs = squash_index_pairs(n)
-    f_y = np.zeros((len(pairs), 2, n + 1), dtype=complex)
-    for i, (b, bp) in enumerate(pairs):
-        f_y[i, 1, b] = prefactor * sqrt(comb(n, bp))
-        f_y[i, 0, bp] = prefactor * sqrt(comb(n, b))
-    ops = frame_y @ f_y @ to_y
+    b, bp = np.array(pairs).T
+    w = 2.0 ** (-(n - 1) / 2.0) * np.array([sqrt(comb(n, k)) for k in range(n + 1)])
+    # Row <0_y| of F[b,b'] is w[b] <S^y_b'|, row <1_y| is w[b'] <S^y_b|.
+    f_y = np.stack([w[b, None] * to_y[bp], w[bp, None] * to_y[b]], axis=1)
+    ops = frame_y @ f_y
     return KrausChannel(
         input_dim=n + 1, output_dim=2, ops=ops, labels=tuple(pairs)
     )

@@ -22,8 +22,6 @@ from squashkit.protocol import (
     exact_error_rates,
     exact_sifted_distribution,
     key_rate,
-    run_bb84_actual,
-    run_bbm92,
     run_simulation,
 )
 from squashkit.squash import (
@@ -169,7 +167,7 @@ def test_criterion_6_actual_vs_virtual():
     for i, attack in enumerate(SHIPPED_ATTACKS):
         law = exact_sifted_distribution(attack, "bb84", "actual")
         for j, mode in enumerate(("actual", "edp2")):
-            result, _ = run_simulation(
+            result = run_simulation(
                 "bb84", mode, attack, 100_000, 1000 + 10 * i + j
             )
             pvals.append(_law_chi_square_pvalue(result, law))
@@ -201,7 +199,7 @@ def test_criterion_8_depolarizing_end_to_end():
         assert abs(e_ph - p / 2) < 1e-12
     devs = []
     for p in (0.1, 0.22):
-        result = run_bb84_actual(Depolarize(p), 100_000, 4242)
+        result = run_simulation("bb84", "actual", Depolarize(p), 100_000, 4242)
         sigma = np.sqrt((p / 2) * (1 - p / 2) / result.sifted)
         devs.append(abs(result.e_bit - p / 2) / sigma)
         assert devs[-1] < 4.0
@@ -214,14 +212,14 @@ def test_criterion_8_depolarizing_end_to_end():
 def test_criterion_9_bbm92():
     start = time.perf_counter()
     honest = FixedBlockState(CompositeBlockState({(1, 1): (1.0, bell_state())}))
-    result = run_bbm92(honest, 100_000, 606)
+    result = run_simulation("bbm92", "actual", honest, 100_000, 606)
     assert result.e_bit == 0.0
     assert result.key_rate == 1.0
     blk = projector(sym_basis_state(2, 1))
     double = FixedBlockState(
         CompositeBlockState({(2, 2): (1.0, np.kron(blk, blk))})
     )
-    result = run_bbm92(double, 100_000, 607)
+    result = run_simulation("bbm92", "actual", double, 100_000, 607)
     sigma = np.sqrt(0.25 / result.sifted)
     assert abs(result.e_bit - 0.5) < 4 * sigma
     worst = 0.0
@@ -232,7 +230,7 @@ def test_criterion_9_bbm92():
         for key in actual:
             worst = max(worst, abs(actual[key] - edp2[key]))
         for j, mode in enumerate(("actual", "edp2")):
-            run, _ = run_simulation("bbm92", mode, attack, 100_000, 700 + 10 * i + j)
+            run = run_simulation("bbm92", mode, attack, 100_000, 700 + 10 * i + j)
             pvals.append(_law_chi_square_pvalue(run, actual))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10

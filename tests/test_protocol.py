@@ -22,12 +22,9 @@ from squashkit.protocol import (
     exact_error_rates,
     exact_sifted_distribution,
     key_rate,
-    run_bb84_actual,
-    run_bb84_virtual,
-    run_bbm92,
     run_simulation,
 )
-from squashkit.symfock import Basis, projector, sym_basis_state
+from squashkit.symfock import projector, sym_basis_state
 
 
 def binomial_4sigma(p, n):
@@ -242,19 +239,19 @@ class TestKeyRate:
 
 class TestBb84MonteCarlo:
     def test_noiseless_run(self):
-        result = run_bb84_actual(Depolarize(0.0), 100_000, 42)
+        result = run_simulation("bb84", "actual", Depolarize(0.0), 100_000, 42)
         assert result.e_bit == 0.0
         assert result.vacuum == 0
         assert abs(result.sifted - 50_000) < 4 * np.sqrt(100_000 * 0.25)
         assert result.key_rate == 1.0
 
     def test_coincidence_injection_randomizes(self):
-        result = run_bb84_actual(CoincidenceInjection(2, 1), 100_000, 3)
+        result = run_simulation("bb84", "actual", CoincidenceInjection(2, 1), 100_000, 3)
         assert abs(result.e_bit - 0.5) < binomial_4sigma(0.5, result.sifted)
 
     @pytest.mark.parametrize("p", [0.1, 0.2])
     def test_depolarize_matches_exact(self, p):
-        result = run_bb84_actual(Depolarize(p), 100_000, 7)
+        result = run_simulation("bb84", "actual", Depolarize(p), 100_000, 7)
         e_exact, _ = exact_error_rates(Depolarize(p))
         assert abs(result.e_bit - e_exact) < binomial_4sigma(e_exact, result.sifted)
 
@@ -262,23 +259,23 @@ class TestBb84MonteCarlo:
         attack = FixedBlockState(
             CompositeBlockState({(1, 0): (1.0, np.eye(2) / 2)})
         )
-        result = run_bb84_actual(attack, 1000, 5)
+        result = run_simulation("bb84", "actual", attack, 1000, 5)
         assert result.sifted == 0
         assert result.vacuum == 1000
         assert result.e_bit is None
         assert result.key_rate is None
 
     def test_edp_variants_agree(self):
-        r1 = run_bb84_virtual(Depolarize(0.2), 100_000, 11, variant="edp1")
-        r2 = run_bb84_virtual(Depolarize(0.2), 100_000, 13, variant="edp2")
+        r1 = run_simulation("bb84", "edp1", Depolarize(0.2), 100_000, 11)
+        r2 = run_simulation("bb84", "edp2", Depolarize(0.2), 100_000, 13)
         sigma = binomial_4sigma(0.1, min(r1.sifted, r2.sifted))
         assert abs(r1.e_bit - r2.e_bit) < 2 * sigma
 
     def test_virtual_reports_phase_error(self):
-        r = run_bb84_virtual(Depolarize(0.2), 50_000, 21, variant="edp2")
+        r = run_simulation("bb84", "edp2", Depolarize(0.2), 50_000, 21)
         assert r.e_ph is not None
         assert abs(r.e_ph - 0.1) < binomial_4sigma(0.1, r.sifted_x)
-        r_act = run_bb84_actual(Depolarize(0.2), 10_000, 21)
+        r_act = run_simulation("bb84", "actual", Depolarize(0.2), 10_000, 21)
         assert r_act.e_ph is None
 
     def test_bad_alice_side_rejected(self):
@@ -286,12 +283,26 @@ class TestBb84MonteCarlo:
             CompositeBlockState({(2, 1): (1.0, np.eye(6) / 6)})
         )
         with pytest.raises(ValueError):
-            run_bb84_actual(attack, 100, 1)
+            run_simulation("bb84", "actual", attack, 100, 1)
 
     def test_photon_tallies_cover_all_trials(self):
-        result = run_bb84_actual(CoincidenceInjection(2, 1), 10_000, 9)
-        assert sum(t["rounds"] for t in result.photon_tallies.values()) == 10_000
-        assert set(result.photon_tallies) == {"2"}
+        for protocol, attack, keys in (
+            ("bb84", CoincidenceInjection(2, 1), {"2"}),
+            ("bb84", asymmetric_custom_attack(), {"0", "2", "3"}),
+            ("bbm92", asymmetric_bbm92_attack(), {"0,2", "1,1", "2,3"}),
+        ):
+            result = run_simulation(protocol, "actual", attack, 10_000, 9)
+            tallies = result.photon_tallies.values()
+            assert set(result.photon_tallies) == keys
+            assert sum(t["rounds"] for t in tallies) == 10_000
+            assert sum(t["sifted"] for t in tallies) == result.sifted
+            assert sum(t["errors"] for t in tallies) == result.errors
+            assert np.sum(list(result.sifted_counts.values())) == result.sifted
+
+    def test_bounded_resources_at_very_large_trials(self):
+        result = run_simulation("bb84", "actual", Depolarize(0.05), 10**10, 3)
+        assert result.vacuum + result.mismatched + result.sifted == 10**10
+        assert sum(t["rounds"] for t in result.photon_tallies.values()) == 10**10
 
 
 class TestDistributionalEquivalence:
@@ -319,7 +330,7 @@ class TestDistributionalEquivalence:
     def test_monte_carlo_matches_exact_law(self, mode):
         attack = Depolarize(0.2)
         law = exact_sifted_distribution(attack, "bb84", "actual")
-        result, _ = run_simulation("bb84", mode, attack, 100_000, 31)
+        result = run_simulation("bb84", mode, attack, 100_000, 31)
         assert law_chi_square_pvalue(result, law) > 0.001
 
     @pytest.mark.parametrize("mode", ["actual", "edp1"])
@@ -327,20 +338,20 @@ class TestDistributionalEquivalence:
         # vacuum + coincidence + complex amplitudes in one source
         attack = asymmetric_custom_attack()
         law = exact_sifted_distribution(attack, "bb84", "actual")
-        result, _ = run_simulation("bb84", mode, attack, 100_000, 47)
+        result = run_simulation("bb84", mode, attack, 100_000, 47)
         assert law_chi_square_pvalue(result, law) > 0.001
         assert result.vacuum > 0
 
 
 class TestBbm92:
     def test_honest_bell_source(self):
-        result = run_bbm92(honest_bbm92_attack(), 100_000, 17)
+        result = run_simulation("bbm92", "actual", honest_bbm92_attack(), 100_000, 17)
         assert result.e_bit == 0.0
         assert result.key_rate == 1.0
         assert abs(result.sifted - 50_000) < 4 * np.sqrt(100_000 * 0.25)
 
     def test_double_coincidence_randomizes(self):
-        result = run_bbm92(double_coincidence_attack(), 100_000, 19)
+        result = run_simulation("bbm92", "actual", double_coincidence_attack(), 100_000, 19)
         assert abs(result.e_bit - 0.5) < binomial_4sigma(0.5, result.sifted)
 
     def test_vacuum_on_either_side_discards(self):
@@ -349,7 +360,7 @@ class TestBbm92:
             (1, 1): (0.5, bell_state()),
         }
         attack = FixedBlockState(CompositeBlockState(blocks))
-        result = run_bbm92(attack, 40_000, 23)
+        result = run_simulation("bbm92", "actual", attack, 40_000, 23)
         assert abs(result.vacuum - 20_000) < 4 * np.sqrt(40_000 * 0.25)
         assert result.e_bit == 0.0
 
@@ -379,7 +390,7 @@ class TestBbm92:
     def test_monte_carlo_matches_exact_law(self):
         attack = double_coincidence_attack()
         law = exact_sifted_distribution(attack, "bbm92", "actual")
-        result, _ = run_simulation("bbm92", "actual", attack, 100_000, 37)
+        result = run_simulation("bbm92", "actual", attack, 100_000, 37)
         assert law_chi_square_pvalue(result, law) > 0.001
 
 
@@ -388,7 +399,7 @@ class TestVacuumRandomBit:
         attack = FixedBlockState(
             CompositeBlockState({(1, 0): (1.0, np.eye(2) / 2)})
         )
-        result, _ = run_simulation(
+        result = run_simulation(
             "bb84", "actual", attack, 50_000, 41, vacuum_random_bit=True
         )
         assert result.vacuum == 0
@@ -402,89 +413,19 @@ class TestVacuumRandomBit:
 
 class TestReproducibility:
     def test_same_seed_same_result(self):
-        a = run_bb84_actual(Depolarize(0.13), 30_000, 99)
-        b = run_bb84_actual(Depolarize(0.13), 30_000, 99)
+        a = run_simulation("bb84", "actual", Depolarize(0.13), 30_000, 99)
+        b = run_simulation("bb84", "actual", Depolarize(0.13), 30_000, 99)
         assert a == b
 
     def test_thread_count_invariant(self):
         kwargs = dict(trials=30_000, seed=99)
-        r1, _ = run_simulation("bb84", "actual", Depolarize(0.13), threads=1, **kwargs)
-        r3, _ = run_simulation("bb84", "actual", Depolarize(0.13), threads=3, **kwargs)
+        r1 = run_simulation("bb84", "actual", Depolarize(0.13), threads=1, **kwargs)
+        r3 = run_simulation("bb84", "actual", Depolarize(0.13), threads=3, **kwargs)
         assert r1 == r3
 
     def test_env_var_controls_threads(self, monkeypatch):
         monkeypatch.setenv("SQUASHKIT_THREADS", "4")
-        a = run_bb84_actual(Depolarize(0.05), 20_000, 55)
+        a = run_simulation("bb84", "actual", Depolarize(0.05), 20_000, 55)
         monkeypatch.delenv("SQUASHKIT_THREADS")
-        b = run_bb84_actual(Depolarize(0.05), 20_000, 55)
+        b = run_simulation("bb84", "actual", Depolarize(0.05), 20_000, 55)
         assert a == b
-
-    def test_records_deterministic(self):
-        _, rec1 = run_simulation(
-            "bbm92", "actual", honest_bbm92_attack(), 2_000, 77, collect_records=True
-        )
-        _, rec2 = run_simulation(
-            "bbm92", "actual", honest_bbm92_attack(), 2_000, 77, collect_records=True
-        )
-        assert rec1 == rec2
-
-
-def tallies_from_records(records, protocol):
-    """(sifted_counts, errors, photon_tallies) recomputed round by round."""
-    counts = {basis: [[0, 0], [0, 0]] for basis in "zx"}
-    per_block = {}
-    errors = 0
-    for r in records:
-        key = (str(r.bob_photon_number) if protocol == "bb84"
-               else f"{r.alice_photon_number},{r.bob_photon_number}")
-        block = per_block.setdefault(key, {"rounds": 0, "sifted": 0, "errors": 0})
-        block["rounds"] += 1
-        if r.outcome_class != "sifted":
-            continue
-        basis = "z" if r.alice_basis == Basis.Z else "x"
-        counts[basis][r.alice_bit][r.bob_bit] += 1
-        block["sifted"] += 1
-        if r.alice_bit != r.bob_bit:
-            block["errors"] += 1
-            errors += 1
-    return counts, errors, per_block
-
-
-class TestRoundRecords:
-    def test_record_invariants(self):
-        result, records = run_simulation(
-            "bb84", "actual", CoincidenceInjection(2, 1), 5_000, 61,
-            collect_records=True,
-        )
-        assert len(records) == 5_000
-        sifted = [r for r in records if r.outcome_class == "sifted"]
-        assert len(sifted) == result.sifted
-        for r in sifted:
-            assert r.alice_basis == r.bob_basis
-            assert r.alice_bit in (0, 1)
-            assert r.bob_bit in (0, 1)
-            assert r.bob_photon_number == 2
-        vacuum = [r for r in records if r.outcome_class == "vacuum"]
-        assert len(vacuum) == result.vacuum
-        for protocol, attack in (
-            ("bb84", CoincidenceInjection(2, 1)),
-            ("bb84", asymmetric_custom_attack()),
-            ("bbm92", asymmetric_bbm92_attack()),
-        ):
-            result, records = run_simulation(
-                protocol, "actual", attack, 5_000, 61, collect_records=True
-            )
-            counts, errors, per_block = tallies_from_records(records, protocol)
-            assert counts == result.sifted_counts
-            assert errors == result.errors
-            assert per_block == {
-                k: v for k, v in result.photon_tallies.items() if v["rounds"]
-            }
-            bare, no_records = run_simulation(protocol, "actual", attack, 5_000, 61)
-            assert no_records is None
-            assert bare == result
-
-    def test_bounded_resources_at_very_large_trials(self):
-        result, _ = run_simulation("bb84", "actual", Depolarize(0.05), 10**10, 3)
-        assert result.vacuum + result.mismatched + result.sifted == 10**10
-        assert sum(t["rounds"] for t in result.photon_tallies.values()) == 10**10
