@@ -135,6 +135,53 @@ class TestApplyChannelOnBob:
             apply_channel_on_bob(build_squash(2), np.eye(7) / 7, bob_dim=3)
 
 
+class TestChoiRoute:
+    """The Choi-matrix contractions against explicit sums over channel.ops.
+
+    From N of about 100 the squash channel is invariant to rounding under
+    transposing its input (the pull-back of sigma_y decays exponentially in
+    N), so a swap of the two input axes of J shows only at the smaller N
+    and on the non-square family.
+    """
+
+    @pytest.fixture(scope="class", params=[1, 5, 47, 200, "isometry"])
+    def channel(self, request):
+        if request.param != "isometry":
+            return build_squash(request.param)
+        # non-square family (3 operators, input 4, output 3): the blocks of
+        # a QR isometry V, so sum_k K_k^dagger K_k = V^dagger V = 1
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4)))
+        return KrausChannel(input_dim=4, output_dim=3, ops=q.reshape(3, 3, 4))
+
+    def test_apply_channel_matches_kraus_sum(self, channel):
+        rho = random_density(channel.input_dim, np.random.default_rng(1))
+        expected = sum(k @ rho @ k.conj().T for k in channel.ops)
+        assert np.max(np.abs(apply_channel(channel, rho) - expected)) < 1e-12
+
+    def test_pull_back_matches_kraus_sum(self, channel):
+        rng = np.random.default_rng(2)
+        dim = channel.output_dim
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        effect = g + g.conj().T  # Hermitian, not symmetric
+        expected = sum(k.conj().T @ effect @ k for k in channel.ops)
+        assert np.max(np.abs(channel.pull_back(effect) - expected)) < 1e-12
+
+    def test_apply_channel_on_bob_matches_kraus_sum(self, channel):
+        # rank-4 joint state G G^dagger keeps the explicit sum cheap at N=200:
+        # (1 x K) G G^dagger (1 x K)^dagger = M M^dagger with M = (1 x K) G
+        alice_dim, bob_dim, rank = 3, channel.input_dim, 4
+        rng = np.random.default_rng(3)
+        shape = (alice_dim * bob_dim, rank)
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        g /= np.linalg.norm(g)
+        g3 = g.reshape(alice_dim, bob_dim, rank)
+        ms = [(k @ g3).reshape(-1, rank) for k in channel.ops]
+        expected = sum(m @ m.conj().T for m in ms)
+        out = apply_channel_on_bob(channel, g @ g.conj().T, bob_dim)
+        assert np.max(np.abs(out - expected)) < 1e-12
+
+
 class TestCompleteness:
     def test_two_photon_diagonal_formula(self):
         # f[0,0] = (1/2) C(2,1) = 1 and f[1,1] = (1/2)(C(2,0)+C(2,2)) = 1
@@ -143,7 +190,7 @@ class TestCompleteness:
         report = verify_completeness(2)
         assert report.diag_formula_deviation < 1e-12
 
-    @pytest.mark.parametrize("n", [*range(1, 13), 47, 68, 100])
+    @pytest.mark.parametrize("n", [*range(1, 13), 47, 68, 100, 200])
     def test_deviation_small(self, n):
         report = verify_completeness(n)
         assert report.max_deviation < 1e-10
@@ -172,7 +219,7 @@ class TestHadamardInvariance:
         assert report.kraus_max_deviation < 1e-10
         assert report.channel_max_deviation < 1e-10
 
-    @pytest.mark.parametrize("n", [47, 68])
+    @pytest.mark.parametrize("n", [47, 68, 100, 200])
     def test_invariance_at_large_photon_number(self, n):
         report = verify_hadamard_invariance(n, trials=5)
         assert report.kraus_phase_ok
