@@ -17,12 +17,10 @@ The ``squashkit`` console script exposes ``verify``, ``simulate`` and
 
 from .symfock import (
     Basis,
-    SymState,
     OMEGA,
     X_MODULATION,
     HADAMARD,
     sym_basis_state,
-    change_basis,
     basis_change_matrix,
     lift_gate,
     lift_gate_oracle,
@@ -75,12 +73,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Basis",
-    "SymState",
     "OMEGA",
     "X_MODULATION",
     "HADAMARD",
     "sym_basis_state",
-    "change_basis",
     "basis_change_matrix",
     "lift_gate",
     "lift_gate_oracle",

@@ -50,7 +50,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .povm import SIDE_STATES, VACUUM_STATE, CompositeBlockState, side_state_effects
-from .symfock import Basis, qubit_frame, sym_basis_state
+from .symfock import Basis, projector, qubit_frame, sym_basis_state
 
 __all__ = [
     "Depolarize",
@@ -286,8 +286,7 @@ def eve_state(attack: AttackSpec) -> CompositeBlockState:
                 rho += 0.25 * np.outer(vv, vv.conj())
         return CompositeBlockState({(1, 1): (1.0, rho)})
     if isinstance(attack, CoincidenceInjection):
-        state = sym_basis_state(attack.n_photons, attack.c)
-        bob = np.outer(state.amps, state.amps.conj())
+        bob = projector(sym_basis_state(attack.n_photons, attack.c))
         d = attack.n_photons + 1
         rho = np.zeros((2 * d, 2 * d), dtype=complex)
         rho[:d, :d] = rho[d:, d:] = bob / 2.0  # maximally mixed reference qubit
@@ -343,20 +342,6 @@ def _require_bb84_blocks(state: CompositeBlockState) -> None:
         )
 
 
-def _table(
-    attack: AttackSpec, protocol: str, mode: str, vacuum_random_bit: bool
-) -> _CategoryTable:
-    """The checked category table of one (attack, protocol, mode)."""
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    state = eve_state(attack)
-    if protocol == "bb84":
-        _require_bb84_blocks(state)
-    return _CategoryTable(state, protocol, mode, vacuum_random_bit)
-
-
 # ---------------------------------------------------------------------------
 # exact Born-probability laws
 # ---------------------------------------------------------------------------
@@ -370,6 +355,41 @@ def _born(a_effects: np.ndarray, b_effects: np.ndarray, rho: np.ndarray) -> np.n
     a = a_effects.reshape(len(a_effects), -1)
     b = b_effects.reshape(len(b_effects), -1)
     return (a @ rho_t @ b.T).real
+
+
+def _table(
+    attack: AttackSpec, protocol: str, mode: str, vacuum_random_bit: bool
+) -> tuple[list, np.ndarray]:
+    """Exact per-round law over (basis pair, block, sender state, receiver state).
+
+    Returns ``(block_keys, cells)``, the checked category table of one
+    (attack, protocol, mode).  ``cells`` has shape (4, K, 3, 3) for the K
+    blocks of ``block_keys``: basis pairs in ``_PAIRS`` order, blocks in
+    state order, side states in :data:`squashkit.povm.SIDE_STATES` order
+    (bit 0, bit 1, vacuum).  One Born-kernel call fills each (basis pair,
+    block) from the two sides' :func:`squashkit.povm.side_state_effects`
+    stacks.  BB84's sender is a one-photon block measured in ``actual``
+    mode, which at one photon is exactly the projective qubit measurement.
+    """
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    state = eve_state(attack)
+    if protocol == "bb84":
+        _require_bb84_blocks(state)
+    sender_mode = "actual" if protocol == "bb84" else mode
+    effects = cache(side_state_effects)  # per build: no process-wide cache
+    states = len(SIDE_STATES)
+    cells = np.zeros((len(_PAIRS), len(state.blocks), states, states))
+    for p_i, (a_x, b_x) in enumerate(_PAIRS):
+        for k_i, ((m, n), (w, rho)) in enumerate(state.blocks.items()):
+            if w == 0.0:
+                continue
+            ea = effects(m, sender_mode, a_x, vacuum_random_bit)
+            eb = effects(n, mode, b_x, vacuum_random_bit)
+            cells[p_i, k_i] = np.maximum(0.25 * w * _born(ea, eb, rho), 0.0)
+    return list(state.blocks), cells
 
 
 def exact_sifted_distribution(
@@ -387,7 +407,14 @@ def exact_sifted_distribution(
     (unless vacuum draws a random bit instead).  The law is the marginal
     of the category table the Monte Carlo engine samples from.
     """
-    return _table(attack, protocol, mode, vacuum_random_bit).law()
+    _, cells = _table(attack, protocol, mode, vacuum_random_bit)
+    vacuum, mismatch, sifted, _ = _marginals(cells)
+    law = {"vacuum": float(vacuum), "mismatch": float(mismatch)}
+    for b_i, basis in enumerate("zx"):
+        for a in (0, 1):
+            for b in (0, 1):
+                law[(basis, a, b)] = float(sifted[b_i, a, b])
+    return law
 
 
 def exact_error_rates(attack: AttackSpec, protocol: str = "bb84") -> tuple[float, float]:
@@ -448,50 +475,6 @@ class SimResult:
         return asdict(self)
 
 
-class _CategoryTable:
-    """Exact per-round law over (basis pair, block, sender state, receiver state).
-
-    ``cells`` has shape (4, K, 3, 3) for K blocks: basis pairs in
-    ``_PAIRS`` order, blocks in state order, side states in
-    :data:`squashkit.povm.SIDE_STATES` order (bit 0, bit 1, vacuum).  One
-    Born-kernel call fills each (basis pair, block) from the two sides'
-    :func:`squashkit.povm.side_state_effects` stacks.  BB84's sender is a
-    one-photon block measured in ``actual`` mode, which at one photon is
-    exactly the projective qubit measurement.
-    """
-
-    def __init__(
-        self,
-        state: CompositeBlockState,
-        protocol: str,
-        mode: str,
-        vacuum_random_bit: bool = False,
-    ):
-        sender_mode = "actual" if protocol == "bb84" else mode
-        effects = cache(side_state_effects)  # per build: no process-wide cache
-        self.block_keys = list(state.blocks.keys())
-        states = len(SIDE_STATES)
-        self.cells = np.zeros((len(_PAIRS), len(self.block_keys), states, states))
-        for p_i, (a_x, b_x) in enumerate(_PAIRS):
-            for k_i, ((m, n), (w, rho)) in enumerate(state.blocks.items()):
-                if w == 0.0:
-                    continue
-                ea = effects(m, sender_mode, a_x, vacuum_random_bit)
-                eb = effects(n, mode, b_x, vacuum_random_bit)
-                self.cells[p_i, k_i] = np.maximum(0.25 * w * _born(ea, eb, rho), 0.0)
-        self.total = float(self.cells.sum())
-
-    def law(self) -> dict:
-        """Marginal law over vacuum, basis mismatch and the sifted cells."""
-        vacuum, mismatch, sifted, _ = _marginals(self.cells)
-        law = {"vacuum": float(vacuum), "mismatch": float(mismatch)}
-        for b_i, basis in enumerate("zx"):
-            for a in (0, 1):
-                for b in (0, 1):
-                    law[(basis, a, b)] = float(sifted[b_i, a, b])
-        return law
-
-
 def _marginals(cells: np.ndarray) -> tuple:
     """(vacuum, mismatch, sifted, per_block) of a (4, K, 3, 3) law or count array.
 
@@ -536,7 +519,7 @@ def run_simulation(
 
     Rounds are independent given the adversarial block state, so the
     tallies of T rounds are one multinomial draw of T over the exact
-    per-round law of :class:`_CategoryTable` (basis pair, block and both
+    per-round law of :func:`_table` (basis pair, block and both
     side states, coincidence coins folded in).  The trials are split into
     chunks of :data:`CHUNK_TRIALS`, each drawn from its own counter-offset
     Philox stream, so memory does not grow with ``trials`` and the result
@@ -549,12 +532,12 @@ def run_simulation(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    table = _table(attack, protocol, mode, vacuum_random_bit)
-    pvals = table.cells.ravel() / table.total
+    block_keys, table = _table(attack, protocol, mode, vacuum_random_bit)
+    pvals = table.ravel() / float(table.sum())
     counts = np.zeros(pvals.size, dtype=np.int64)
     for i, first in enumerate(range(0, trials, CHUNK_TRIALS)):
         counts += _chunk_rng(seed, i).multinomial(min(CHUNK_TRIALS, trials - first), pvals)
-    vacuum, mismatched, cells, per_block = _marginals(counts.reshape(table.cells.shape))
+    vacuum, mismatched, cells, per_block = _marginals(counts.reshape(table.shape))
     sifted_z, sifted_x = (int(c.sum()) for c in cells)
     errors_z, errors_x = (int(c[0, 1] + c[1, 0]) for c in cells)
     sifted = sifted_z + sifted_x
@@ -568,7 +551,7 @@ def run_simulation(
     else:
         rate = None
     tallies_by_key = {}
-    for (m, n), (rounds, sifted_k, errors_k) in zip(table.block_keys, per_block.T.tolist()):
+    for (m, n), (rounds, sifted_k, errors_k) in zip(block_keys, per_block.T.tolist()):
         key = str(n) if protocol == "bb84" else f"{m},{n}"
         tallies_by_key[key] = {"rounds": rounds, "sifted": sifted_k, "errors": errors_k}
     return SimResult(

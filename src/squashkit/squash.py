@@ -16,10 +16,12 @@ with the x-basis phase modulation up to a per-operator phase:
 which makes the channel invariant under conjugation by that modulation.
 This module constructs the family and machine-checks all three properties.
 
-The family holds about (N+1)^2/4 operators, but the channel is applied
-through its Choi matrix, 2(N+1) x 2(N+1) and computed once per family, so
-each application (and each Heisenberg pull-back) is one O((N+1)^2)
-matrix product rather than a sum over the operators.
+The family holds about (N+1)^2/4 operators, kept as one read-only
+(count, 2, N+1) stack in ``KrausChannel.ops``.  The channel is applied
+through its Choi matrix, computed once per family and stored as the
+4 x (N+1)^2 matrix that both contractions read, so each application (and
+each Heisenberg pull-back) is one O((N+1)^2) matrix product rather than a
+sum over the operators.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ _TP_ATOL = 1e-10
 _SLICE = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive trace-preserving map as a finite Kraus family.
 
@@ -59,43 +61,46 @@ class KrausChannel:
     ----------
     input_dim, output_dim : int
         Every operator is an output_dim x input_dim matrix.
-    ops : tuple of ndarray
-        The Kraus operators; a stacked (count, output_dim, input_dim)
-        array is accepted too.  Stored as read-only views of one stack.
+    ops : ndarray
+        The Kraus operators as one read-only (count, output_dim, input_dim)
+        complex stack; any sequence of operators is accepted.
     labels : tuple
         Per-operator metadata; for the squash family the index pair (b, b').
 
     The Choi matrix J[i, j, m, l] = sum_k K_k[i, j] conj(K_k[m, l]) is
     computed once at construction, summed over fixed slices of the family,
-    and kept read-only with axes (out, in, out, in).  Applying the channel
-    and pulling an operator back are each one matrix product with J, so
-    they cost O(output_dim^2 input_dim^2) whatever the operator count.
+    and stored read-only as the (out*out, in*in) matrix C[(i, m), (j, l)]
+    that both contractions read.  Applying the channel and pulling an
+    operator back are each one matrix product with C, so they cost
+    O(output_dim^2 input_dim^2) whatever the operator count.
+
+    Channels compare by identity, and their repr leaves out the operators.
     """
 
     input_dim: int
     output_dim: int
-    ops: tuple
-    labels: tuple = ()
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
-    _choi: np.ndarray = field(init=False, repr=False, compare=False)
+    ops: np.ndarray = field(repr=False)
+    labels: tuple = field(default=(), repr=False)
+    _choi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        stack = np.asarray(self.ops, dtype=complex)
-        if stack.shape[1:] != (self.output_dim, self.input_dim):
+        ops = np.asarray(self.ops, dtype=complex)
+        if ops.shape[1:] != (self.output_dim, self.input_dim):
             raise ValueError(
-                f"Kraus operator shape {stack.shape[1:]} does not match "
+                f"Kraus operator shape {ops.shape[1:]} does not match "
                 f"({self.output_dim}, {self.input_dim})"
             )
-        if self.labels and len(self.labels) != len(stack):
+        if self.labels and len(self.labels) != len(ops):
             raise ValueError("labels length must match number of operators")
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "ops", tuple(stack))
-        flat = stack.reshape(len(stack), -1)
+        ops.setflags(write=False)
+        object.__setattr__(self, "ops", ops)
+        flat = ops.reshape(len(ops), -1)
         choi = np.zeros((flat.shape[1], flat.shape[1]), dtype=complex)
         for s in range(0, len(flat), _SLICE):
             choi += flat[s : s + _SLICE].T @ flat[s : s + _SLICE].conj()
-        choi = choi.reshape(stack.shape[1:] * 2)  # (out, in, out, in)
+        out, inp = self.output_dim, self.input_dim
+        # J's axes (out, in, out, in) -> (out, out, in, in), copied once here
+        choi = choi.reshape(out, inp, out, inp).swapaxes(1, 2).reshape(out * out, -1)
         choi.setflags(write=False)
         object.__setattr__(self, "_choi", choi)
         dev = np.max(np.abs(self.completeness_sum() - np.eye(self.input_dim)))
@@ -114,9 +119,8 @@ class KrausChannel:
         back the identity gives the completeness sum.
         """
         # (K^dagger op K)[j, l] = sum_{i,m} conj(J[i, j, m, l]) op[i, m]
-        out, inp = self.output_dim, self.input_dim
-        choi = self._choi.transpose(0, 2, 1, 3).reshape(out * out, inp * inp)
-        return (np.conj(op).reshape(-1) @ choi).conj().reshape(inp, inp)
+        inp = self.input_dim
+        return (np.conj(op).reshape(-1) @ self._choi).conj().reshape(inp, inp)
 
 
 @dataclass(frozen=True)
@@ -187,34 +191,27 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
             f"state dimension {rho.shape} does not match channel input "
             f"dimension {channel.input_dim}"
         )
-    return apply_channel_on_bob(channel, rho, channel.input_dim)
+    return apply_channel_on_bob(channel, rho)
 
 
-def apply_channel_on_bob(
-    channel: KrausChannel, rho_ab: np.ndarray, bob_dim: int
-) -> np.ndarray:
+def apply_channel_on_bob(channel: KrausChannel, rho_ab: np.ndarray) -> np.ndarray:
     """Apply (identity on the left factor) tensor (channel on the right).
 
-    `rho_ab` must act on a space of dimension alice_dim * bob_dim with
-    bob_dim equal to the channel input dimension.
+    `rho_ab` must act on a space of dimension alice_dim * input_dim, the
+    right factor (Bob's) being the channel input.
     """
     rho_ab = np.asarray(rho_ab, dtype=complex)
-    total = rho_ab.shape[0]
-    if rho_ab.shape != (total, total) or total % bob_dim != 0:
+    total, inp = rho_ab.shape[0], channel.input_dim
+    if rho_ab.shape != (total, total) or total % inp != 0:
         raise ValueError(
             f"joint dimension {rho_ab.shape} is not divisible into "
-            f"(alice, bob) factors with bob_dim {bob_dim}"
+            f"(alice, bob) factors with bob's dimension the channel input {inp}"
         )
-    if bob_dim != channel.input_dim:
-        raise ValueError(
-            f"bob_dim {bob_dim} does not match channel input {channel.input_dim}"
-        )
-    alice_dim, out = total // bob_dim, channel.output_dim
+    alice_dim, out = total // inp, channel.output_dim
     # out[a, i, b, m] = sum_{j,l} J[i, j, m, l] rho_ab[a, j, b, l]
-    choi = channel._choi.transpose(0, 2, 1, 3).reshape(out * out, -1)
-    rho = rho_ab.reshape(alice_dim, bob_dim, alice_dim, bob_dim)
-    rho = rho.transpose(1, 3, 0, 2).reshape(bob_dim * bob_dim, -1)
-    res = (choi @ rho).reshape(out, out, alice_dim, alice_dim)
+    rho = rho_ab.reshape(alice_dim, inp, alice_dim, inp)
+    rho = rho.transpose(1, 3, 0, 2).reshape(inp * inp, -1)
+    res = (channel._choi @ rho).reshape(out, out, alice_dim, alice_dim)
     return res.transpose(2, 0, 3, 1).reshape(alice_dim * out, -1)
 
 
@@ -262,7 +259,7 @@ def verify_hadamard_invariance(
     channel = build_squash(n_photons)
     n = n_photons
     lifted_h = lift_gate(X_MODULATION, n)
-    ks = channel._stack
+    ks = channel.ops
     phases = np.array([OMEGA ** (2 * b - n - 1) for b, _bp in channel.labels])
     kraus_dev = 0.0
     for start in range(0, len(ks), _SLICE):

@@ -21,7 +21,6 @@ basis vector with b photons in the "1" mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import comb, sqrt
 
@@ -29,14 +28,12 @@ import numpy as np
 
 __all__ = [
     "Basis",
-    "SymState",
     "OMEGA",
     "X_MODULATION",
     "HADAMARD",
     "PAULI_X",
     "qubit_frame",
     "sym_basis_state",
-    "change_basis",
     "basis_change_matrix",
     "lift_gate",
     "lift_gate_oracle",
@@ -74,7 +71,7 @@ _FRAMES = {
     Basis.Y: np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2.0),
 }
 
-#: Default cap on the brute-force oracle (full space dimension 2**N).
+#: Cap on the brute-force oracle's photon number (full space dimension 2**N).
 ORACLE_PHOTON_CAP = 8
 
 _UNITARY_ATOL = 1e-12
@@ -88,49 +85,14 @@ def qubit_frame(basis: Basis) -> np.ndarray:
     return _FRAMES[basis]
 
 
-@dataclass(frozen=True)
-class SymState:
-    """Pure state on the symmetric N-photon subspace.
-
-    Attributes
-    ----------
-    n_photons : int
-        Total photon number N; the subspace has dimension N+1.
-    amps : ndarray
-        Complex amplitudes of length N+1; component b multiplies the
-        symmetric basis vector with b photons in the "1" mode of `basis`.
-    basis : Basis
-        Which single-photon basis labels the components.
-    """
-
-    n_photons: int
-    amps: np.ndarray
-    basis: Basis = Basis.Z
-
-    def __post_init__(self) -> None:
-        if self.n_photons < 0:
-            raise ValueError(f"n_photons must be >= 0, got {self.n_photons}")
-        amps = np.array(self.amps, dtype=complex)
-        if amps.shape != (self.n_photons + 1,):
-            raise ValueError(
-                f"amps must have length N+1 = {self.n_photons + 1}, "
-                f"got shape {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amps must be finite")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.n_photons + 1
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-
-def sym_basis_state(n_photons: int, b: int, basis: Basis = Basis.Z) -> SymState:
+def sym_basis_state(n_photons: int, b: int) -> np.ndarray:
     """Symmetric basis state with N-b photons in mode "0" and b in mode "1".
+
+    Returns the read-only complex amplitude vector of length N+1 with a
+    single 1 at component b.  The components are labelled by whichever
+    basis the caller means; the rest of the package reads them in the
+    canonical Z basis, and :func:`basis_change_matrix` converts between
+    labels.
 
     Parameters
     ----------
@@ -138,14 +100,13 @@ def sym_basis_state(n_photons: int, b: int, basis: Basis = Basis.Z) -> SymState:
         Photon number N >= 0.
     b : int
         Number of photons in the "1" mode, 0 <= b <= N.
-    basis : Basis
-        Labelling basis of the returned state.
     """
     if not 0 <= b <= n_photons:
         raise ValueError(f"b must satisfy 0 <= b <= {n_photons}, got {b}")
     amps = np.zeros(n_photons + 1, dtype=complex)
     amps[b] = 1.0
-    return SymState(n_photons, amps, basis)
+    amps.setflags(write=False)
+    return amps
 
 
 def _require_unitary(gate: np.ndarray) -> np.ndarray:
@@ -209,22 +170,20 @@ def lift_gate(gate: np.ndarray, n_photons: int) -> np.ndarray:
     return (w * np.exp(1j * (lam + n * phi))) @ w.conj().T
 
 
-def lift_gate_oracle(
-    gate: np.ndarray, n_photons: int, max_photons: int = ORACLE_PHOTON_CAP
-) -> np.ndarray:
+def lift_gate_oracle(gate: np.ndarray, n_photons: int) -> np.ndarray:
     """Brute-force check value for :func:`lift_gate`.
 
     Builds the full 2^N-dimensional N-qubit space, the isometry T sending
     each symmetric basis vector to its explicit symmetrized tensor
     expansion, and returns T^dagger U^(xN) T.  Exponential in N, so refuses
-    above `max_photons`.
+    above :data:`ORACLE_PHOTON_CAP`.
     """
     u = _require_unitary(gate)
     if n_photons < 0:
         raise ValueError(f"n_photons must be >= 0, got {n_photons}")
-    if n_photons > max_photons:
+    if n_photons > ORACLE_PHOTON_CAP:
         raise ValueError(
-            f"oracle refuses N = {n_photons} > cap {max_photons} "
+            f"oracle refuses N = {n_photons} > cap {ORACLE_PHOTON_CAP} "
             "(full space dimension 2**N)"
         )
     n = n_photons
@@ -254,17 +213,14 @@ def basis_change_matrix(n_photons: int, from_basis: Basis, to_basis: Basis) -> n
     return lift_gate(q, n_photons)
 
 
-def change_basis(state: SymState, to_basis: Basis) -> SymState:
-    """Re-express a symmetric state in another basis label."""
-    if state.basis is to_basis:
-        return state
-    u = basis_change_matrix(state.n_photons, state.basis, to_basis)
-    return SymState(state.n_photons, u @ state.amps, to_basis)
+def projector(amps: np.ndarray) -> np.ndarray:
+    """Rank-1 projector |psi><psi| onto a normalized amplitude vector.
 
-
-def projector(state: SymState) -> np.ndarray:
-    """Rank-1 projector |psi><psi| onto a normalized symmetric state."""
-    dev = abs(state.norm() - 1.0)
-    if dev > 1e-9:
+    Raises ValueError if the norm of `amps` is off 1 by more than 1e-9
+    or is not finite.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    dev = abs(float(np.linalg.norm(amps)) - 1.0)
+    if not dev <= 1e-9:
         raise ValueError(f"state is not normalized (norm deviation {dev:.3e})")
-    return np.outer(state.amps, state.amps.conj())
+    return np.outer(amps, amps.conj())

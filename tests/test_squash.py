@@ -1,5 +1,6 @@
 """Tests for the squash Kraus family and its verified identities."""
 
+import time
 from math import comb
 
 import numpy as np
@@ -81,6 +82,24 @@ class TestBuildSquash:
         with pytest.raises(ValueError):
             KrausChannel(input_dim=2, output_dim=2, ops=(half,))
 
+    def test_ops_is_one_read_only_stack(self):
+        channel = build_squash(3)
+        assert channel.ops.shape == (4, 2, 4)
+        with pytest.raises(ValueError):
+            channel.ops[0, 0, 0] = 0.0
+
+    def test_equality_is_identity_and_repr_is_short(self):
+        # pytest prints a failing case's channel, so its repr must not
+        # format the ~10^4 operators of the N = 200 family
+        channel = build_squash(3)
+        assert (channel == build_squash(3)) is False
+        assert (channel == channel) is True
+        channel = build_squash(200)
+        start = time.perf_counter()
+        text = repr(channel)
+        assert time.perf_counter() - start < 1.0
+        assert len(text) < 200
+
 
 class TestApplyChannel:
     def test_single_photon_channel_is_identity(self):
@@ -111,28 +130,28 @@ class TestApplyChannelOnBob:
         rho_a = random_density(3, rng)
         rho_b = random_density(4, rng)
         channel = build_squash(3)
-        joint = apply_channel_on_bob(channel, np.kron(rho_a, rho_b), bob_dim=4)
+        joint = apply_channel_on_bob(channel, np.kron(rho_a, rho_b))
         expected = np.kron(rho_a, apply_channel(channel, rho_b))
         assert np.max(np.abs(joint - expected)) < 1e-12
 
     def test_bell_input_with_single_photon_unchanged(self):
         from squashkit.protocol import bell_state
 
-        out = apply_channel_on_bob(build_squash(1), bell_state(), bob_dim=2)
+        out = apply_channel_on_bob(build_squash(1), bell_state())
         assert np.max(np.abs(out - bell_state())) < 1e-14
 
     def test_alice_marginal_preserved(self):
         rng = np.random.default_rng(6)
         rho = random_density(2 * 5, rng)
         channel = build_squash(4)
-        out = apply_channel_on_bob(channel, rho, bob_dim=5)
+        out = apply_channel_on_bob(channel, rho)
         marg_in = rho.reshape(2, 5, 2, 5).trace(axis1=1, axis2=3)
         marg_out = out.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
         assert np.max(np.abs(marg_in - marg_out)) < 1e-12
 
     def test_indivisible_dimension_rejected(self):
         with pytest.raises(ValueError):
-            apply_channel_on_bob(build_squash(2), np.eye(7) / 7, bob_dim=3)
+            apply_channel_on_bob(build_squash(2), np.eye(7) / 7)
 
 
 class TestChoiRoute:
@@ -178,7 +197,7 @@ class TestChoiRoute:
         g3 = g.reshape(alice_dim, bob_dim, rank)
         ms = [(k @ g3).reshape(-1, rank) for k in channel.ops]
         expected = sum(m @ m.conj().T for m in ms)
-        out = apply_channel_on_bob(channel, g @ g.conj().T, bob_dim)
+        out = apply_channel_on_bob(channel, g @ g.conj().T)
         assert np.max(np.abs(out - expected)) < 1e-12
 
 
