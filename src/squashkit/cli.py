@@ -32,7 +32,6 @@ from .symfock import lift_gate, lift_gate_oracle
 from .povm import verify_povm_equivalence
 
 _ORACLE_TRIALS = 100
-_CHANNEL_TRIALS = 50
 
 
 def _format_float(x: float) -> str:
@@ -77,34 +76,6 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _completeness_row(n: int) -> dict:
-    rep = verify_completeness(n)
-    return {
-        "max_deviation": rep.max_deviation,
-        "diag_formula_deviation": rep.diag_formula_deviation,
-    }
-
-
-def _povm_row(n: int) -> dict:
-    rep = verify_povm_equivalence(n)
-    return {
-        "max_deviation": max(rep.max_dev_bit0, rep.max_dev_bit1, rep.max_dev_z),
-        "max_dev_bit0": rep.max_dev_bit0,
-        "max_dev_bit1": rep.max_dev_bit1,
-        "max_dev_z": rep.max_dev_z,
-    }
-
-
-def _hadamard_row(n: int) -> dict:
-    rep = verify_hadamard_invariance(n, trials=_CHANNEL_TRIALS, seed=0)
-    return {
-        "max_deviation": max(rep.kraus_max_deviation, rep.channel_max_deviation),
-        "kraus_max_deviation": rep.kraus_max_deviation,
-        "channel_max_deviation": rep.channel_max_deviation,
-        "kraus_phase_ok": rep.kraus_phase_ok,
-    }
-
-
 def _lift_oracle_row(n: int, rng: np.random.Generator) -> dict:
     dev = 0.0
     for _ in range(_ORACLE_TRIALS):
@@ -144,9 +115,9 @@ def verify(nmax: int, tol: float, fmt: str, out: str | None) -> None:
         raise click.UsageError(f"--tol must be > 0, got {tol}")
     rng = np.random.default_rng(2024)
     suites = (
-        ("completeness", nmax, _completeness_row),
-        ("povm_equivalence", nmax, _povm_row),
-        ("hadamard_invariance", nmax, _hadamard_row),
+        ("completeness", nmax, lambda n: vars(verify_completeness(n))),
+        ("povm_equivalence", nmax, lambda n: vars(verify_povm_equivalence(n))),
+        ("hadamard_invariance", nmax, lambda n: vars(verify_hadamard_invariance(n))),
         ("lift_oracle", min(nmax, 6), lambda n: _lift_oracle_row(n, rng)),
     )
     checks = []
@@ -250,21 +221,11 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
         sys.exit(1)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if fmt == "json":
-        record = result.to_dict()
-        record["runtime_ms"] = runtime_ms
-        _write_text(_json_dumps(record) + "\n", out)
+        _write_text(_json_dumps({**vars(result), "runtime_ms": runtime_ms}) + "\n", out)
         return
-    attack_text = json.dumps(result.attack, sort_keys=True, separators=(",", ":"))
     row = {
-        "protocol": result.protocol,
-        "mode": result.mode,
-        "attack": attack_text,
-        "trials": result.trials,
-        "seed": result.seed,
-        "sifted": result.sifted,
-        "e_bit": result.e_bit,
-        "e_ph": result.e_ph,
-        "key_rate": result.key_rate,
+        **vars(result),
+        "attack": json.dumps(result.attack, sort_keys=True, separators=(",", ":")),
         # Deliberately absent in CSV: byte-identical output across reruns
         # and thread counts is part of the contract.  JSON carries it.
         "runtime_ms": None,

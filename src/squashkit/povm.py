@@ -213,7 +213,9 @@ def virtual_povm(n_photons: int) -> Povm:
 
 @dataclass(frozen=True)
 class PovmEquivalenceReport:
-    n_photons: int
+    """Effect deviations in verify row order; the first is the max."""
+
+    max_deviation: float
     max_dev_bit0: float
     max_dev_bit1: float
     max_dev_z: float
@@ -230,7 +232,7 @@ def verify_povm_equivalence(n_photons: int) -> PovmEquivalenceReport:
     dev0, dev1 = (float(d) for d in np.max(np.abs(ac - vi), axis=(1, 2)))
     # sum F^dagger Z F is the difference of the pulled-back bit effects
     dev_z = float(np.max(np.abs((ac[0] - ac[1]) - (vi[0] - vi[1]))))
-    return PovmEquivalenceReport(n_photons, dev0, dev1, dev_z)
+    return PovmEquivalenceReport(max(dev0, dev1, dev_z), dev0, dev1, dev_z)
 
 
 class _BlockDiagonalState:

@@ -42,7 +42,7 @@ tallies of a :class:`SimResult`.  Runs are reproducible bit for bit from
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache, cached_property
 from math import log2
 from typing import Optional, Union
@@ -470,9 +470,6 @@ class SimResult:
     key_rate: Optional[float]
     photon_tallies: dict
     sifted_counts: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _marginals(cells: np.ndarray) -> tuple:

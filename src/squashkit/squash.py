@@ -63,7 +63,7 @@ class KrausChannel:
         Every operator is an output_dim x input_dim matrix.
     ops : ndarray
         The Kraus operators as one read-only (count, output_dim, input_dim)
-        complex stack; any sequence of operators is accepted.
+        complex stack, a copy of any sequence of operators passed in.
     labels : tuple
         Per-operator metadata; for the squash family the index pair (b, b').
 
@@ -84,7 +84,7 @@ class KrausChannel:
     _choi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ops = np.asarray(self.ops, dtype=complex)
+        ops = np.array(self.ops, dtype=complex)
         if ops.shape[1:] != (self.output_dim, self.input_dim):
             raise ValueError(
                 f"Kraus operator shape {ops.shape[1:]} does not match "
@@ -125,18 +125,20 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    n_photons: int
+    """Operator-sum and closed-form-diagonal deviations, in verify row order."""
+
     max_deviation: float
     diag_formula_deviation: float
 
 
 @dataclass(frozen=True)
 class HadamardReport:
-    n_photons: int
-    trials: int
-    kraus_phase_ok: bool
+    """Covariance deviations in verify row order; the first is the max."""
+
+    max_deviation: float
     kraus_max_deviation: float
     channel_max_deviation: float
+    kraus_phase_ok: bool
 
 
 def squash_index_pairs(n_photons: int) -> list[tuple[int, int]]:
@@ -176,8 +178,8 @@ def build_squash(n_photons: int) -> KrausChannel:
     b, bp = np.array(pairs).T
     w = 2.0 ** (-(n - 1) / 2.0) * np.array([sqrt(comb(n, k)) for k in range(n + 1)])
     # Row <0_y| of F[b,b'] is w[b] <S^y_b'|, row <1_y| is w[b'] <S^y_b|.
-    f_y = np.stack([w[b, None] * to_y[bp], w[bp, None] * to_y[b]], axis=1)
-    ops = frame_y @ f_y
+    # One expression, so the y stack is freed before the channel copies ops.
+    ops = frame_y @ np.stack([w[b, None] * to_y[bp], w[bp, None] * to_y[b]], axis=1)
     return KrausChannel(
         input_dim=n + 1, output_dim=2, ops=ops, labels=tuple(pairs)
     )
@@ -234,7 +236,7 @@ def verify_completeness(n_photons: int) -> CompletenessReport:
             comb(n, c) for c in range(n + 1) if (b - c) % 4 in (1, 3)
         )
         diag_dev = max(diag_dev, abs(2.0 ** (-(n - 1)) * total - 1.0))
-    return CompletenessReport(n, dev, float(diag_dev))
+    return CompletenessReport(dev, float(diag_dev))
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -264,7 +266,8 @@ def verify_hadamard_invariance(
     kraus_dev = 0.0
     for start in range(0, len(ks), _SLICE):
         s = slice(start, start + _SLICE)
-        diff = ks[s] @ lifted_h - phases[s, None, None] * (X_MODULATION @ ks[s])
+        diff = ks[s] @ lifted_h  # reduced in place: one slice temporary fewer
+        diff -= phases[s, None, None] * (X_MODULATION @ ks[s])
         kraus_dev = max(kraus_dev, float(np.max(np.abs(diff))))
     rng = np.random.default_rng(seed)
     chan_dev = 0.0
@@ -273,4 +276,6 @@ def verify_hadamard_invariance(
         lhs = X_MODULATION @ apply_channel(channel, rho) @ X_MODULATION.conj().T
         rhs = apply_channel(channel, lifted_h @ rho @ lifted_h.conj().T)
         chan_dev = max(chan_dev, float(np.max(np.abs(lhs - rhs))))
-    return HadamardReport(n, trials, kraus_dev < _TP_ATOL, kraus_dev, chan_dev)
+    return HadamardReport(
+        max(kraus_dev, chan_dev), kraus_dev, chan_dev, kraus_dev < _TP_ATOL
+    )

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its output contracts."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from squashkit.cli import main
+from squashkit.protocol import SimResult
 
 
 @pytest.fixture
@@ -50,6 +52,27 @@ class TestVerify:
             "povm_equivalence",
             "hadamard_invariance",
             "lift_oracle",
+        }
+
+    def test_json_rows_are_check_n_then_report_fields(self, runner):
+        result = runner.invoke(main, ["verify", "--nmax", "2", "--format", "json"])
+        assert result.exit_code == 0
+        keys = {}
+        for c in json.loads(result.output)["checks"]:
+            assert keys.setdefault(c["check"], list(c)) == list(c)
+        assert keys == {
+            "completeness": [
+                "check", "n", "max_deviation", "diag_formula_deviation",
+            ],
+            "povm_equivalence": [
+                "check", "n", "max_deviation", "max_dev_bit0", "max_dev_bit1",
+                "max_dev_z",
+            ],
+            "hadamard_invariance": [
+                "check", "n", "max_deviation", "kraus_max_deviation",
+                "channel_max_deviation", "kraus_phase_ok",
+            ],
+            "lift_oracle": ["check", "n", "max_deviation"],
         }
 
     def test_passes_past_former_precision_cliff(self, runner):
@@ -152,6 +175,15 @@ class TestSimulate:
         assert isinstance(record["runtime_ms"], float)
         # re-parse of a re-emission is unchanged (numbers are exact)
         assert json.loads(json.dumps(record)) == record
+
+    def test_json_keys_are_sim_result_fields_then_runtime(self, runner):
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bbm92", "--attack", DEPOL,
+            "--trials", "1000", "--seed", "1", "--format", "json",
+        ])
+        assert result.exit_code == 0
+        fields = [f.name for f in dataclasses.fields(SimResult)]
+        assert list(json.loads(result.output)) == fields + ["runtime_ms"]
 
     def test_zero_sifted_rates_are_empty_fields(self, runner, tmp_path):
         # all-vacuum source: rates must be absent in CSV, not zero

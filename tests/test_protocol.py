@@ -418,12 +418,13 @@ class TestReproducibility:
         assert a == b
 
     def test_thread_count_invariant(self):
+        """Pins that the accepted ``threads=`` argument is ignored."""
         kwargs = dict(trials=30_000, seed=99)
         r1 = run_simulation("bb84", "actual", Depolarize(0.13), threads=1, **kwargs)
         r3 = run_simulation("bb84", "actual", Depolarize(0.13), threads=3, **kwargs)
         assert r1 == r3
 
-    def test_env_var_controls_threads(self, monkeypatch):
+    def test_env_var_does_not_change_results(self, monkeypatch):
         monkeypatch.setenv("SQUASHKIT_THREADS", "4")
         a = run_simulation("bb84", "actual", Depolarize(0.05), 20_000, 55)
         monkeypatch.delenv("SQUASHKIT_THREADS")

@@ -88,6 +88,14 @@ class TestBuildSquash:
         with pytest.raises(ValueError):
             channel.ops[0, 0, 0] = 0.0
 
+    def test_caller_array_is_copied_not_frozen(self):
+        a = np.eye(2, dtype=complex)[None].copy()
+        channel = KrausChannel(2, 2, a)
+        a[0, 0, 0] = 5.0
+        assert channel.ops[0, 0, 0] == 1.0
+        with pytest.raises(ValueError):
+            channel.ops[0, 0, 0] = 0.0
+
     def test_equality_is_identity_and_repr_is_short(self):
         # pytest prints a failing case's channel, so its repr must not
         # format the ~10^4 operators of the N = 200 family
