@@ -96,18 +96,21 @@ def classify_click(b: int, n_photons: int) -> ClickClass:
 
 
 def validate_density(rho: np.ndarray, *, atol_trace: float = 1e-10) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density operator."""
+    """Check Hermiticity, unit trace and positivity of a density operator.
+
+    Each check fails on NaN, so a non-finite matrix is rejected too.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density operator must be square, got shape {rho.shape}")
     herm_dev = np.max(np.abs(rho - rho.conj().T))
-    if herm_dev > 1e-12:
+    if not herm_dev <= 1e-12:
         raise ValueError(f"density operator not Hermitian (deviation {herm_dev:.3e})")
     trace_dev = abs(np.trace(rho).real - 1.0)
-    if trace_dev > atol_trace:
+    if not trace_dev <= atol_trace:
         raise ValueError(f"density operator trace deviates by {trace_dev:.3e}")
     min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig < -1e-10:
+    if not min_eig >= -1e-10:
         raise ValueError(f"density operator has negative eigenvalue {min_eig:.3e}")
     return rho
 
@@ -252,8 +255,8 @@ class _BlockDiagonalState:
             label = f"({', '.join(map(str, numbers))})" if joint else str(key)
             if min(numbers) < 0:
                 raise ValueError(f"photon number{'s' * joint} must be >= 0, got {label}")
-            if w < -1e-12:
-                raise ValueError(f"negative block weight {w}")
+            if not w >= -1e-12:
+                raise ValueError(f"block weight must be >= 0, got {w}")
             rho = validate_density(rho)
             dim = math.prod(k + 1 for k in numbers)
             if rho.shape[0] != dim:
@@ -263,7 +266,7 @@ class _BlockDiagonalState:
             rho.setflags(write=False)
             cleaned[key] = (float(w), rho)
             total += w
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"block weights sum to {total}, expected 1")
         object.__setattr__(self, "blocks", cleaned)
 

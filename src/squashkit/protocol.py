@@ -153,7 +153,7 @@ class CustomState:
                     f"expected {(m + 1) * (n + 1)}"
                 )
             norm = np.linalg.norm(amps)
-            if abs(norm - 1.0) > 1e-9:
+            if not abs(norm - 1.0) <= 1e-9:
                 raise ValueError(f"block ({m}, {n}) amplitudes not normalized")
             amps.setflags(write=False)
             frozen.append((int(m), int(n), float(w), amps))

@@ -31,7 +31,14 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .symfock import OMEGA, X_MODULATION, Basis, basis_change_matrix, lift_gate
+from .symfock import (
+    OMEGA,
+    X_MODULATION,
+    Basis,
+    _stack_slices,
+    basis_change_matrix,
+    lift_gate,
+)
 
 __all__ = [
     "KrausChannel",
@@ -186,9 +193,14 @@ def build_squash(n_photons: int) -> KrausChannel:
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply a Kraus channel to a density operator."""
+    """Apply a Kraus channel to a density operator.
+
+    `rho` is input_dim x input_dim, or a stack of such operators with
+    shape (..., input_dim, input_dim); the result has shape
+    (..., output_dim, output_dim).
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.input_dim, channel.input_dim):
+    if rho.shape[-2:] != (channel.input_dim, channel.input_dim):
         raise ValueError(
             f"state dimension {rho.shape} does not match channel input "
             f"dimension {channel.input_dim}"
@@ -200,21 +212,28 @@ def apply_channel_on_bob(channel: KrausChannel, rho_ab: np.ndarray) -> np.ndarra
     """Apply (identity on the left factor) tensor (channel on the right).
 
     `rho_ab` must act on a space of dimension alice_dim * input_dim, the
-    right factor (Bob's) being the channel input.
+    right factor (Bob's) being the channel input.  A stack of joint
+    operators with shape (..., total, total) is applied in one product
+    with the Choi matrix, giving shape (..., alice_dim * output_dim,
+    alice_dim * output_dim).
     """
     rho_ab = np.asarray(rho_ab, dtype=complex)
-    total, inp = rho_ab.shape[0], channel.input_dim
-    if rho_ab.shape != (total, total) or total % inp != 0:
+    total, inp = rho_ab.shape[-1], channel.input_dim
+    if rho_ab.ndim < 2 or rho_ab.shape[-2] != total or total % inp != 0:
         raise ValueError(
             f"joint dimension {rho_ab.shape} is not divisible into "
             f"(alice, bob) factors with bob's dimension the channel input {inp}"
         )
+    lead = rho_ab.shape[:-2]
+    n_lead = len(lead)
     alice_dim, out = total // inp, channel.output_dim
-    # out[a, i, b, m] = sum_{j,l} J[i, j, m, l] rho_ab[a, j, b, l]
-    rho = rho_ab.reshape(alice_dim, inp, alice_dim, inp)
-    rho = rho.transpose(1, 3, 0, 2).reshape(inp * inp, -1)
-    res = (channel._choi @ rho).reshape(out, out, alice_dim, alice_dim)
-    return res.transpose(2, 0, 3, 1).reshape(alice_dim * out, -1)
+    # out[..., a, i, b, m] = sum_{j,l} J[i, j, m, l] rho_ab[..., a, j, b, l]
+    rho = rho_ab.reshape(*lead, alice_dim, inp, alice_dim, inp)
+    rho = rho.transpose(n_lead + 1, n_lead + 3, *range(n_lead), n_lead, n_lead + 2)
+    rho = rho.reshape(inp * inp, -1)
+    res = (channel._choi @ rho).reshape(out, out, *lead, alice_dim, alice_dim)
+    res = res.transpose(*range(2, n_lead + 3), 0, n_lead + 3, 1)
+    return res.reshape(*lead, alice_dim * out, alice_dim * out)
 
 
 def verify_completeness(n_photons: int) -> CompletenessReport:
@@ -239,11 +258,20 @@ def verify_completeness(n_photons: int) -> CompletenessReport:
     return CompletenessReport(dev, float(diag_dev))
 
 
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random density operator (normalized Wishart draw)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def random_density(
+    dim: int, rng: np.random.Generator, size: tuple = ()
+) -> np.ndarray:
+    """Full-rank random density operators (normalized Wishart draws).
+
+    Returns a (*size, dim, dim) stack.  Each operator takes its real and
+    then its imaginary Gaussian part from `rng`, in stack order, so
+    ``size=(k,)`` gives bit for bit the k operators that k successive
+    single draws would.
+    """
+    x = rng.normal(size=(*size, 2, dim, dim))
+    g = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def verify_hadamard_invariance(
@@ -254,7 +282,8 @@ def verify_hadamard_invariance(
     Operator level: F[b,b'] D(H) = OMEGA^(2b-N-1) H F[b,b'] entrywise for
     every pair.  Channel level: conjugating the input by the lifted
     modulation equals conjugating the output qubit by H, checked on
-    `trials` random full-rank mixed states.
+    `trials` random full-rank mixed states, drawn and applied as stacks
+    in slices of bounded size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -271,8 +300,8 @@ def verify_hadamard_invariance(
         kraus_dev = max(kraus_dev, float(np.max(np.abs(diff))))
     rng = np.random.default_rng(seed)
     chan_dev = 0.0
-    for _ in range(trials):
-        rho = random_density(n + 1, rng)
+    for s in _stack_slices(trials, (n + 1) ** 2):
+        rho = random_density(n + 1, rng, size=(s.stop - s.start,))
         lhs = X_MODULATION @ apply_channel(channel, rho) @ X_MODULATION.conj().T
         rhs = apply_channel(channel, lifted_h @ rho @ lifted_h.conj().T)
         chan_dev = max(chan_dev, float(np.max(np.abs(lhs - rhs))))

@@ -76,6 +76,13 @@ ORACLE_PHOTON_CAP = 8
 
 _UNITARY_ATOL = 1e-12
 
+# Complex entries per stacked temporary (16 KiB) when a stack of states or
+# gates is worked through in slices.  Kept small so that slices fit in heap
+# memory the allocator already holds: numpy caches freed buffers under 1 KiB
+# for good, and one allocated while larger slices had grown the heap pins it
+# (2**13 raised the peak RSS of verify --nmax 40 by up to 0.3 MB).
+_STACK_ENTRIES = 2**10
+
 for _m in (X_MODULATION, HADAMARD, PAULI_X, *_FRAMES.values()):
     _m.setflags(write=False)
 
@@ -111,12 +118,23 @@ def sym_basis_state(n_photons: int, b: int) -> np.ndarray:
 
 def _require_unitary(gate: np.ndarray) -> np.ndarray:
     gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (2, 2):
-        raise ValueError(f"gate must be 2x2, got shape {gate.shape}")
-    dev = np.max(np.abs(gate.conj().T @ gate - np.eye(2)))
-    if dev > _UNITARY_ATOL:
+    if gate.shape[-2:] != (2, 2):
+        raise ValueError(f"gate must be 2x2 or a stack of 2x2, got shape {gate.shape}")
+    dev = np.max(np.abs(gate.conj().swapaxes(-1, -2) @ gate - np.eye(2)))
+    if not dev <= _UNITARY_ATOL:
         raise ValueError(f"gate is not unitary (deviation {dev:.3e})")
     return gate
+
+
+def _stack_slices(count: int, entries: int):
+    """Slices of a `count`-long stack whose items hold `entries` each.
+
+    Each slice holds at most :data:`_STACK_ENTRIES` entries (one item if a
+    single item is larger), so a stacked temporary stays bounded however
+    long the stack is.
+    """
+    step = max(1, _STACK_ENTRIES // entries)
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
 
 def lift_gate(gate: np.ndarray, n_photons: int) -> np.ndarray:
@@ -139,7 +157,9 @@ def lift_gate(gate: np.ndarray, n_photons: int) -> np.ndarray:
     Parameters
     ----------
     gate : ndarray
-        2x2 unitary (z coordinates).
+        2x2 unitary (z coordinates), or a stack of them with shape
+        (..., 2, 2); each gate of a stack is lifted exactly as it would
+        be alone, and the result has shape (..., N+1, N+1).
     n_photons : int
         Photon number N >= 0; N = 0 returns the 1x1 identity and N = 1
         a copy of `gate`.
@@ -149,34 +169,40 @@ def lift_gate(gate: np.ndarray, n_photons: int) -> np.ndarray:
         raise ValueError(f"n_photons must be >= 0, got {n_photons}")
     n = n_photons
     if n == 0:
-        return np.eye(1, dtype=complex)
+        return np.ones(u.shape[:-2] + (1, 1), dtype=complex)
     if n == 1:
         return u.copy()
     phi = np.angle(np.linalg.det(u)) / 2.0
-    v = u * np.exp(-1j * phi)
-    if np.trace(v).real < 0:
-        v, phi = -v, phi + np.pi
+    v = u * np.exp(-1j * phi)[..., None, None]
+    flip = np.trace(v, axis1=-2, axis2=-1).real < 0
+    v = np.where(flip[..., None, None], -v, v)
+    phi = np.where(flip, phi + np.pi, phi)
     # v = cos(theta) I + i sin(theta) n.sigma, so h = sin(theta) n.sigma
     # and g = theta n.sigma; sinc keeps theta -> 0 exact.
-    h = (v - v.conj().T) / 2j
-    sin_t = np.sqrt(np.sum(np.abs(h) ** 2) / 2.0)
-    theta = np.arctan2(sin_t, np.trace(v).real / 2.0)
-    g = h / np.sinc(theta / np.pi)
+    h = (v - v.conj().swapaxes(-1, -2)) / 2j
+    sin_t = np.sqrt(np.sum(np.abs(h) ** 2, axis=(-2, -1)) / 2.0)
+    theta = np.arctan2(sin_t, np.trace(v, axis1=-2, axis2=-1).real / 2.0)
+    g = h / np.sinc(theta / np.pi)[..., None, None]
     b = np.arange(n + 1)
-    gen = np.diag((n - b) * g[0, 0].real + b * g[1, 1].real).astype(complex)
+    gen = np.zeros(u.shape[:-2] + (n + 1, n + 1), dtype=complex)
+    gen[..., b, b] = (n - b) * g[..., 0, 0, None].real + b * g[..., 1, 1, None].real
     # eigh reads only the lower triangle.
-    gen[b[1:], b[:-1]] = g[1, 0] * np.sqrt(b[1:] * (n - b[:-1]))
+    gen[..., b[1:], b[:-1]] = g[..., 1, 0, None] * np.sqrt(b[1:] * (n - b[:-1]))
     lam, w = np.linalg.eigh(gen)
-    return (w * np.exp(1j * (lam + n * phi))) @ w.conj().T
+    phase = np.exp(1j * (lam + n * phi[..., None]))
+    return (w * phase[..., None, :]) @ w.conj().swapaxes(-1, -2)
 
 
 def lift_gate_oracle(gate: np.ndarray, n_photons: int) -> np.ndarray:
     """Brute-force check value for :func:`lift_gate`.
 
-    Builds the full 2^N-dimensional N-qubit space, the isometry T sending
-    each symmetric basis vector to its explicit symmetrized tensor
-    expansion, and returns T^dagger U^(xN) T.  Exponential in N, so refuses
-    above :data:`ORACLE_PHOTON_CAP`.
+    Builds the isometry T sending each symmetric basis vector to its
+    explicit symmetrized expansion in the full 2^N-dimensional N-qubit
+    space, applies the gate to each of the N tensor factors of T's
+    columns, and returns T^dagger U^(xN) T.  Accepts a stack of gates of
+    shape (..., 2, 2) like :func:`lift_gate`, worked through in slices so
+    that the (slice, 2^N, N+1) working array stays bounded.  Exponential
+    in N, so refuses above :data:`ORACLE_PHOTON_CAP`.
     """
     u = _require_unitary(gate)
     if n_photons < 0:
@@ -187,17 +213,23 @@ def lift_gate_oracle(gate: np.ndarray, n_photons: int) -> np.ndarray:
             "(full space dimension 2**N)"
         )
     n = n_photons
+    lead = u.shape[:-2]
     if n == 0:
-        return np.eye(1, dtype=complex)
+        return np.ones(lead + (1, 1), dtype=complex)
     dim = 2**n
-    iso = np.zeros((dim, n + 1), dtype=complex)
+    iso = np.zeros((dim, n + 1))
     for idx in range(dim):
         b = idx.bit_count()
         iso[idx, b] = 1.0 / sqrt(comb(n, b))
-    big = np.array([[1.0]], dtype=complex)
-    for _ in range(n):
-        big = np.kron(big, u)
-    return iso.conj().T @ big @ iso
+    gates = u.reshape(-1, 1, 2, 2)
+    out = np.empty((len(gates), n + 1, n + 1), dtype=complex)
+    for s in _stack_slices(len(gates), dim * (n + 1)):
+        cols = iso[None]
+        for k in range(n):
+            # tensor factor k is axis 2 of the (slice, 2^k, 2, rest) view
+            cols = gates[s] @ cols.reshape(-1, 2**k, 2, dim // 2 ** (k + 1) * (n + 1))
+        out[s] = iso.T @ cols.reshape(-1, dim, n + 1)
+    return out.reshape(lead + (n + 1, n + 1))
 
 
 def basis_change_matrix(n_photons: int, from_basis: Basis, to_basis: Basis) -> np.ndarray:

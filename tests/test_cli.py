@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,28 @@ class TestVerify:
     def test_bad_nmax_is_usage_error(self, runner):
         result = runner.invoke(main, ["verify", "--nmax", "0"])
         assert result.exit_code == 2
+
+    def test_trial_stacks_stay_within_the_family_peak(self):
+        # A single trial cannot be stacked, so at N = 40 its traced peak is
+        # that of building the squash family.  Trials worked through in
+        # bounded slices stay under it at every N <= 40 and at any count;
+        # stacking them unsliced reaches 6 MB at 50 trials and 52 MB at 500.
+        from squashkit.cli import _lift_oracle_row
+        from squashkit.squash import verify_hadamard_invariance
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bound = peak(verify_hadamard_invariance, 40, 1) + 64 * 1024
+        for n in range(1, 41):
+            assert peak(verify_hadamard_invariance, n) <= bound, n
+        assert peak(verify_hadamard_invariance, 40, 500) <= bound
+        assert peak(_lift_oracle_row, 6, np.random.default_rng(2024)) <= bound
 
     def test_impossible_tolerance_fails(self, runner):
         result = runner.invoke(main, ["verify", "--nmax", "8", "--tol", "1e-20"])
@@ -252,6 +275,20 @@ class TestSimulate:
             "simulate", "--protocol", "bb84", "--attack", DEPOL, "--trials", "10",
         ]
         assert runner.invoke(main, no_seed).exit_code == 2  # seed mandatory
+
+    @pytest.mark.parametrize("attack", [
+        '{"kind":"custom","blocks":[{"m":0,"n":1,"weight":1,"amps":[[NaN,0],[0,0]]}]}',
+        '{"kind":"custom","blocks":[{"m":0,"n":1,"weight":NaN,"amps":[[1,0],[0,0]]}]}',
+        '{"kind":"fixed_block","blocks":[{"m":0,"n":1,"weight":1,'
+        '"rho":[[[NaN,0],[0,0]],[[0,0],[0,0]]]}]}',
+    ], ids=["custom-amplitude", "custom-weight", "fixed-block-rho"])
+    def test_non_finite_attack_is_usage_error(self, runner, attack):
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bbm92", "--attack", attack,
+            "--trials", "100", "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert "malformed attack spec" in result.output
 
     def test_large_photon_number_attack_runs(self, runner):
         result = runner.invoke(main, [

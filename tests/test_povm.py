@@ -14,6 +14,7 @@ from squashkit.povm import (
     modulated_block,
     qnd_split,
     side_state_effects,
+    validate_density,
     verify_povm_equivalence,
     virtual_povm,
 )
@@ -192,6 +193,22 @@ class TestBlockStateValidation:
         bad = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError):
             CompositeBlockState({(0, 1): (1.0, bad)})
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_density_rejected(self, dim):
+        # eigvalsh returns NaN for a 2x2 NaN matrix rather than raising
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                validate_density(np.full((dim, dim), value))
+            rho = np.eye(dim, dtype=complex) / dim
+            rho[-1, -1] = value
+            with pytest.raises(ValueError):
+                validate_density(rho)
+
+    def test_non_finite_weight_rejected(self):
+        with pytest.raises(ValueError):
+            BlockState({1: (np.nan, np.eye(2) / 2)})
 
 
 class TestDetectEvent:

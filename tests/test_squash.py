@@ -109,6 +109,30 @@ class TestBuildSquash:
         assert len(text) < 200
 
 
+class TestRandomDensity:
+    @pytest.mark.parametrize("dim", [1, 2, 9, 41])
+    def test_stack_equals_successive_draws(self, dim):
+        stacked = random_density(dim, np.random.default_rng(8), size=(5,))
+        rng = np.random.default_rng(8)
+        singles = [random_density(dim, rng) for _ in range(5)]
+        assert np.array_equal(stacked, np.stack(singles))
+        # a single draw is the normalized Wishart matrix, real part first
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = g @ g.conj().T
+        assert np.array_equal(singles[0], rho / np.trace(rho).real)
+
+    def test_stack_shape(self):
+        rhos = random_density(3, np.random.default_rng(0), size=(2, 4))
+        assert rhos.shape == (2, 4, 3, 3)
+        assert np.allclose(np.trace(rhos, axis1=-2, axis2=-1), 1.0, atol=1e-15)
+
+
+#: A stacked application and a per-state loop run the same contraction
+#: through different BLAS kernels, so their sums may round differently.
+_STACK_ATOL = 4 * np.finfo(float).eps
+
+
 class TestApplyChannel:
     def test_single_photon_channel_is_identity(self):
         channel = build_squash(1)
@@ -130,6 +154,16 @@ class TestApplyChannel:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             apply_channel(build_squash(2), np.eye(2) / 2)
+
+    @pytest.mark.parametrize("n", [1, 4, 13])
+    def test_stack_equals_per_state_loop(self, n):
+        channel = build_squash(n)
+        rhos = random_density(n + 1, np.random.default_rng(n), size=(2, 3))
+        out = apply_channel(channel, rhos)
+        assert out.shape == (2, 3, 2, 2)
+        for idx in np.ndindex(2, 3):
+            loop = apply_channel(channel, rhos[idx])
+            np.testing.assert_allclose(out[idx], loop, rtol=0, atol=_STACK_ATOL)
 
 
 class TestApplyChannelOnBob:
@@ -160,6 +194,15 @@ class TestApplyChannelOnBob:
     def test_indivisible_dimension_rejected(self):
         with pytest.raises(ValueError):
             apply_channel_on_bob(build_squash(2), np.eye(7) / 7)
+
+    def test_stack_equals_per_state_loop(self):
+        channel = build_squash(4)
+        rhos = random_density(3 * 5, np.random.default_rng(9), size=(4,))
+        out = apply_channel_on_bob(channel, rhos)
+        assert out.shape == (4, 6, 6)
+        for rho, got in zip(rhos, out):
+            loop = apply_channel_on_bob(channel, rho)
+            np.testing.assert_allclose(got, loop, rtol=0, atol=_STACK_ATOL)
 
 
 class TestChoiRoute:
@@ -252,6 +295,21 @@ class TestHadamardInvariance:
         assert report.kraus_phase_ok
         assert report.kraus_max_deviation < 1e-10
         assert report.channel_max_deviation < 1e-10
+
+    def test_every_trial_reaches_the_channel(self, monkeypatch):
+        import squashkit.squash as squash
+
+        states = []
+
+        def counting(channel, rho):
+            states.append(int(np.prod(np.shape(rho)[:-2])))
+            return apply_channel(channel, rho)
+
+        monkeypatch.setattr(squash, "apply_channel", counting)
+        verify_hadamard_invariance(12, trials=50)
+        # two applications per trial, and at N = 12 the last slice is partial
+        assert sum(states) == 2 * 50
+        assert states[-1] < states[0]
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for the symmetric-subspace linear algebra."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,18 @@ def random_unitary(rng):
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def kron_oracle(gate, n):
+    """T^dagger U^(xN) T with U^(xN) built as an explicit 2^N x 2^N kron."""
+    iso = np.zeros((2**n, n + 1))
+    for idx in range(2**n):
+        b = idx.bit_count()
+        iso[idx, b] = 1.0 / np.sqrt(float(comb(n, b)))
+    big = np.eye(1, dtype=complex)
+    for _ in range(n):
+        big = np.kron(big, gate)
+    return iso.T @ big @ iso
 
 
 class TestSymBasisState:
@@ -127,9 +141,22 @@ class TestLiftGate:
         u = lift_gate(random_unitary(rng), n)
         assert np.max(np.abs(u.conj().T @ u - np.eye(n + 1))) < 1e-12
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 6, 13])
+    def test_stack_equals_per_gate_loop(self, n):
+        # PAULI_X and -1 cover both signs of the SU(2) part's trace
+        rng = np.random.default_rng(60 + n)
+        gates = [random_unitary(rng) for _ in range(10)] + [PAULI_X, -np.eye(2)]
+        gates = np.stack(gates).reshape(3, 4, 2, 2)
+        stacked = lift_gate(gates, n)
+        assert stacked.shape == (3, 4, n + 1, n + 1)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(stacked[idx], lift_gate(gates[idx], n))
+
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             lift_gate(np.array([[1, 1], [0, 1]]), 2)
+        with pytest.raises(ValueError):
+            lift_gate(np.stack([np.eye(2), [[1, 1], [0, 1]]]), 2)
 
     def test_negative_photon_number_rejected(self):
         with pytest.raises(ValueError):
@@ -157,6 +184,16 @@ class TestLiftOracle:
             u = random_unitary(rng)
             dev = np.max(np.abs(lift_gate(u, n) - lift_gate_oracle(u, n)))
             assert dev < 1e-12
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_stack_matches_kron_reference(self, n):
+        # from N = 3 the 41 gates span several slices, the last one partial
+        rng = np.random.default_rng(80 + n)
+        gates = np.stack([random_unitary(rng) for _ in range(41)])
+        stacked = lift_gate_oracle(gates, n)
+        assert stacked.shape == (41, n + 1, n + 1)
+        for gate, got in zip(gates, stacked):
+            assert np.max(np.abs(got - kron_oracle(gate, n))) < 1e-14
 
     def test_refuses_above_cap(self):
         with pytest.raises(ValueError):
