@@ -4,8 +4,9 @@ The package has four layers:
 
 * :mod:`squashkit.symfock` - exact linear algebra on the symmetric
   N-photon subspace (basis states, basis changes, lifted gates, oracle);
-* :mod:`squashkit.squash` - the squash Kraus family, channel application,
-  and its completeness / modulation-covariance checks;
+* :mod:`squashkit.squash` - the squash channel as its closed-form Choi
+  matrix, channel application, and its completeness /
+  modulation-covariance checks;
 * :mod:`squashkit.povm` - threshold-detector models, QND block splitting,
   and the detector-vs-squash POVM equivalence;
 * :mod:`squashkit.protocol` - exact and Monte Carlo BB84/BBM92 against
@@ -19,7 +20,6 @@ from .symfock import (
     Basis,
     OMEGA,
     X_MODULATION,
-    HADAMARD,
     sym_basis_state,
     basis_change_matrix,
     lift_gate,
@@ -75,7 +75,6 @@ __all__ = [
     "Basis",
     "OMEGA",
     "X_MODULATION",
-    "HADAMARD",
     "sym_basis_state",
     "basis_change_matrix",
     "lift_gate",

@@ -103,7 +103,8 @@ def validate_density(rho: np.ndarray, *, atol_trace: float = 1e-10) -> np.ndarra
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density operator must be square, got shape {rho.shape}")
-    herm_dev = np.max(np.abs(rho - rho.conj().T))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
+        herm_dev = np.max(np.abs(rho - rho.conj().T))
     if not herm_dev <= 1e-12:
         raise ValueError(f"density operator not Hermitian (deviation {herm_dev:.3e})")
     trace_dev = abs(np.trace(rho).real - 1.0)
@@ -173,11 +174,12 @@ def side_state_effects(
         row = _EITHER_BIT if vacuum_random_bit else _ONE_STATE[VACUUM_STATE]
         weights, fine = row[None], np.ones((1, 1, 1), dtype=complex)
     elif mode == "actual":
-        # fine z outcome c (c photons on detector 1): mod^dagger |c><c| mod
-        mod = lift_gate(X_MODULATION, n) if basis_is_x else np.eye(n + 1)
+        # sum_c weights[c, s] mod^dagger |c><c| mod, c photons on detector 1;
+        # complex in both bases, as a first real BLAS product adds 0.25 MB of RSS
+        mod = lift_gate(X_MODULATION, n) if basis_is_x else np.eye(n + 1, dtype=complex)
         weights = np.tile(_EITHER_BIT, (n + 1, 1))
         weights[0], weights[n] = _ONE_STATE[flip], _ONE_STATE[1 ^ flip]
-        fine = np.einsum("ci,cj->cij", mod.conj(), mod)
+        return (mod.conj().T * weights.T[:, None, :]) @ mod
     elif mode in ("edp1", "edp2"):
         channel = build_squash(n)
         projs = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))

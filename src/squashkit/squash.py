@@ -6,22 +6,22 @@ b - b' = 1 (mod 4),
     F[b,b'] = 2^(-(N-1)/2) * ( sqrt(C(N,b')) |1_y><S^y_b|
                              + sqrt(C(N,b))  |0_y><S^y_b'| ),
 
-built in the y-labelled symmetric basis and stored here in the canonical
-Z basis.  The family is trace preserving, reproduces the threshold-detector
-sifted-bit statistics exactly (see :mod:`squashkit.povm`), and commutes
-with the x-basis phase modulation up to a per-operator phase:
+written in the y-labelled symmetric basis.  The family is trace
+preserving, reproduces the threshold-detector sifted-bit statistics
+exactly (see :mod:`squashkit.povm`), and commutes with the x-basis phase
+modulation up to a per-operator phase:
 
     F[b,b'] D(H) = OMEGA^(2b - N - 1) H F[b,b'],
 
 which makes the channel invariant under conjugation by that modulation.
-This module constructs the family and machine-checks all three properties.
+This module constructs the channel and machine-checks all three
+properties.
 
-The family holds about (N+1)^2/4 operators, kept as one read-only
-(count, 2, N+1) stack in ``KrausChannel.ops``.  The channel is applied
-through its Choi matrix, computed once per family and stored as the
-4 x (N+1)^2 matrix that both contractions read, so each application (and
-each Heisenberg pull-back) is one O((N+1)^2) matrix product rather than a
-sum over the operators.
+Only the operator-level phase check needs the operators themselves, and
+generates them in bounded slices.  The channel is its Choi matrix, written
+in closed form (see :func:`build_squash`) as the 4 x (N+1)^2 matrix both
+contractions read: each application (and each Heisenberg pull-back) is
+one O((N+1)^2) matrix product.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .symfock import (
     _stack_slices,
     basis_change_matrix,
     lift_gate,
+    qubit_frame,
 )
 
 __all__ = [
@@ -53,69 +54,58 @@ __all__ = [
     "random_density",
 ]
 
-_TP_ATOL = 1e-10
+_ATOL = 1e-10
 
-#: Operators per batched product over a Kraus stack; bounds the size of
-#: every temporary to one slice.
+#: Operators per batched product in the operator-level phase check; bounds
+#: the size of every temporary to one slice.
 _SLICE = 128
 
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Completely positive trace-preserving map as a finite Kraus family.
+    """Completely positive trace-preserving map, stored as its Choi matrix.
 
     Attributes
     ----------
     input_dim, output_dim : int
-        Every operator is an output_dim x input_dim matrix.
-    ops : ndarray
-        The Kraus operators as one read-only (count, output_dim, input_dim)
-        complex stack, a copy of any sequence of operators passed in.
-    labels : tuple
-        Per-operator metadata; for the squash family the index pair (b, b').
+        Dimensions of the input and output spaces.
+    choi : ndarray
+        The Choi matrix J[i, j, m, l] = sum_k K_k[i, j] conj(K_k[m, l]) of
+        the map's Kraus operators K_k, as the (out*out, in*in) matrix
+        C[(i, m), (j, l)]; a read-only copy of the array passed in.
 
-    The Choi matrix J[i, j, m, l] = sum_k K_k[i, j] conj(K_k[m, l]) is
-    computed once at construction, summed over fixed slices of the family,
-    and stored read-only as the (out*out, in*in) matrix C[(i, m), (j, l)]
-    that both contractions read.  Applying the channel and pulling an
-    operator back are each one matrix product with C, so they cost
-    O(output_dim^2 input_dim^2) whatever the operator count.
+    Construction checks complete positivity (J as the matrix
+    [(i, j), (m, l)] is Hermitian positive semidefinite) and trace
+    preservation.  Applying the channel and pulling an operator back are
+    each one matrix product with C, O(output_dim^2 input_dim^2).
 
-    Channels compare by identity, and their repr leaves out the operators.
+    Channels compare by identity, and their repr leaves out the matrix.
     """
 
     input_dim: int
     output_dim: int
-    ops: np.ndarray = field(repr=False)
-    labels: tuple = field(default=(), repr=False)
-    _choi: np.ndarray = field(init=False, repr=False)
+    choi: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        ops = np.array(self.ops, dtype=complex)
-        if ops.shape[1:] != (self.output_dim, self.input_dim):
-            raise ValueError(
-                f"Kraus operator shape {ops.shape[1:]} does not match "
-                f"({self.output_dim}, {self.input_dim})"
-            )
-        if self.labels and len(self.labels) != len(ops):
-            raise ValueError("labels length must match number of operators")
-        ops.setflags(write=False)
-        object.__setattr__(self, "ops", ops)
-        flat = ops.reshape(len(ops), -1)
-        choi = np.zeros((flat.shape[1], flat.shape[1]), dtype=complex)
-        for s in range(0, len(flat), _SLICE):
-            choi += flat[s : s + _SLICE].T @ flat[s : s + _SLICE].conj()
         out, inp = self.output_dim, self.input_dim
-        # J's axes (out, in, out, in) -> (out, out, in, in), copied once here
-        choi = choi.reshape(out, inp, out, inp).swapaxes(1, 2).reshape(out * out, -1)
+        choi = np.array(self.choi, dtype=complex)
+        if choi.shape != (out * out, inp * inp):
+            raise ValueError(f"Choi matrix shape {choi.shape} != {(out * out, inp * inp)}")
         choi.setflags(write=False)
-        object.__setattr__(self, "_choi", choi)
-        dev = np.max(np.abs(self.completeness_sum() - np.eye(self.input_dim)))
-        if dev > _TP_ATOL:
+        object.__setattr__(self, "choi", choi)
+        # eigvalsh reads one triangle only, so Hermiticity is checked too
+        j = choi.reshape(out, out, inp, inp).swapaxes(1, 2).reshape(out * inp, -1)
+        herm_dev = np.max(np.abs(j - j.conj().T))
+        min_eig = np.linalg.eigvalsh(j)[0]
+        if not (herm_dev <= _ATOL and min_eig >= -_ATOL):
+            raise ValueError(f"channel is not completely positive (Choi "
+                             f"eigenvalue {min_eig:.3e}, non-Hermiticity {herm_dev:.3e})")
+        dev = np.max(np.abs(self.completeness_sum() - np.eye(inp)))
+        if not dev <= _ATOL:
             raise ValueError(f"channel is not trace preserving (deviation {dev:.3e})")
 
     def completeness_sum(self) -> np.ndarray:
-        """Sum of K^dagger K over the family."""
+        """Sum of K^dagger K over the Kraus operators."""
         return self.pull_back(np.eye(self.output_dim))
 
     def pull_back(self, op: np.ndarray) -> np.ndarray:
@@ -127,7 +117,7 @@ class KrausChannel:
         """
         # (K^dagger op K)[j, l] = sum_{i,m} conj(J[i, j, m, l]) op[i, m]
         inp = self.input_dim
-        return (np.conj(op).reshape(-1) @ self._choi).conj().reshape(inp, inp)
+        return (np.conj(op).reshape(-1) @ self.choi).conj().reshape(inp, inp)
 
 
 @dataclass(frozen=True)
@@ -162,13 +152,24 @@ def squash_index_pairs(n_photons: int) -> list[tuple[int, int]]:
     ]
 
 
-def build_squash(n_photons: int) -> KrausChannel:
-    """Construct the squash Kraus family for N incoming photons.
+def _y_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """frame_y, to_y and w: F[b,b'] has rows w[b] <S^y_b'| and w[b'] <S^y_b| in y."""
+    frame_y = qubit_frame(Basis.Y)  # qubit y-coords -> z-coords
+    to_y = basis_change_matrix(n, Basis.Z, Basis.Y)  # input z-coords -> y-coords
+    w = 2.0 ** (-(n - 1) / 2.0) * np.array([sqrt(comb(n, k)) for k in range(n + 1)])
+    return frame_y, to_y, w
 
-    The operators are assembled in the y-labelled symmetric basis, where
-    the defining formula lives, then converted to the canonical Z basis on
-    both sides.  Output space is the qubit; the operator list enumerates
-    exactly the index pairs with b - b' = 1 (mod 4).
+
+def build_squash(n_photons: int) -> KrausChannel:
+    """Construct the squash channel for N incoming photons.
+
+    Summed over the pairs b - b' = 1 (mod 4), the Choi matrix's output
+    blocks in y coordinates are diagonal for (0_y, 0_y) and (1_y, 1_y),
+    entry j the sum of w[b]^2 over b = j + 1 resp. b = j - 1 (mod 4); the
+    (0_y, 1_y) block holds w[b'] w[b] at (b', b) for every pair, and
+    (1_y, 0_y) its transpose.  Since F = frame_y F_y to_y, one congruence
+    by frame_y x to_y^T gives J in the canonical Z basis on both sides.
+    Output space is the qubit.
 
     Raises
     ------
@@ -179,17 +180,19 @@ def build_squash(n_photons: int) -> KrausChannel:
     if n_photons < 1:
         raise ValueError(f"squash requires N >= 1, got {n_photons}")
     n = n_photons
-    frame_y = basis_change_matrix(1, Basis.Y, Basis.Z)  # qubit y-coords -> z-coords
-    to_y = basis_change_matrix(n, Basis.Z, Basis.Y)  # input z-coords -> y-coords
-    pairs = squash_index_pairs(n)
-    b, bp = np.array(pairs).T
-    w = 2.0 ** (-(n - 1) / 2.0) * np.array([sqrt(comb(n, k)) for k in range(n + 1)])
-    # Row <0_y| of F[b,b'] is w[b] <S^y_b'|, row <1_y| is w[b'] <S^y_b|.
-    # One expression, so the y stack is freed before the channel copies ops.
-    ops = frame_y @ np.stack([w[b, None] * to_y[bp], w[bp, None] * to_y[b]], axis=1)
-    return KrausChannel(
-        input_dim=n + 1, output_dim=2, ops=ops, labels=tuple(pairs)
-    )
+    frame_y, to_y, w = _y_terms(n)
+    k = np.arange(n + 1)
+    by_residue = np.array([np.sum(w[r::4] ** 2) for r in range(4)])
+    diag = [(to_y.T * by_residue[(k + d) % 4]) @ to_y.conj() for d in (1, -1)]
+    b, bp = np.array(squash_index_pairs(n)).T
+    cross_y = np.zeros((n + 1, n + 1))
+    cross_y[bp, b] = w[bp] * w[b]
+    cross = to_y.T @ cross_y @ to_y.conj()
+    blocks = [diag[0], cross, cross.conj().T, diag[1]]
+    # C[(i, m), (j, l)] = sum_{p,q} frame_y[i, p] conj(frame_y[m, q]) block[p, q][j, l]
+    choi = np.kron(frame_y, frame_y.conj()) @ np.reshape(blocks, (4, -1))
+    del diag, cross, blocks, to_y  # the channel copies choi
+    return KrausChannel(input_dim=n + 1, output_dim=2, choi=choi)
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -231,7 +234,7 @@ def apply_channel_on_bob(channel: KrausChannel, rho_ab: np.ndarray) -> np.ndarra
     rho = rho_ab.reshape(*lead, alice_dim, inp, alice_dim, inp)
     rho = rho.transpose(n_lead + 1, n_lead + 3, *range(n_lead), n_lead, n_lead + 2)
     rho = rho.reshape(inp * inp, -1)
-    res = (channel._choi @ rho).reshape(out, out, *lead, alice_dim, alice_dim)
+    res = (channel.choi @ rho).reshape(out, out, *lead, alice_dim, alice_dim)
     res = res.transpose(*range(2, n_lead + 3), 0, n_lead + 3, 1)
     return res.reshape(*lead, alice_dim * out, alice_dim * out)
 
@@ -239,8 +242,8 @@ def apply_channel_on_bob(channel: KrausChannel, rho_ab: np.ndarray) -> np.ndarra
 def verify_completeness(n_photons: int) -> CompletenessReport:
     """Check that the squash Kraus family sums to the identity.
 
-    Two independent routes: the operator sum of K^dagger K against the
-    identity in max-norm, and the closed-form diagonal
+    Two routes: the operator sum of K^dagger K (the pull-back of the
+    identity) against the identity in max-norm, and the closed-form diagonal
 
         f[b,b] = 2^(-(N-1)) * sum_{c : b-c = +-1 (mod 4)} C(N, c),
 
@@ -280,23 +283,25 @@ def verify_hadamard_invariance(
     """Check covariance of the squash family under the x-basis modulation.
 
     Operator level: F[b,b'] D(H) = OMEGA^(2b-N-1) H F[b,b'] entrywise for
-    every pair.  Channel level: conjugating the input by the lifted
-    modulation equals conjugating the output qubit by H, checked on
-    `trials` random full-rank mixed states, drawn and applied as stacks
-    in slices of bounded size.
+    every pair, generated from the y-basis formula in slices.  Channel
+    level: conjugating the input by the lifted modulation equals
+    conjugating the output qubit by H, checked on `trials` random
+    full-rank mixed states, drawn and applied as stacks in slices of
+    bounded size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     channel = build_squash(n_photons)
     n = n_photons
+    frame_y, to_y, w = _y_terms(n)
     lifted_h = lift_gate(X_MODULATION, n)
-    ks = channel.ops
-    phases = np.array([OMEGA ** (2 * b - n - 1) for b, _bp in channel.labels])
+    pairs = np.array(squash_index_pairs(n))
     kraus_dev = 0.0
-    for start in range(0, len(ks), _SLICE):
-        s = slice(start, start + _SLICE)
-        diff = ks[s] @ lifted_h  # reduced in place: one slice temporary fewer
-        diff -= phases[s, None, None] * (X_MODULATION @ ks[s])
+    for start in range(0, len(pairs), _SLICE):
+        b, bp = pairs[start : start + _SLICE].T
+        ks = frame_y @ np.stack([w[b, None] * to_y[bp], w[bp, None] * to_y[b]], axis=1)
+        diff = ks @ lifted_h  # reduced in place: one slice temporary fewer
+        diff -= OMEGA ** (2 * b - n - 1)[:, None, None] * (X_MODULATION @ ks)
         kraus_dev = max(kraus_dev, float(np.max(np.abs(diff))))
     rng = np.random.default_rng(seed)
     chan_dev = 0.0
@@ -306,5 +311,5 @@ def verify_hadamard_invariance(
         rhs = apply_channel(channel, lifted_h @ rho @ lifted_h.conj().T)
         chan_dev = max(chan_dev, float(np.max(np.abs(lhs - rhs))))
     return HadamardReport(
-        max(kraus_dev, chan_dev), kraus_dev, chan_dev, kraus_dev < _TP_ATOL
+        max(kraus_dev, chan_dev), kraus_dev, chan_dev, kraus_dev < _ATOL
     )

@@ -30,8 +30,6 @@ __all__ = [
     "Basis",
     "OMEGA",
     "X_MODULATION",
-    "HADAMARD",
-    "PAULI_X",
     "qubit_frame",
     "sym_basis_state",
     "basis_change_matrix",
@@ -58,12 +56,6 @@ OMEGA = np.exp(1j * np.pi / 4)
 #: and has eigenvectors |0_y>, |1_y> with eigenvalues OMEGA**-1, OMEGA**+1.
 X_MODULATION = np.array([[1, -1], [1, 1]], dtype=complex) / np.sqrt(2.0)
 
-#: The standard self-inverse Hadamard.  Shipped for completeness; protocol
-#: code always uses X_MODULATION.
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
 # Columns are the basis kets |0_b>, |1_b> in z coordinates.
 _FRAMES = {
     Basis.Z: np.eye(2, dtype=complex),
@@ -83,7 +75,7 @@ _UNITARY_ATOL = 1e-12
 # (2**13 raised the peak RSS of verify --nmax 40 by up to 0.3 MB).
 _STACK_ENTRIES = 2**10
 
-for _m in (X_MODULATION, HADAMARD, PAULI_X, *_FRAMES.values()):
+for _m in (X_MODULATION, *_FRAMES.values()):
     _m.setflags(write=False)
 
 

@@ -141,15 +141,15 @@ def test_criterion_4_lift_oracle():
 
 
 def test_criterion_5_single_photon_identity():
-    channel = build_squash(1)
-    assert len(channel.ops) == 1
-    op = channel.ops[0]
-    phase = op[0, 0] / abs(op[0, 0])
-    dev = np.max(np.abs(op - phase * np.eye(2)))
+    # J[(i, j), (m, l)] of the N = 1 channel against the identity channel's
+    # |I>><<I|, whose Kraus family is the identity alone
+    choi = build_squash(1).choi.reshape(2, 2, 2, 2).swapaxes(1, 2).reshape(4, 4)
+    vec_i = np.eye(2).reshape(-1)
+    dev = np.max(np.abs(choi - np.outer(vec_i, vec_i)))
     assert dev < 1e-14
     _report(
         "criterion 5 (N=1 degeneracy)",
-        f"single Kraus = identity up to phase, dev {dev:.2e}",
+        f"Choi matrix = identity channel's |I>><<I|, dev {dev:.2e}",
     )
 
 

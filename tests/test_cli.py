@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -281,14 +282,19 @@ class TestSimulate:
         '{"kind":"custom","blocks":[{"m":0,"n":1,"weight":NaN,"amps":[[1,0],[0,0]]}]}',
         '{"kind":"fixed_block","blocks":[{"m":0,"n":1,"weight":1,'
         '"rho":[[[NaN,0],[0,0]],[[0,0],[0,0]]]}]}',
-    ], ids=["custom-amplitude", "custom-weight", "fixed-block-rho"])
+        '{"kind":"fixed_block","blocks":[{"m":1,"n":0,"weight":1,'
+        '"rho":[[[Infinity,0],[0,0]],[[0,0],[0,0]]]}]}',
+    ], ids=["custom-amplitude", "custom-weight", "fixed-block-rho", "fixed-block-inf"])
     def test_non_finite_attack_is_usage_error(self, runner, attack):
-        result = runner.invoke(main, [
-            "simulate", "--protocol", "bbm92", "--attack", attack,
-            "--trials", "100", "--seed", "1",
-        ])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [
+                "simulate", "--protocol", "bbm92", "--attack", attack,
+                "--trials", "100", "--seed", "1",
+            ])
         assert result.exit_code == 2
         assert "malformed attack spec" in result.output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_large_photon_number_attack_runs(self, runner):
         result = runner.invoke(main, [

@@ -1,5 +1,7 @@
 """Tests for detector models, QND splitting and the POVM equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,17 @@ class TestSideStateEffects:
         with pytest.raises(ValueError):
             side_state_effects(2, "ideal", False)
 
+    def test_actual_effects_need_no_cubic_temporary(self):
+        # a few (N+1)^2 arrays (0.6 MB each at N = 200); an (N+1)^3 stack of
+        # fine-outcome projectors would take 66 MB
+        tracemalloc.start()
+        try:
+            side_state_effects(200, "actual", True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestEquivalence:
     def test_single_photon_tight(self):
@@ -109,7 +122,7 @@ class TestEquivalence:
         report = verify_povm_equivalence(2)
         assert max(report.max_dev_bit0, report.max_dev_bit1) < 1e-12
 
-    @pytest.mark.parametrize("n", [*range(1, 13), 47, 68, 100])
+    @pytest.mark.parametrize("n", [*range(1, 13), 47, 68, 100, 500])
     def test_all_forms_agree(self, n):
         report = verify_povm_equivalence(n)
         assert report.max_dev_bit0 < 1e-10

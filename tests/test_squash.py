@@ -1,7 +1,8 @@
-"""Tests for the squash Kraus family and its verified identities."""
+"""Tests for the squash channel and its verified identities."""
 
 import time
-from math import comb
+import tracemalloc
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -22,11 +23,43 @@ from squashkit.symfock import (
     OMEGA,
     X_MODULATION,
     Basis,
+    basis_change_matrix,
     lift_gate,
     projector,
     qubit_frame,
     sym_basis_state,
 )
+
+
+def squash_kraus(n):
+    """The squash operators F[b,b'] from the paper's formula, by pair.
+
+    F[b,b'] = 2^(-(N-1)/2) (sqrt(C(N,b')) |1_y><S^y_b| + sqrt(C(N,b)) |0_y><S^y_b'|),
+    with |j_y> a column of the qubit y frame and <S^y_b| row b of the
+    z -> y basis change, so each operator acts on z coordinates.
+    """
+    y0, y1 = qubit_frame(Basis.Y).T
+    to_y = basis_change_matrix(n, Basis.Z, Basis.Y)
+    scale = 2.0 ** (-(n - 1) / 2)
+    return {
+        (b, bp): scale * (
+            sqrt(comb(n, bp)) * np.outer(y1, to_y[b])
+            + sqrt(comb(n, b)) * np.outer(y0, to_y[bp])
+        )
+        for b, bp in squash_index_pairs(n)
+    }
+
+
+def choi_from_kraus(ops):
+    """Choi matrix of Kraus operators in KrausChannel's (out*out, in*in) layout.
+
+    J[i, j, m, l] = sum_k K_k[i, j] conj(K_k[m, l]), stored as C[(i, m), (j, l)].
+    """
+    ops = np.asarray(ops, dtype=complex)
+    count, out, inp = ops.shape
+    flat = ops.reshape(count, -1)
+    j = (flat.T @ flat.conj()).reshape(out, inp, out, inp)
+    return j.swapaxes(1, 2).reshape(out * out, inp * inp)
 
 
 class TestIndexPairs:
@@ -52,20 +85,17 @@ class TestIndexPairs:
 
 class TestBuildSquash:
     def test_single_photon_is_identity(self):
+        # the identity channel's C[(i, m), (j, l)] is delta_ij delta_ml
         channel = build_squash(1)
-        assert channel.labels == ((1, 0),)
-        assert np.max(np.abs(channel.ops[0] - np.eye(2))) < 1e-14
+        assert np.max(np.abs(channel.choi - np.eye(4))) < 1e-14
 
     def test_single_photon_from_direct_expansion(self):
         # at N = 1 the only operator is |1_y><1_y| + |0_y><0_y|
         y0 = qubit_frame(Basis.Y)[:, 0]
         y1 = qubit_frame(Basis.Y)[:, 1]
         expected = np.outer(y1, y1.conj()) + np.outer(y0, y0.conj())
-        assert np.max(np.abs(build_squash(1).ops[0] - expected)) < 1e-14
-
-    def test_operator_counts(self):
-        assert len(build_squash(2).ops) == 2
-        assert len(build_squash(3).ops) == 4
+        choi = choi_from_kraus([expected])
+        assert np.max(np.abs(build_squash(1).choi - choi)) < 1e-14
 
     def test_vacuum_rejected(self):
         with pytest.raises(ValueError):
@@ -79,26 +109,46 @@ class TestBuildSquash:
 
     def test_channel_constructor_rejects_incomplete_family(self):
         half = np.eye(2) / 2.0
-        with pytest.raises(ValueError):
-            KrausChannel(input_dim=2, output_dim=2, ops=(half,))
+        with pytest.raises(ValueError, match="trace preserving"):
+            KrausChannel(input_dim=2, output_dim=2, choi=choi_from_kraus([half]))
 
-    def test_ops_is_one_read_only_stack(self):
-        channel = build_squash(3)
-        assert channel.ops.shape == (4, 2, 4)
-        with pytest.raises(ValueError):
-            channel.ops[0, 0, 0] = 0.0
+    def test_channel_constructor_rejects_transpose_map(self):
+        # rho -> rho^T: J[i, j, m, l] = delta_il delta_mj, trace preserving
+        # (sum_i J[i, j, i, l] = delta_jl) but not completely positive
+        # (J as a 4 x 4 matrix is the swap, eigenvalue -1)
+        eye = np.eye(2)
+        j = np.einsum("il,mj->ijml", eye, eye)
+        assert np.array_equal(np.einsum("ijil->jl", j), eye)
+        choi = j.swapaxes(1, 2).reshape(4, 4)
+        with pytest.raises(ValueError, match="completely positive"):
+            KrausChannel(input_dim=2, output_dim=2, choi=choi)
+
+    def test_choi_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            KrausChannel(input_dim=3, output_dim=2, choi=np.eye(4))
 
     def test_caller_array_is_copied_not_frozen(self):
-        a = np.eye(2, dtype=complex)[None].copy()
+        a = np.eye(4, dtype=complex)  # the identity channel on a qubit
         channel = KrausChannel(2, 2, a)
-        a[0, 0, 0] = 5.0
-        assert channel.ops[0, 0, 0] == 1.0
+        a[0, 0] = 5.0
+        assert channel.choi[0, 0] == 1.0
         with pytest.raises(ValueError):
-            channel.ops[0, 0, 0] = 0.0
+            channel.choi[0, 0] = 0.0
+
+    def test_build_memory_is_bounded(self):
+        # the closed form holds a few (N+1)^2 arrays; summing J from the
+        # gathered Kraus stack peaked at 131 MB at N = 200
+        tracemalloc.start()
+        try:
+            build_squash(200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_equality_is_identity_and_repr_is_short(self):
         # pytest prints a failing case's channel, so its repr must not
-        # format the ~10^4 operators of the N = 200 family
+        # format the Choi matrix of the N = 200 channel
         channel = build_squash(3)
         assert (channel == build_squash(3)) is False
         assert (channel == channel) is True
@@ -206,38 +256,52 @@ class TestApplyChannelOnBob:
 
 
 class TestChoiRoute:
-    """The Choi-matrix contractions against explicit sums over channel.ops.
+    """The stored Choi matrix and its contractions against explicit Kraus sums.
 
-    From N of about 100 the squash channel is invariant to rounding under
-    transposing its input (the pull-back of sigma_y decays exponentially in
-    N), so a swap of the two input axes of J shows only at the smaller N
-    and on the non-square family.
+    For the squash channel the operators come from the paper's formula
+    (:func:`squash_kraus`), so the closed-form J of :func:`build_squash` is
+    checked against an explicit sum over them; the two share only the
+    lifted basis change to the y basis.  From N of about
+    100 the squash channel is invariant to rounding under transposing its
+    input (the pull-back of sigma_y decays exponentially in N), and its two
+    diagonal y blocks agree to rounding, so a swap of the two input axes of
+    J or of the diagonal blocks shows only at the smaller N and on the
+    non-square family.
     """
 
     @pytest.fixture(scope="class", params=[1, 5, 47, 200, "isometry"])
-    def channel(self, request):
+    def channel_and_ops(self, request):
         if request.param != "isometry":
-            return build_squash(request.param)
+            ops = np.array(list(squash_kraus(request.param).values()))
+            return build_squash(request.param), ops
         # non-square family (3 operators, input 4, output 3): the blocks of
         # a QR isometry V, so sum_k K_k^dagger K_k = V^dagger V = 1
         rng = np.random.default_rng(11)
         q, _ = np.linalg.qr(rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4)))
-        return KrausChannel(input_dim=4, output_dim=3, ops=q.reshape(3, 3, 4))
+        ops = q.reshape(3, 3, 4)
+        return KrausChannel(input_dim=4, output_dim=3, choi=choi_from_kraus(ops)), ops
 
-    def test_apply_channel_matches_kraus_sum(self, channel):
+    def test_choi_matches_kraus_sum(self, channel_and_ops):
+        channel, ops = channel_and_ops
+        assert np.max(np.abs(channel.choi - choi_from_kraus(ops))) < 1e-14
+
+    def test_apply_channel_matches_kraus_sum(self, channel_and_ops):
+        channel, ops = channel_and_ops
         rho = random_density(channel.input_dim, np.random.default_rng(1))
-        expected = sum(k @ rho @ k.conj().T for k in channel.ops)
+        expected = sum(k @ rho @ k.conj().T for k in ops)
         assert np.max(np.abs(apply_channel(channel, rho) - expected)) < 1e-12
 
-    def test_pull_back_matches_kraus_sum(self, channel):
+    def test_pull_back_matches_kraus_sum(self, channel_and_ops):
+        channel, ops = channel_and_ops
         rng = np.random.default_rng(2)
         dim = channel.output_dim
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         effect = g + g.conj().T  # Hermitian, not symmetric
-        expected = sum(k.conj().T @ effect @ k for k in channel.ops)
+        expected = sum(k.conj().T @ effect @ k for k in ops)
         assert np.max(np.abs(channel.pull_back(effect) - expected)) < 1e-12
 
-    def test_apply_channel_on_bob_matches_kraus_sum(self, channel):
+    def test_apply_channel_on_bob_matches_kraus_sum(self, channel_and_ops):
+        channel, ops = channel_and_ops
         # rank-4 joint state G G^dagger keeps the explicit sum cheap at N=200:
         # (1 x K) G G^dagger (1 x K)^dagger = M M^dagger with M = (1 x K) G
         alice_dim, bob_dim, rank = 3, channel.input_dim, 4
@@ -246,7 +310,7 @@ class TestChoiRoute:
         g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         g /= np.linalg.norm(g)
         g3 = g.reshape(alice_dim, bob_dim, rank)
-        ms = [(k @ g3).reshape(-1, rank) for k in channel.ops]
+        ms = [(k @ g3).reshape(-1, rank) for k in ops]
         expected = sum(m @ m.conj().T for m in ms)
         out = apply_channel_on_bob(channel, g @ g.conj().T)
         assert np.max(np.abs(out - expected)) < 1e-12
@@ -260,7 +324,7 @@ class TestCompleteness:
         report = verify_completeness(2)
         assert report.diag_formula_deviation < 1e-12
 
-    @pytest.mark.parametrize("n", [*range(1, 13), 47, 68, 100, 200])
+    @pytest.mark.parametrize("n", [*range(1, 13), 47, 68, 100, 200, 500])
     def test_deviation_small(self, n):
         report = verify_completeness(n)
         assert report.max_deviation < 1e-10
@@ -275,8 +339,7 @@ class TestHadamardInvariance:
         assert report.kraus_max_deviation < 1e-14
 
     def test_three_photon_wraparound_phase_is_minus_one(self):
-        channel = build_squash(3)
-        k = dict(zip(channel.labels, channel.ops))[(0, 3)]
+        k = squash_kraus(3)[(0, 3)]
         lifted = lift_gate(X_MODULATION, 3)
         assert OMEGA ** (2 * 0 - 3 - 1) == pytest.approx(-1.0)
         dev = np.max(np.abs(k @ lifted - (-1.0) * X_MODULATION @ k))

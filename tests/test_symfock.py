@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squashkit.symfock import (
-    HADAMARD,
     OMEGA,
     X_MODULATION,
-    PAULI_X,
     Basis,
     basis_change_matrix,
     lift_gate,
@@ -20,6 +18,10 @@ from squashkit.symfock import (
     qubit_frame,
     sym_basis_state,
 )
+
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def random_unitary(rng):
