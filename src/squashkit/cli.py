@@ -55,7 +55,11 @@ def _json_dumps(obj, level: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(inner + _json_dumps(v, level + 1) for v in obj)
+        # floats inline: no call per number in the long echoed amplitude lists
+        items = ",\n".join(
+            inner + (_format_float(v) if type(v) is float else _json_dumps(v, level + 1))
+            for v in obj
+        )
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:

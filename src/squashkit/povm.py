@@ -98,9 +98,17 @@ def classify_click(b: int, n_photons: int) -> ClickClass:
 def validate_density(rho: np.ndarray, *, atol_trace: float = 1e-10) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity of a density operator.
 
-    Each check fails on NaN, so a non-finite matrix is rejected too.
+    A 1-D state vector a stands for the pure state |a><a|: only its trace
+    ||a||^2 is checked, and ``np.outer(a, a.conj())`` is returned, which is
+    Hermitian and positive semidefinite by construction.  Each check fails
+    on NaN, so a non-finite matrix or vector is rejected too.
     """
     rho = np.asarray(rho, dtype=complex)
+    if rho.ndim == 1:
+        trace_dev = abs(np.vdot(rho, rho).real - 1.0)  # NaN for any inf entry
+        if not trace_dev <= atol_trace:
+            raise ValueError(f"density operator trace deviates by {trace_dev:.3e}")
+        return np.outer(rho, rho.conj())
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density operator must be square, got shape {rho.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
@@ -245,7 +253,8 @@ class _BlockDiagonalState:
 
     ``blocks`` maps a photon number, or a tuple of photon numbers (one per
     side), to a weight and a density operator on the product of the
-    symmetric subspaces.
+    symmetric subspaces, or a state vector standing for a pure block (see
+    :func:`validate_density`).
     """
 
     def __post_init__(self) -> None:
@@ -294,7 +303,8 @@ class CompositeBlockState(_BlockDiagonalState):
 
     Keys are photon-number pairs (m, n); each block holds a weight and a
     density operator on the (m+1)(n+1)-dimensional product of symmetric
-    subspaces.
+    subspaces.  A block may be given as a state vector a of that length
+    instead: it is stored as |a><a|, with only its norm checked.
     """
 
     blocks: Mapping[tuple[int, int], tuple[float, np.ndarray]]

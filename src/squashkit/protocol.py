@@ -175,7 +175,7 @@ class CustomState:
         for m, n, w, amps in self.blocks:
             if (m, n) in blocks:
                 raise ValueError(f"duplicate block ({m}, {n}) in custom attack")
-            blocks[(m, n)] = (w, np.outer(amps, amps.conj()))
+            blocks[(m, n)] = (w, amps)
         return CompositeBlockState(blocks)
 
 
@@ -184,8 +184,9 @@ AttackSpec = Union[
 ]
 
 
-def _matrix_to_json(mat: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat)]
+def _complex_to_json(arr: np.ndarray) -> list:
+    """Nested lists with each complex entry as a [real, imag] pair of floats."""
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def _matrix_from_json(data: list) -> np.ndarray:
@@ -208,7 +209,7 @@ def attack_to_dict(attack: AttackSpec) -> dict:
         return {
             "kind": "fixed_block",
             "blocks": [
-                {"m": m, "n": n, "weight": w, "rho": _matrix_to_json(rho)}
+                {"m": m, "n": n, "weight": w, "rho": _complex_to_json(rho)}
                 for (m, n), (w, rho) in attack.state.blocks.items()
             ],
         }
@@ -216,12 +217,7 @@ def attack_to_dict(attack: AttackSpec) -> dict:
         return {
             "kind": "custom",
             "blocks": [
-                {
-                    "m": m,
-                    "n": n,
-                    "weight": w,
-                    "amps": [[float(a.real), float(a.imag)] for a in amps],
-                }
+                {"m": m, "n": n, "weight": w, "amps": _complex_to_json(amps)}
                 for m, n, w, amps in attack.blocks
             ],
         }
@@ -366,10 +362,12 @@ def _table(
     (attack, protocol, mode).  ``cells`` has shape (4, K, 3, 3) for the K
     blocks of ``block_keys``: basis pairs in ``_PAIRS`` order, blocks in
     state order, side states in :data:`squashkit.povm.SIDE_STATES` order
-    (bit 0, bit 1, vacuum).  One Born-kernel call fills each (basis pair,
-    block) from the two sides' :func:`squashkit.povm.side_state_effects`
-    stacks.  BB84's sender is a one-photon block measured in ``actual``
-    mode, which at one photon is exactly the projective qubit measurement.
+    (bit 0, bit 1, vacuum).  One Born-kernel call per block, both bases
+    stacked: each side's :func:`squashkit.povm.side_state_effects` stacks
+    for the z and x bases form one (6, d, d) stack, and the (6, 6) result
+    holds all four basis pairs.  BB84's sender is a one-photon block
+    measured in ``actual`` mode, which at one photon is exactly the
+    projective qubit measurement.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
@@ -379,16 +377,22 @@ def _table(
     if protocol == "bb84":
         _require_bb84_blocks(state)
     sender_mode = "actual" if protocol == "bb84" else mode
-    effects = cache(side_state_effects)  # per build: no process-wide cache
+
+    @cache  # per build: no process-wide cache
+    def effects(n, side_mode):  # z-basis side states, then x-basis ones
+        return np.concatenate([
+            side_state_effects(n, side_mode, x, vacuum_random_bit) for x in (False, True)
+        ])
+
     states = len(SIDE_STATES)
     cells = np.zeros((len(_PAIRS), len(state.blocks), states, states))
-    for p_i, (a_x, b_x) in enumerate(_PAIRS):
-        for k_i, ((m, n), (w, rho)) in enumerate(state.blocks.items()):
-            if w == 0.0:
-                continue
-            ea = effects(m, sender_mode, a_x, vacuum_random_bit)
-            eb = effects(n, mode, b_x, vacuum_random_bit)
-            cells[p_i, k_i] = np.maximum(0.25 * w * _born(ea, eb, rho), 0.0)
+    for k_i, ((m, n), (w, rho)) in enumerate(state.blocks.items()):
+        if w == 0.0:
+            continue
+        law = _born(effects(m, sender_mode), effects(n, mode), rho)
+        # (a_x, s_a, b_x, s_b) -> (a_x, b_x, s_a, s_b): the _PAIRS order
+        law = law.reshape(2, states, 2, states).transpose(0, 2, 1, 3)
+        cells[:, k_i] = np.maximum(0.25 * w * law.reshape(len(_PAIRS), states, states), 0.0)
     return list(state.blocks), cells
 
 

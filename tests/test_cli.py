@@ -367,7 +367,82 @@ class TestKeyrate:
         assert runner.invoke(main, ["keyrate"]).exit_code == 2
 
 
+def reference_json_dumps(obj, level=0):
+    """The writer with one recursive call per value, floats included."""
+    pad = "  " * level
+    inner = "  " * (level + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(inner + reference_json_dumps(v, level + 1) for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{json.dumps(str(k))}: {reference_json_dumps(v, level + 1)}"
+            for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def ladder_attack_seed1():
+    """The benchmark's seeded 13x13-block BBM92 attack (perfbench/workloads.py)."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    name = "perfbench_workloads"
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        return module.ladder_attack(1)
+    finally:
+        del sys.modules[name]
+
+
 class TestJsonSerializer:
+    def test_ladder_record_matches_reference_writer(self):
+        from squashkit.cli import _json_dumps
+        from squashkit.protocol import attack_from_dict, run_simulation
+
+        attack = attack_from_dict(ladder_attack_seed1())
+        result = run_simulation("bbm92", "actual", attack, 2_000_000, 1)
+        record = {**vars(result), "runtime_ms": 1234.5678}
+        assert _json_dumps(record) == reference_json_dumps(record)
+
+    def test_mixed_record_matches_reference_writer(self):
+        from squashkit.cli import _json_dumps
+
+        record = {
+            "np_scalars": [np.float64(0.1), np.float32(0.1), np.int64(-3), np.uint8(7)],
+            "bools": [True, False],
+            "none": None,
+            "empty": [[], {}, ()],
+            "nested": [[0.1, -0.0, 2.0 ** -1074], [[1e300, 1.0 / 3.0], 7, "x", None]],
+            "tuple": (1.5, np.float64(-2.5), False),
+            "scalar": np.float64(0.04899366530350413),
+            "inf": [float("inf"), -float("inf")],
+            "deep": {"a": {"b": [{"c": [0.5]}]}, "": {}},
+        }
+        assert _json_dumps(record) == reference_json_dumps(record)
+        for value in ([], {}, 0.25, np.float64(0.25), [0.25], [[0.25, True]]):
+            assert _json_dumps(value) == reference_json_dumps(value)
+
     def test_floats_round_trip_exactly(self):
         from squashkit.cli import _json_dumps
 

@@ -1,6 +1,7 @@
 """Tests for detector models, QND splitting and the POVM equivalence."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,58 @@ class TestBlockStateValidation:
     def test_non_finite_weight_rejected(self):
         with pytest.raises(ValueError):
             BlockState({1: (np.nan, np.eye(2) / 2)})
+
+    def test_positivity_boundary(self):
+        # eigvalsh of a diagonal matrix returns its entries exactly
+        validate_density(np.diag([1.0 + 5e-11, -5e-11]))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            validate_density(np.diag([1.0 + 2e-10, -2e-10]))
+
+
+class TestStateVectorBlocks:
+    @staticmethod
+    def unit_vector(dim, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return a / np.linalg.norm(a)
+
+    @pytest.mark.parametrize("dim", [1, 2, 12])
+    def test_vector_becomes_its_outer_product(self, dim):
+        a = self.unit_vector(dim, dim)
+        rho = validate_density(a)
+        assert rho.dtype == complex
+        assert np.array_equal(rho, np.outer(a, a.conj()))
+
+    def test_trace_checked_at_tolerance(self):
+        a = self.unit_vector(6, 1)
+        validate_density(a * np.sqrt(1.0 + 5e-11))
+        with pytest.raises(ValueError, match="trace deviates"):
+            validate_density(a * np.sqrt(1.0 + 2e-10))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_non_finite_vector_rejected_without_warning(self, value):
+        a = self.unit_vector(4, 2)
+        a[1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="trace deviates"):
+                validate_density(a)
+
+    def test_composite_from_vectors_equals_from_outer_products(self):
+        keys = [(0, 0), (1, 2), (3, 1)]
+        vectors = {k: self.unit_vector((k[0] + 1) * (k[1] + 1), i) for i, k in enumerate(keys)}
+        weights = dict(zip(keys, (0.25, 0.0, 0.75)))
+        from_vectors = CompositeBlockState({k: (weights[k], a) for k, a in vectors.items()})
+        from_matrices = CompositeBlockState(
+            {k: (weights[k], np.outer(a, a.conj())) for k, a in vectors.items()}
+        )
+        assert from_vectors == from_matrices
+        for _, rho in from_vectors.blocks.values():
+            assert not rho.flags.writeable
+
+    def test_vector_dimension_checked(self):
+        with pytest.raises(ValueError, match="dimension"):
+            CompositeBlockState({(1, 1): (1.0, self.unit_vector(3, 0))})
 
 
 class TestDetectEvent:

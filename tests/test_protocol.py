@@ -1,5 +1,7 @@
 """Tests for attacks, exact laws, Monte Carlo runs and the key rate."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
-from squashkit.povm import CompositeBlockState
+from squashkit.povm import CompositeBlockState, side_state_effects
 from squashkit.protocol import (
     CoincidenceInjection,
     CustomState,
@@ -21,6 +23,7 @@ from squashkit.protocol import (
     eve_state,
     exact_error_rates,
     exact_sifted_distribution,
+    _table,
     key_rate,
     run_simulation,
 )
@@ -154,6 +157,24 @@ class TestEveState:
         data = attack_to_dict(attack)
         back = attack_from_dict(data)
         assert attack_to_dict(back) == data
+
+    @pytest.mark.parametrize("kind", ["fixed_block", "custom"])
+    def test_complex_arrays_round_trip_byte_for_byte(self, kind):
+        # signed zeros and full-precision parts survive both directions
+        amps = np.array([complex(0.6, -0.0), complex(-0.0, 0.8), 0.0, 0.0])
+        if kind == "custom":
+            attack = CustomState(((1, 1, 1.0, amps),))
+        else:
+            attack = FixedBlockState(
+                CompositeBlockState({(1, 1): (1.0, np.outer(amps, amps.conj()))})
+            )
+        data = attack_to_dict(attack)
+        key = "amps" if kind == "custom" else "rho"
+        leaves = np.ravel(data["blocks"][0][key]).tolist()
+        assert all(type(v) is float for v in leaves)
+        text = json.dumps(data)
+        assert json.dumps(attack_to_dict(attack_from_dict(json.loads(text)))) == text
+        assert "-0.0" in text
 
     def test_equality_compares_content(self):
         for attack in (asymmetric_bbm92_attack(), double_coincidence_attack()):
@@ -341,6 +362,53 @@ class TestDistributionalEquivalence:
         result = run_simulation("bb84", mode, attack, 100_000, 47)
         assert law_chi_square_pvalue(result, law) > 0.001
         assert result.vacuum > 0
+
+
+def reference_table(attack, protocol, mode, vacuum_random_bit):
+    """The category table one (basis pair, block) cell at a time, with the
+    Born rule Tr[(E x F) rho] written out as an einsum."""
+    state = eve_state(attack)
+    sender_mode = "actual" if protocol == "bb84" else mode
+    pairs = ((False, False), (False, True), (True, False), (True, True))
+    cells = np.zeros((len(pairs), len(state.blocks), 3, 3))
+    for p_i, (a_x, b_x) in enumerate(pairs):
+        for k_i, ((m, n), (w, rho)) in enumerate(state.blocks.items()):
+            ea = side_state_effects(m, sender_mode, a_x, vacuum_random_bit)
+            eb = side_state_effects(n, mode, b_x, vacuum_random_bit)
+            # rho[(j, l), (i, k)] pairs with E[i, j] F[k, l]
+            rho = rho.reshape(m + 1, n + 1, m + 1, n + 1)
+            born = np.einsum("pij,qkl,jlik->pq", ea, eb, rho).real
+            cells[p_i, k_i] = np.maximum(0.25 * w * born, 0.0)
+    return list(state.blocks), cells
+
+
+def vacuum_and_zero_weight_attack(protocol):
+    """Complex pure blocks with vacuum on either side and a zero-weight block."""
+    rng = np.random.default_rng(161803)
+    if protocol == "bb84":
+        keys = [(1, 0), (1, 1), (1, 2), (1, 3)]
+    else:
+        keys = [(0, 0), (0, 2), (2, 0), (1, 1), (3, 2)]
+    weights = np.arange(1.0, len(keys) + 1)
+    weights[2] = 0.0
+    weights /= weights.sum()
+    return CustomState(tuple(
+        (m, n, w, _random_block_amps(m, n, rng)) for (m, n), w in zip(keys, weights)
+    ))
+
+
+class TestTable:
+    @pytest.mark.parametrize("protocol", ["bb84", "bbm92"])
+    @pytest.mark.parametrize("mode", ["actual", "edp1", "edp2"])
+    @pytest.mark.parametrize("vacuum_random_bit", [False, True])
+    def test_matches_per_cell_reference(self, protocol, mode, vacuum_random_bit):
+        attack = vacuum_and_zero_weight_attack(protocol)
+        keys, cells = _table(attack, protocol, mode, vacuum_random_bit)
+        ref_keys, ref_cells = reference_table(attack, protocol, mode, vacuum_random_bit)
+        assert keys == ref_keys
+        assert cells.shape == ref_cells.shape
+        assert np.max(np.abs(cells - ref_cells)) < 1e-15
+        assert not cells[:, keys.index(attack.blocks[2][:2])].any()
 
 
 class TestBbm92:

@@ -324,6 +324,16 @@ class TestCompleteness:
         report = verify_completeness(2)
         assert report.diag_formula_deviation < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 47, 200])
+    def test_diagonal_formula_matches_per_entry_binomial_sum(self, n):
+        # the residue sums give the same exact integers as summing C(N, c)
+        # over every qualifying c, for each diagonal entry b
+        diag_dev = 0.0
+        for b in range(n + 1):
+            total = sum(comb(n, c) for c in range(n + 1) if (b - c) % 4 in (1, 3))
+            diag_dev = max(diag_dev, abs(2.0 ** (-(n - 1)) * total - 1.0))
+        assert verify_completeness(n).diag_formula_deviation == diag_dev
+
     @pytest.mark.parametrize("n", [*range(1, 13), 47, 68, 100, 200, 500])
     def test_deviation_small(self, n):
         report = verify_completeness(n)
