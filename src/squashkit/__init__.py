@@ -39,7 +39,6 @@ from .squash import (
     random_density,
 )
 from .povm import (
-    Outcome,
     Povm,
     BlockState,
     CompositeBlockState,
@@ -48,7 +47,6 @@ from .povm import (
     virtual_povm,
     verify_povm_equivalence,
     qnd_split,
-    detect_event,
 )
 from .protocol import (
     Depolarize,
@@ -90,7 +88,6 @@ __all__ = [
     "verify_completeness",
     "verify_hadamard_invariance",
     "random_density",
-    "Outcome",
     "Povm",
     "BlockState",
     "CompositeBlockState",
@@ -99,7 +96,6 @@ __all__ = [
     "virtual_povm",
     "verify_povm_equivalence",
     "qnd_split",
-    "detect_event",
     "Depolarize",
     "InterceptResend",
     "CoincidenceInjection",

@@ -15,9 +15,9 @@ the pull-back of the qubit z measurement through the squash channel,
 Both sides of the identity, and every measurement model the protocol
 simulations use, come from one builder, :func:`side_state_effects`.  Also
 provided: the QND photon-number block decomposition used to reduce
-arbitrary incoming states to per-block density operators, and the sampled
-one-event device model (:func:`detect_event`) that the simulations are
-cross-checked against.
+arbitrary incoming states to per-block density operators, and the
+three-way click classification (:func:`classify_click`) of a projective
+z outcome, on which the tests enumerate the physical device's exact law.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .squash import build_squash
 from .symfock import X_MODULATION, lift_gate
 
 __all__ = [
-    "Outcome",
     "ClickClass",
     "Povm",
     "BlockState",
@@ -46,9 +45,7 @@ __all__ = [
     "virtual_povm",
     "verify_povm_equivalence",
     "qnd_split",
-    "detect_event",
     "classify_click",
-    "modulated_block",
     "validate_density",
 ]
 
@@ -63,14 +60,6 @@ VACUUM_STATE = SIDE_STATES.index("vacuum")
 # with probability 1/2 (a coincidence, or a vacuum that draws a random bit).
 _ONE_STATE = np.eye(len(SIDE_STATES))
 _EITHER_BIT = np.array([0.5, 0.5, 0.0])
-
-
-class Outcome(Enum):
-    """Result of one detection event after coincidence randomization."""
-
-    BIT0 = 0
-    BIT1 = 1
-    VACUUM = "vacuum"
 
 
 class ClickClass(Enum):
@@ -362,60 +351,3 @@ def qnd_split(
             continue
         blocks[n] = (w / total, b / np.trace(b).real)
     return BlockState(blocks)
-
-
-def detect_event(
-    n_photons: int,
-    rho: np.ndarray,
-    basis_gate_applied: bool,
-    rng: np.random.Generator,
-    *,
-    vacuum_random_bit: bool = False,
-) -> Outcome:
-    """Sample one threshold-detection event from an N-photon block state.
-
-    Simulates the physical device: a projective z measurement onto the
-    symmetric basis is sampled from the diagonal of `rho`, the fine
-    outcome is classified as vacuum / single click / coincidence, and a
-    coincidence is replaced by a fair random bit.  The marginal law of
-    BIT0/BIT1 therefore equals the Born probabilities of
-    :func:`actual_povm` (a fact the tests check, not assume).
-
-    When `basis_gate_applied` is true, `rho` is expected to already carry
-    the lifted x-basis modulation; the reported bit is then inverted,
-    because the modulation maps |j_x> onto |(1-j)_z> so the detector label
-    is the complement of the x-basis bit.
-
-    Vacuum is an inconclusive outcome excluded from sifting unless
-    `vacuum_random_bit` asks for a random bit instead.
-    """
-    if n_photons == 0:
-        if not vacuum_random_bit:
-            return Outcome.VACUUM
-        bit = int(rng.random() < 0.5)
-        if basis_gate_applied:
-            bit ^= 1
-        return Outcome.BIT0 if bit == 0 else Outcome.BIT1
-    rho = np.asarray(rho, dtype=complex)
-    probs = np.clip(np.diag(rho).real, 0.0, None)
-    cdf = np.cumsum(probs)
-    if cdf[-1] <= 0.0:
-        raise ValueError("state has no probability mass on its diagonal")
-    u = rng.random() * cdf[-1]
-    b = int(min(np.searchsorted(cdf, u, side="right"), n_photons))
-    kind = classify_click(b, n_photons)
-    if kind is ClickClass.SINGLE0:
-        bit = 0
-    elif kind is ClickClass.SINGLE1:
-        bit = 1
-    else:
-        bit = int(rng.random() < 0.5)
-    if basis_gate_applied:
-        bit ^= 1
-    return Outcome.BIT0 if bit == 0 else Outcome.BIT1
-
-
-def modulated_block(rho: np.ndarray, n_photons: int) -> np.ndarray:
-    """Conjugate an N-photon block by the lifted x-basis modulation."""
-    d = lift_gate(X_MODULATION, n_photons)
-    return d @ np.asarray(rho, dtype=complex) @ d.conj().T

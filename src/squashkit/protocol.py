@@ -22,10 +22,11 @@ joint block into the exact law over (basis pair, block, sender state,
 receiver state).  The exact law (:func:`exact_sifted_distribution`) and
 the Monte Carlo tallies are the same reduction of that table, applied to
 probabilities and to counts, so the engine and the law cannot drift
-apart.  The law itself is pinned by a sequential replay of the physical
-device built on :func:`squashkit.povm.detect_event`, which shares no code
-with the builder or the kernel; by the detector/squash POVM identity,
-which compares the builder's detector branch
+apart.  The law itself is pinned by the physical device's exact law,
+enumerated in the tests from the modulated block's diagonal and
+:func:`squashkit.povm.classify_click`, which shares no code with the
+builder or the kernel; by the detector/squash POVM identity, which
+compares the builder's detector branch
 (:func:`squashkit.povm.actual_povm`) with its squash branch
 (:func:`squashkit.povm.virtual_povm`); and by closed-form error rates of
 the shipped attacks.
@@ -43,7 +44,7 @@ tallies of a :class:`SimResult`.  Runs are reproducible bit for bit from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from math import log2
 from typing import Optional, Union
 
@@ -136,7 +137,8 @@ class CustomState:
     """Pure-state amplitude table per joint photon-number block.
 
     ``blocks`` is a sequence of (m, n, weight, amps) with amps a complex
-    vector of length (m+1)(n+1).
+    vector of length (m+1)(n+1).  Construction validates the blocks as a
+    :class:`squashkit.povm.CompositeBlockState`, which checks each norm.
     """
 
     blocks: tuple
@@ -144,7 +146,7 @@ class CustomState:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("custom attack requires at least one block")
-        frozen = []
+        frozen, blocks = [], {}
         for m, n, w, amps in self.blocks:
             amps = np.asarray(amps, dtype=complex)
             if amps.shape != ((m + 1) * (n + 1),):
@@ -152,12 +154,14 @@ class CustomState:
                     f"block ({m}, {n}) amplitude vector has length {amps.size}, "
                     f"expected {(m + 1) * (n + 1)}"
                 )
-            norm = np.linalg.norm(amps)
-            if not abs(norm - 1.0) <= 1e-9:
-                raise ValueError(f"block ({m}, {n}) amplitudes not normalized")
+            m, n, w = int(m), int(n), float(w)
+            if (m, n) in blocks:
+                raise ValueError(f"duplicate block ({m}, {n}) in custom attack")
             amps.setflags(write=False)
-            frozen.append((int(m), int(n), float(w), amps))
+            frozen.append((m, n, w, amps))
+            blocks[(m, n)] = (w, amps)
         object.__setattr__(self, "blocks", tuple(frozen))
+        object.__setattr__(self, "_block_state", CompositeBlockState(blocks))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CustomState):
@@ -166,17 +170,6 @@ class CustomState:
             mine[:3] == theirs[:3] and np.array_equal(mine[3], theirs[3])
             for mine, theirs in zip(self.blocks, other.blocks)
         )
-
-    @cached_property
-    def _block_state(self) -> CompositeBlockState:
-        # Built and validated once per attack: the CLI checks the attack
-        # through eve_state before run_simulation calls it again.
-        blocks = {}
-        for m, n, w, amps in self.blocks:
-            if (m, n) in blocks:
-                raise ValueError(f"duplicate block ({m}, {n}) in custom attack")
-            blocks[(m, n)] = (w, amps)
-        return CompositeBlockState(blocks)
 
 
 AttackSpec = Union[

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import chi2
 
 from squashkit.povm import CompositeBlockState, verify_povm_equivalence
 from squashkit.protocol import (
@@ -31,6 +30,8 @@ from squashkit.squash import (
 )
 from squashkit.symfock import lift_gate, lift_gate_oracle, projector, sym_basis_state
 
+from test_protocol import law_chi_square_pvalue
+
 
 def _report(name: str, detail: str) -> None:
     print(f"PASS {name}: {detail}")
@@ -49,23 +50,6 @@ SHIPPED_ATTACKS = [
     CoincidenceInjection(2, 1),
     CoincidenceInjection(4, 2),
 ]
-
-
-def _law_chi_square_pvalue(result, law):
-    cells = [("vacuum", result.vacuum), ("mismatch", result.mismatched)]
-    for basis in "zx":
-        for a in (0, 1):
-            for b in (0, 1):
-                cells.append(((basis, a, b), result.sifted_counts[basis][a][b]))
-    stat, dof = 0.0, -1
-    for key, observed in cells:
-        expected = law[key] * result.trials
-        if expected < 1e-9:
-            assert observed == 0, f"impossible cell {key} observed"
-            continue
-        stat += (observed - expected) ** 2 / expected
-        dof += 1
-    return chi2.sf(stat, dof)
 
 
 def test_criterion_1_completeness():
@@ -170,7 +154,7 @@ def test_criterion_6_actual_vs_virtual():
             result = run_simulation(
                 "bb84", mode, attack, 100_000, 1000 + 10 * i + j
             )
-            pvals.append(_law_chi_square_pvalue(result, law))
+            pvals.append(law_chi_square_pvalue(result, law))
     elapsed = time.perf_counter() - start
     assert min(pvals) > 0.001
     assert elapsed < 60.0
@@ -231,7 +215,7 @@ def test_criterion_9_bbm92():
             worst = max(worst, abs(actual[key] - edp2[key]))
         for j, mode in enumerate(("actual", "edp2")):
             run = run_simulation("bbm92", mode, attack, 100_000, 700 + 10 * i + j)
-            pvals.append(_law_chi_square_pvalue(run, actual))
+            pvals.append(law_chi_square_pvalue(run, actual))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10
     assert min(pvals) > 0.001

@@ -296,6 +296,18 @@ class TestSimulate:
         assert "malformed attack spec" in result.output
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_unnormalized_custom_block_is_usage_error(self, runner):
+        attack = (
+            '{"kind":"custom","blocks":[{"m":0,"n":1,"weight":1,'
+            '"amps":[[1.0000000003,0],[0,0]]}]}'
+        )
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bbm92", "--attack", attack,
+            "--trials", "100", "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert "trace deviates" in result.output
+
     def test_large_photon_number_attack_runs(self, runner):
         result = runner.invoke(main, [
             "simulate", "--protocol", "bb84", "--mode", "edp2",

@@ -1,167 +1,137 @@
-"""Sequential-device oracle for the vectorized Monte Carlo engine.
+"""The physical threshold-detector device as an exact law.
 
-Replays the physical round structure one event at a time: sample the
-adversary's block, let the sender collapse her qubit with explicit
-projectors, modulate the receiver's block for x rounds, and fire
-``detect_event``.  The resulting outcome law must match the exact
-categorical law the fast engine samples from; this pins the engine to the
-device model rather than to itself.
+Enumerates, without sampling, what the device does with a joint block: each
+receiver modulates its factor with the lifted x modulation when it measures
+in x; the diagonal of the modulated block is the joint law of the photon
+counts (c_a, c_b) on detector 1; and each side's count is classified as a
+threshold detector would (``classify_click``).  A single click reports its
+bit, complemented in x; a coincidence reports either bit with weight 1/2;
+vacuum reports vacuum, or either bit with weight 1/2 under
+``vacuum_random_bit``.  BB84's sender is the one-photon block.
+
+This law shares no code with the effect builder (``side_state_effects``)
+or the Born kernel of the category table, so its equality with the table's
+``actual``, ``edp1`` and ``edp2`` laws pins the table to the device: on the
+shipped attacks, and on random source states, the paper's "for every
+source state".
 """
 
 import numpy as np
-from scipy.stats import chi2
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from squashkit.povm import (
-    ClickClass,
-    Outcome,
-    classify_click,
-    detect_event,
-    modulated_block,
-)
+from squashkit.povm import ClickClass, classify_click
 from squashkit.protocol import (
     CoincidenceInjection,
+    CustomState,
     eve_state,
     exact_sifted_distribution,
 )
-from squashkit.symfock import X_MODULATION, Basis, lift_gate, qubit_frame
+from squashkit.symfock import X_MODULATION, lift_gate
 
-from test_protocol import asymmetric_bbm92_attack, asymmetric_custom_attack
+from test_protocol import (
+    SHIPPED_BB84_ATTACKS,
+    _random_block_amps,
+    asymmetric_bbm92_attack,
+    double_coincidence_attack,
+    honest_bbm92_attack,
+)
+
+SHIPPED_ATTACKS = [
+    pytest.param("bb84", attack, id=f"bb84-{i}") for i, attack in enumerate(SHIPPED_BB84_ATTACKS)
+] + [
+    pytest.param("bbm92", honest_bbm92_attack(), id="bbm92-honest"),
+    pytest.param("bbm92", double_coincidence_attack(), id="bbm92-double-coincidence"),
+    pytest.param("bbm92", asymmetric_bbm92_attack(), id="bbm92-asymmetric"),
+]
 
 
-def naive_bb84_actual_counts(attack, trials, seed):
-    state = eve_state(attack)
-    keys = list(state.blocks)
-    weights = np.array([state.blocks[k][0] for k in keys])
-    cdf = np.cumsum(weights)
-    rng = np.random.default_rng(seed)
-    counts = {"vacuum": 0, "mismatch": 0}
-    for basis in "zx":
-        for a in (0, 1):
-            for b in (0, 1):
-                counts[(basis, a, b)] = 0
-    for _ in range(trials):
-        k = keys[min(np.searchsorted(cdf, rng.random() * cdf[-1], "right"),
-                     len(keys) - 1)]
-        _, n = k
-        rho = state.blocks[k][1]
-        basis_a = Basis.Z if rng.random() < 0.5 else Basis.X
-        basis_b = Basis.Z if rng.random() < 0.5 else Basis.X
-        # sender measures her qubit and collapses the receiver block
-        v0 = qubit_frame(basis_a)[:, 0]
-        eye = np.eye(n + 1, dtype=complex)
-        bra0 = np.kron(v0.conj(), eye)
-        collapsed0 = bra0 @ rho @ bra0.conj().T
-        p0 = np.trace(collapsed0).real
-        if rng.random() < p0:
-            a_bit, rho_b = 0, collapsed0 / p0
+def side_weights(n, basis_is_x, vacuum_random_bit):
+    """(n+1, 3) weights of each count c on detector 1 over (bit 0, bit 1, vacuum)."""
+    weights = np.zeros((n + 1, 3))
+    for c in range(n + 1):
+        click = classify_click(c, n)
+        if click is ClickClass.COINCIDENCE or (click is ClickClass.VACUUM and vacuum_random_bit):
+            weights[c, :2] = 0.5
+        elif click is ClickClass.VACUUM:
+            weights[c, 2] = 1.0
         else:
-            v1 = qubit_frame(basis_a)[:, 1]
-            bra1 = np.kron(v1.conj(), eye)
-            collapsed1 = bra1 @ rho @ bra1.conj().T
-            a_bit, rho_b = 1, collapsed1 / np.trace(collapsed1).real
-        if n == 0:
-            counts["vacuum"] += 1
-            continue
-        gate = basis_b is Basis.X
-        if gate:
-            rho_b = modulated_block(rho_b, n)
-        outcome = detect_event(n, rho_b, gate, rng)
-        if outcome is Outcome.VACUUM:
-            counts["vacuum"] += 1
-        elif basis_a is not basis_b:
-            counts["mismatch"] += 1
-        else:
-            basis = "z" if basis_a is Basis.Z else "x"
-            counts[(basis, a_bit, outcome.value)] += 1
-    return counts
+            weights[c, int(click is ClickClass.SINGLE1) ^ basis_is_x] = 1.0
+    return weights
 
 
-def naive_bbm92_actual_counts(attack, trials, seed):
-    """Both receivers run the physical device on their half of the block.
-
-    Each side's factor is modulated for x rounds, the joint z outcome is
-    drawn from the diagonal, and each side's photon count is classified as
-    a threshold detector would, with a fair coin on coincidences.
-    """
-    state = eve_state(attack)
-    keys = list(state.blocks)
-    weights = np.array([state.blocks[k][0] for k in keys])
-    cdf = np.cumsum(weights)
-    rng = np.random.default_rng(seed)
-    counts = {"vacuum": 0, "mismatch": 0}
-    for basis in "zx":
-        for a in (0, 1):
-            for b in (0, 1):
-                counts[(basis, a, b)] = 0
-    diagonals = {}
-    for _ in range(trials):
-        k = keys[min(np.searchsorted(cdf, rng.random() * cdf[-1], "right"),
-                     len(keys) - 1)]
-        m, n = k
-        x_a = rng.random() >= 0.5
-        x_b = rng.random() >= 0.5
-        if (k, x_a, x_b) not in diagonals:
-            gate_a = lift_gate(X_MODULATION, m) if x_a else np.eye(m + 1)
-            gate_b = lift_gate(X_MODULATION, n) if x_b else np.eye(n + 1)
-            gate = np.kron(gate_a, gate_b)
-            rho = gate @ state.blocks[k][1] @ gate.conj().T
-            diagonals[(k, x_a, x_b)] = np.cumsum(np.clip(np.diag(rho).real, 0.0, None))
-        fine = diagonals[(k, x_a, x_b)]
-        idx = min(np.searchsorted(fine, rng.random() * fine[-1], "right"),
-                  fine.size - 1)
-        bits = []
-        for count, photons, x in ((idx // (n + 1), m, x_a), (idx % (n + 1), n, x_b)):
-            click = classify_click(count, photons)
-            if click is ClickClass.VACUUM:
-                bits.append(None)
-                continue
-            if click is ClickClass.COINCIDENCE:
-                bit = int(rng.random() < 0.5)
-            else:
-                bit = int(click is ClickClass.SINGLE1)
-            bits.append(bit ^ int(x))
-        if None in bits:
-            counts["vacuum"] += 1
-        elif x_a != x_b:
-            counts["mismatch"] += 1
-        else:
-            counts[("x" if x_a else "z", bits[0], bits[1])] += 1
-    return counts
+def modulation(n, basis_is_x):
+    return lift_gate(X_MODULATION, n) if basis_is_x else np.eye(n + 1)
 
 
-def law_pvalue(counts, law, trials):
-    stat, dof = 0.0, -1
-    for key, observed in counts.items():
-        expected = law[key] * trials
-        if expected < 1e-9:
-            assert observed == 0, f"impossible cell {key} observed"
-            continue
-        stat += (observed - expected) ** 2 / expected
-        dof += 1
-    return chi2.sf(stat, dof)
+def device_law(attack, vacuum_random_bit=False):
+    """Exact per-round law of the device, keyed as ``exact_sifted_distribution``."""
+    law = {"vacuum": 0.0, "mismatch": 0.0}
+    law.update({(basis, a, b): 0.0 for basis in "zx" for a in (0, 1) for b in (0, 1)})
+    for (m, n), (w, rho) in eve_state(attack).blocks.items():
+        for a_x in (False, True):
+            for b_x in (False, True):
+                gate = np.kron(modulation(m, a_x), modulation(n, b_x))
+                counts = np.diag(gate @ rho @ gate.conj().T).real.reshape(m + 1, n + 1)
+                cells = 0.25 * w * (
+                    side_weights(m, a_x, vacuum_random_bit).T
+                    @ counts
+                    @ side_weights(n, b_x, vacuum_random_bit)
+                )
+                law["vacuum"] += cells[2].sum() + cells[:2, 2].sum()
+                if a_x != b_x:
+                    law["mismatch"] += cells[:2, :2].sum()
+                    continue
+                for a in (0, 1):
+                    for b in (0, 1):
+                        law["zx"[a_x], a, b] += cells[a, b]
+    return law
 
 
-def test_sequential_device_matches_exact_law_coincidence():
-    attack = CoincidenceInjection(2, 1)
-    trials = 30_000
-    counts = naive_bb84_actual_counts(attack, trials, seed=123)
-    law = exact_sifted_distribution(attack, "bb84", "actual")
-    assert law_pvalue(counts, law, trials) > 0.001
+def max_deviation(law, reference):
+    assert law.keys() == reference.keys()
+    return max(abs(law[key] - reference[key]) for key in law)
 
 
-def test_sequential_device_matches_exact_law_asymmetric():
-    attack = asymmetric_custom_attack()
-    trials = 30_000
-    counts = naive_bb84_actual_counts(attack, trials, seed=321)
-    law = exact_sifted_distribution(attack, "bb84", "actual")
-    assert law_pvalue(counts, law, trials) > 0.001
+@pytest.mark.parametrize("vacuum_random_bit", [False, True])
+@pytest.mark.parametrize("protocol, attack", SHIPPED_ATTACKS)
+def test_device_law_equals_actual_table(protocol, attack, vacuum_random_bit):
+    actual = exact_sifted_distribution(
+        attack, protocol, "actual", vacuum_random_bit=vacuum_random_bit
+    )
+    assert max_deviation(device_law(attack, vacuum_random_bit), actual) <= 1e-12
 
 
-def test_sequential_device_matches_exact_law_bbm92():
-    # vacuum on the sender side and coincidences on both sides
-    attack = asymmetric_bbm92_attack()
-    trials = 30_000
-    counts = naive_bbm92_actual_counts(attack, trials, seed=4242)
-    law = exact_sifted_distribution(attack, "bbm92", "actual")
-    assert counts["vacuum"] > 0
-    assert law_pvalue(counts, law, trials) > 0.001
+def test_coincidence_reports_either_bit_with_weight_half():
+    # z-z rounds: the sender's bit is uniform and every receiver count a
+    # coincidence, so each (a, b) cell is 1/4 (basis pair) * 1/2 * 1/2
+    law = device_law(CoincidenceInjection(2, 1))
+    assert [law["z", a, b] for a in (0, 1) for b in (0, 1)] == [1 / 16] * 4
+
+
+@st.composite
+def pure_block_attacks(draw, protocol):
+    """1-3 pure joint blocks with m, n <= 6 (m = 1 for BB84), vacuum included."""
+    sender = st.just(1) if protocol == "bb84" else st.integers(0, 6)
+    keys = draw(st.lists(st.tuples(sender, st.integers(0, 6)), min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(keys), max_size=len(keys)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return CustomState(tuple(
+        (m, n, w / sum(weights), _random_block_amps(m, n, rng))
+        for (m, n), w in zip(keys, weights)
+    ))
+
+
+@pytest.mark.parametrize("vacuum_random_bit", [False, True])
+@pytest.mark.parametrize("protocol", ["bb84", "bbm92"])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_device_law_equals_every_mode_for_every_source_state(protocol, vacuum_random_bit, data):
+    attack = data.draw(pure_block_attacks(protocol))
+    law = device_law(attack, vacuum_random_bit)
+    for mode in ("actual", "edp1", "edp2"):
+        exact = exact_sifted_distribution(
+            attack, protocol, mode, vacuum_random_bit=vacuum_random_bit
+        )
+        assert max_deviation(law, exact) <= 1e-12, mode

@@ -10,19 +10,16 @@ from squashkit.povm import (
     BlockState,
     ClickClass,
     CompositeBlockState,
-    Outcome,
     actual_povm,
     classify_click,
-    detect_event,
-    modulated_block,
     qnd_split,
     side_state_effects,
     validate_density,
     verify_povm_equivalence,
     virtual_povm,
 )
-from squashkit.squash import apply_channel, build_squash, random_density
-from squashkit.symfock import X_MODULATION, Basis, projector, qubit_frame, sym_basis_state
+from squashkit.squash import random_density
+from squashkit.symfock import Basis, projector, qubit_frame, sym_basis_state
 
 
 class TestActualPovm:
@@ -276,64 +273,3 @@ class TestStateVectorBlocks:
         with pytest.raises(ValueError, match="dimension"):
             CompositeBlockState({(1, 1): (1.0, self.unit_vector(3, 0))})
 
-
-class TestDetectEvent:
-    def test_deterministic_single_photon(self):
-        rng = np.random.default_rng(0)
-        rho = projector(sym_basis_state(1, 0))
-        for _ in range(20):
-            assert detect_event(1, rho, False, rng) is Outcome.BIT0
-
-    def test_vacuum(self):
-        rng = np.random.default_rng(0)
-        assert detect_event(0, np.eye(1), False, rng) is Outcome.VACUUM
-
-    def test_vacuum_random_bit_switch(self):
-        rng = np.random.default_rng(0)
-        outs = {
-            detect_event(0, np.eye(1), False, rng, vacuum_random_bit=True)
-            for _ in range(50)
-        }
-        assert outs == {Outcome.BIT0, Outcome.BIT1}
-
-    def test_coincidence_is_fair_coin(self):
-        rng = np.random.default_rng(42)
-        rho = projector(sym_basis_state(2, 1))
-        n = 100_000
-        ones = sum(
-            detect_event(2, rho, False, rng) is Outcome.BIT1 for _ in range(n)
-        )
-        sigma = np.sqrt(0.25 / n)
-        assert abs(ones / n - 0.5) < 4 * sigma
-
-    @pytest.mark.parametrize("case", range(10))
-    def test_marginal_law_matches_actual_povm(self, case):
-        rng = np.random.default_rng(900 + case)
-        n = int(rng.integers(1, 7))
-        rho = random_density(n + 1, rng)
-        p0 = actual_povm(n).probabilities(rho)[0]
-        draws = 100_000
-        hits = sum(
-            detect_event(n, rho, False, rng) is Outcome.BIT0 for _ in range(draws)
-        )
-        sigma = np.sqrt(max(p0 * (1 - p0), 1e-12) / draws)
-        assert abs(hits / draws - p0) < 4 * sigma
-
-    def test_modulated_detection_equals_squash_then_gate(self):
-        # operational form of channel invariance + POVM equivalence:
-        # detect on the modulated block = measure H sigma H^dagger in z
-        rng = np.random.default_rng(77)
-        for n in (2, 3):
-            rho = random_density(n + 1, rng)
-            mod = modulated_block(rho, n)
-            draws = 50_000
-            hits = sum(
-                detect_event(n, mod, True, rng) is Outcome.BIT0
-                for _ in range(draws)
-            )
-            sigma_q = X_MODULATION @ apply_channel(build_squash(n), rho) \
-                @ X_MODULATION.conj().T
-            # reported bit is flipped in x rounds, so BIT0 reads component 1
-            p0 = sigma_q[1, 1].real
-            sigma = np.sqrt(max(p0 * (1 - p0), 1e-12) / draws)
-            assert abs(hits / draws - p0) < 4 * sigma

@@ -140,9 +140,14 @@ class TestEveState:
 
     def test_custom_duplicate_block_rejected(self):
         amps = np.array([1.0, 0.0])
-        attack = CustomState(((0, 1, 0.5, amps), (0, 1, 0.5, amps)))
         with pytest.raises(ValueError):
-            eve_state(attack)
+            CustomState(((0, 1, 0.5, amps), (0, 1, 0.5, amps)))
+
+    def test_custom_norm_checked_once_at_construction(self):
+        # the block state's trace check, at 1e-10 on the squared norm
+        CustomState(((0, 1, 1.0, np.array([1 + 3e-11, 0.0])),))
+        with pytest.raises(ValueError, match="trace deviates"):
+            CustomState(((0, 1, 1.0, np.array([1 + 3e-10, 0.0])),))
 
     def test_attack_validation(self):
         with pytest.raises(ValueError):
