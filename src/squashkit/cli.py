@@ -114,7 +114,7 @@ def verify(nmax: int, tol: float, fmt: str, out: str | None) -> None:
     """
     if nmax < 1:
         raise click.UsageError(f"--nmax must be >= 1, got {nmax}")
-    if tol <= 0:
+    if not tol > 0:
         raise click.UsageError(f"--tol must be > 0, got {tol}")
     rng = np.random.default_rng(2024)
     suites = (
@@ -248,7 +248,7 @@ def _parse_sweep(text: str) -> tuple[float, float, float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise click.UsageError(f"--sweep values must be numbers, got {text!r}")
-    if step <= 0 or not 0.0 <= start <= stop <= 0.5:
+    if not step > 0 or not 0.0 <= start <= stop <= 0.5:
         raise click.UsageError(
             "--sweep requires 0 <= start <= stop <= 0.5 and step > 0"
         )
@@ -265,6 +265,8 @@ def _parse_sweep(text: str) -> tuple[float, float, float]:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def keyrate(ebit, eph, sweep, fraction, out):
     """One-way key rate 1 - H2(e_bit) - H2(e_ph), single point or CSV curve."""
+    if not 0.0 <= fraction <= 1.0:
+        raise click.UsageError(f"--fraction must be in [0, 1], got {fraction}")
     if sweep is not None:
         if ebit is not None or eph is not None:
             raise click.UsageError("--sweep excludes --ebit/--eph")

@@ -129,12 +129,12 @@ class Povm:
             raise ValueError(
                 f"effect shape {effects.shape[1:]} != ({self.dim}, {self.dim})"
             )
-        if np.max(np.abs(effects - effects.conj().transpose(0, 2, 1))) > _EFFECT_ATOL:
+        if not np.max(np.abs(effects - effects.conj().transpose(0, 2, 1))) <= _EFFECT_ATOL:
             raise ValueError("effect is not Hermitian")
-        if np.min(np.linalg.eigvalsh(effects)[:, 0]) < -_EFFECT_ATOL:
+        if not np.min(np.linalg.eigvalsh(effects)[:, 0]) >= -_EFFECT_ATOL:
             raise ValueError("effect is not positive semidefinite")
         dev = np.max(np.abs(effects.sum(axis=0) - np.eye(self.dim)))
-        if dev > _EFFECT_ATOL:
+        if not dev <= _EFFECT_ATOL:
             raise ValueError(f"effects do not sum to identity (deviation {dev:.3e})")
         effects.setflags(write=False)
         object.__setattr__(self, "effects", effects)

@@ -148,7 +148,7 @@ class CustomState:
             raise ValueError("custom attack requires at least one block")
         frozen, blocks = [], {}
         for m, n, w, amps in self.blocks:
-            amps = np.asarray(amps, dtype=complex)
+            amps = np.array(amps, dtype=complex)  # a copy: the caller's stays writable
             if amps.shape != ((m + 1) * (n + 1),):
                 raise ValueError(
                     f"block ({m}, {n}) amplitude vector has length {amps.size}, "

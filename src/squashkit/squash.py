@@ -17,11 +17,10 @@ which makes the channel invariant under conjugation by that modulation.
 This module constructs the channel and machine-checks all three
 properties.
 
-Only the operator-level phase check needs the operators themselves, and
-generates them in bounded slices.  The channel is its Choi matrix, written
-in closed form (see :func:`build_squash`) as the 4 x (N+1)^2 matrix both
-contractions read: each application (and each Heisenberg pull-back) is
-one O((N+1)^2) matrix product.
+No check builds the operators one by one.  The channel is its Choi
+matrix, written in closed form (see :func:`build_squash`) as the
+4 x (N+1)^2 matrix both contractions read: each application (and each
+Heisenberg pull-back) is one O((N+1)^2) matrix product.
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ __all__ = [
 ]
 
 _ATOL = 1e-10
-
-#: Operators per batched product in the operator-level phase check; bounds
-#: the size of every temporary to one slice.
-_SLICE = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +125,11 @@ class CompletenessReport:
 
 @dataclass(frozen=True)
 class HadamardReport:
-    """Covariance deviations in verify row order; the first is the max."""
+    """Covariance deviations in verify row order; the first is the max.
+
+    ``kraus_max_deviation`` takes the output qubit in y coordinates: within
+    sqrt(2) of the all-z value, the output frame change being unitary.
+    """
 
     max_deviation: float
     kraus_max_deviation: float
@@ -152,12 +151,11 @@ def squash_index_pairs(n_photons: int) -> list[tuple[int, int]]:
     ]
 
 
-def _y_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """frame_y, to_y and w: F[b,b'] has rows w[b] <S^y_b'| and w[b'] <S^y_b| in y."""
-    frame_y = qubit_frame(Basis.Y)  # qubit y-coords -> z-coords
+def _y_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """to_y and w: F[b,b'] has rows w[b] <S^y_b'| and w[b'] <S^y_b| in y."""
     to_y = basis_change_matrix(n, Basis.Z, Basis.Y)  # input z-coords -> y-coords
     w = 2.0 ** (-(n - 1) / 2.0) * np.array([sqrt(comb(n, k)) for k in range(n + 1)])
-    return frame_y, to_y, w
+    return to_y, w
 
 
 def build_squash(n_photons: int) -> KrausChannel:
@@ -180,7 +178,8 @@ def build_squash(n_photons: int) -> KrausChannel:
     if n_photons < 1:
         raise ValueError(f"squash requires N >= 1, got {n_photons}")
     n = n_photons
-    frame_y, to_y, w = _y_terms(n)
+    frame_y = qubit_frame(Basis.Y)  # qubit y-coords -> z-coords
+    to_y, w = _y_terms(n)
     k = np.arange(n + 1)
     by_residue = np.array([np.sum(w[r::4] ** 2) for r in range(4)])
     diag = [(to_y.T * by_residue[(k + d) % 4]) @ to_y.conj() for d in (1, -1)]
@@ -283,26 +282,24 @@ def verify_hadamard_invariance(
     """Check covariance of the squash family under the x-basis modulation.
 
     Operator level: F[b,b'] D(H) = OMEGA^(2b-N-1) H F[b,b'] entrywise for
-    every pair, generated from the y-basis formula in slices.  Channel
-    level: conjugating the input by the lifted modulation equals
-    conjugating the output qubit by H, checked on `trials` random
-    full-rank mixed states, drawn and applied as stacks in slices of
-    bounded size.
+    every pair, output in y coordinates: there H = diag(OMEGA^-1, OMEGA), so
+    rows b' and b of to_y D(H) must be OMEGA^(2r-N) times those of to_y,
+    r = b-1 resp. b (mod 4), one product per N.  Channel level: conjugating
+    the input by the lifted modulation equals conjugating the output qubit
+    by H, checked on `trials` random full-rank mixed states, drawn and
+    applied as stacks in slices of bounded size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     channel = build_squash(n_photons)
     n = n_photons
-    frame_y, to_y, w = _y_terms(n)
+    to_y, w = _y_terms(n)
     lifted_h = lift_gate(X_MODULATION, n)
-    pairs = np.array(squash_index_pairs(n))
-    kraus_dev = 0.0
-    for start in range(0, len(pairs), _SLICE):
-        b, bp = pairs[start : start + _SLICE].T
-        ks = frame_y @ np.stack([w[b, None] * to_y[bp], w[bp, None] * to_y[b]], axis=1)
-        diff = ks @ lifted_h  # reduced in place: one slice temporary fewer
-        diff -= OMEGA ** (2 * b - n - 1)[:, None, None] * (X_MODULATION @ ks)
-        kraus_dev = max(kraus_dev, float(np.max(np.abs(diff))))
+    g = to_y @ lifted_h
+    # dev[r, k] = max_j |(to_y D(H))[k, j] - OMEGA^(2r-N) to_y[k, j]|
+    dev = np.array([np.max(np.abs(g - OMEGA ** (2 * r - n) * to_y), axis=1) for r in range(4)])
+    b, bp = np.array(squash_index_pairs(n)).T
+    kraus_dev = float(max(np.max(w[b] * dev[(b - 1) % 4, bp]), np.max(w[bp] * dev[b % 4, b])))
     rng = np.random.default_rng(seed)
     chan_dev = 0.0
     for s in _stack_slices(trials, (n + 1) ** 2):

@@ -35,6 +35,11 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--nmax", "0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-10", "nan"])
+    def test_bad_tol_is_usage_error(self, runner, tol):
+        result = runner.invoke(main, ["verify", "--nmax", "1", "--tol", tol])
+        assert result.exit_code == 2
+
     def test_trial_stacks_stay_within_the_family_peak(self):
         # A single trial cannot be stacked, so at N = 40 its traced peak is
         # that of building the squash family.  Trials worked through in
@@ -374,6 +379,12 @@ class TestKeyrate:
     def test_sweep_format_validated(self, runner):
         assert runner.invoke(main, ["keyrate", "--sweep", "0:0.6:0.1"]).exit_code == 2
         assert runner.invoke(main, ["keyrate", "--sweep", "0-0.2-0.1"]).exit_code == 2
+        for step in ("0", "nan"):
+            args = ["keyrate", "--sweep", f"0:0.1:{step}"]
+            assert runner.invoke(main, args).exit_code == 2
+        for fraction in ("2", "-0.5", "nan"):
+            args = ["keyrate", "--sweep", "0:0.1:0.05", "--fraction", fraction]
+            assert runner.invoke(main, args).exit_code == 2
 
     def test_requires_some_input(self, runner):
         assert runner.invoke(main, ["keyrate"]).exit_code == 2

@@ -10,6 +10,7 @@ from squashkit.povm import (
     BlockState,
     ClickClass,
     CompositeBlockState,
+    Povm,
     actual_povm,
     classify_click,
     qnd_split,
@@ -54,6 +55,15 @@ class TestActualPovm:
             assert np.all(probs >= -1e-12)
             assert np.all(probs <= 1 + 1e-12)
             assert abs(probs.sum() - 1.0) < 1e-10
+
+
+class TestPovmValidation:
+    @pytest.mark.parametrize("where", [(...,), (0, 1, 1)])
+    def test_nan_effects_rejected(self, where):
+        effects = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        effects[where] = np.nan
+        with pytest.raises(ValueError):
+            Povm(2, effects, ("a", "b"))
 
 
 class TestVirtualPovm:

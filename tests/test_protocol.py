@@ -149,6 +149,13 @@ class TestEveState:
         with pytest.raises(ValueError, match="trace deviates"):
             CustomState(((0, 1, 1.0, np.array([1 + 3e-10, 0.0])),))
 
+    def test_custom_copies_the_callers_amplitudes(self):
+        amps = np.array([1.0 + 0j, 0.0])
+        attack = CustomState(((0, 1, 1.0, amps),))
+        amps[0] = 0.5  # the caller's array stays writable
+        assert attack.blocks[0][3][0] == 1.0
+        assert not attack.blocks[0][3].flags.writeable
+
     def test_attack_validation(self):
         with pytest.raises(ValueError):
             Depolarize(1.5)

@@ -362,12 +362,22 @@ class TestHadamardInvariance:
         assert report.kraus_max_deviation < 1e-10
         assert report.channel_max_deviation < 1e-10
 
-    @pytest.mark.parametrize("n", [47, 68, 100, 200])
+    @pytest.mark.parametrize("n", [47, 68, 100, 200, 500])
     def test_invariance_at_large_photon_number(self, n):
         report = verify_hadamard_invariance(n, trials=5)
         assert report.kraus_phase_ok
         assert report.kraus_max_deviation < 1e-10
         assert report.channel_max_deviation < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_wrong_phase_fails_the_operator_check(self, n, monkeypatch):
+        import squashkit.squash as squash
+
+        # OMEGA * 1j = OMEGA^3, so every phase OMEGA^e becomes OMEGA^(3e)
+        monkeypatch.setattr(squash, "OMEGA", OMEGA * 1j)
+        report = verify_hadamard_invariance(n, trials=5)
+        assert not report.kraus_phase_ok
+        assert report.kraus_max_deviation > 0.1
 
     def test_every_trial_reaches_the_channel(self, monkeypatch):
         import squashkit.squash as squash
