@@ -7,8 +7,9 @@ The package has four layers:
 * :mod:`squashkit.squash` - the squash channel as its closed-form Choi
   matrix, channel application, and its completeness /
   modulation-covariance checks;
-* :mod:`squashkit.povm` - threshold-detector models, QND block splitting,
-  and the detector-vs-squash POVM equivalence;
+* :mod:`squashkit.povm` - threshold-detector models, the joint
+  block-diagonal adversary state, and the detector-vs-squash POVM
+  equivalence;
 * :mod:`squashkit.protocol` - exact and Monte Carlo BB84/BBM92 against
   adversarial multi-photon sources, error rates and one-way key rates.
 
@@ -40,13 +41,11 @@ from .squash import (
 )
 from .povm import (
     Povm,
-    BlockState,
     CompositeBlockState,
     PovmEquivalenceReport,
     actual_povm,
     virtual_povm,
     verify_povm_equivalence,
-    qnd_split,
 )
 from .protocol import (
     Depolarize,
@@ -89,13 +88,11 @@ __all__ = [
     "verify_hadamard_invariance",
     "random_density",
     "Povm",
-    "BlockState",
     "CompositeBlockState",
     "PovmEquivalenceReport",
     "actual_povm",
     "virtual_povm",
     "verify_povm_equivalence",
-    "qnd_split",
     "Depolarize",
     "InterceptResend",
     "CoincidenceInjection",

@@ -240,7 +240,12 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
     _write_text(buf.getvalue(), out)
 
 
-def _parse_sweep(text: str) -> tuple[float, float, float]:
+#: Most rows ``keyrate --sweep`` writes; the whole curve is buffered first.
+_SWEEP_MAX_ROWS = 10**6
+
+
+def _parse_sweep(text: str) -> tuple[float, float, int]:
+    """Start, step and row count of a start:stop:step sweep."""
     parts = text.split(":")
     if len(parts) != 3:
         raise click.UsageError("--sweep must be start:stop:step")
@@ -252,7 +257,10 @@ def _parse_sweep(text: str) -> tuple[float, float, float]:
         raise click.UsageError(
             "--sweep requires 0 <= start <= stop <= 0.5 and step > 0"
         )
-    return start, stop, step
+    steps = (stop - start) / step + 1e-9  # inf for a subnormal step
+    if not steps < _SWEEP_MAX_ROWS:
+        raise click.UsageError(f"--sweep asks for more rows than the cap of {_SWEEP_MAX_ROWS}")
+    return start, step, int(steps) + 1
 
 
 @main.command()
@@ -270,13 +278,12 @@ def keyrate(ebit, eph, sweep, fraction, out):
     if sweep is not None:
         if ebit is not None or eph is not None:
             raise click.UsageError("--sweep excludes --ebit/--eph")
-        start, stop, step = _parse_sweep(sweep)
+        start, step, rows = _parse_sweep(sweep)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["e", "h2", "rate"])
         # index-based stepping avoids float accumulation drift
-        n_steps = int((stop - start) / step + 1e-9)
-        for i in range(n_steps + 1):
+        for i in range(rows):
             e = min(start + i * step, 0.5)
             writer.writerow([
                 _csv_cell(e),

@@ -14,18 +14,18 @@ the pull-back of the qubit z measurement through the squash channel,
 
 Both sides of the identity, and every measurement model the protocol
 simulations use, come from one builder, :func:`side_state_effects`.  Also
-provided: the QND photon-number block decomposition used to reduce
-arbitrary incoming states to per-block density operators, and the
-three-way click classification (:func:`classify_click`) of a projective
-z outcome, on which the tests enumerate the physical device's exact law.
+provided: the joint photon-number-block-diagonal state every attack hands
+to the receivers (:class:`CompositeBlockState`), and the three-way click
+classification (:func:`classify_click`) of a projective z outcome, on
+which the tests enumerate the physical device's exact law.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .symfock import X_MODULATION, lift_gate
 __all__ = [
     "ClickClass",
     "Povm",
-    "BlockState",
     "CompositeBlockState",
     "PovmEquivalenceReport",
     "SIDE_STATES",
@@ -44,7 +43,6 @@ __all__ = [
     "actual_povm",
     "virtual_povm",
     "verify_povm_equivalence",
-    "qnd_split",
     "classify_click",
     "validate_density",
 ]
@@ -115,33 +113,23 @@ def validate_density(rho: np.ndarray, *, atol_trace: float = 1e-10) -> np.ndarra
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive effects summing to the identity, with outcome labels."""
+    """Positive effects on one block, summing to the identity."""
 
-    dim: int
     effects: np.ndarray
-    labels: tuple
 
     def __post_init__(self) -> None:
         effects = np.array(self.effects, dtype=complex)
-        if len(effects) != len(self.labels):
-            raise ValueError("one label per effect required")
-        if effects.shape[1:] != (self.dim, self.dim):
-            raise ValueError(
-                f"effect shape {effects.shape[1:]} != ({self.dim}, {self.dim})"
-            )
+        if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
+            raise ValueError(f"effects must be square matrices, got shape {effects.shape}")
         if not np.max(np.abs(effects - effects.conj().transpose(0, 2, 1))) <= _EFFECT_ATOL:
             raise ValueError("effect is not Hermitian")
         if not np.min(np.linalg.eigvalsh(effects)[:, 0]) >= -_EFFECT_ATOL:
             raise ValueError("effect is not positive semidefinite")
-        dev = np.max(np.abs(effects.sum(axis=0) - np.eye(self.dim)))
+        dev = np.max(np.abs(effects.sum(axis=0) - np.eye(effects.shape[1])))
         if not dev <= _EFFECT_ATOL:
             raise ValueError(f"effects do not sum to identity (deviation {dev:.3e})")
         effects.setflags(write=False)
         object.__setattr__(self, "effects", effects)
-
-    def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        """Born probabilities of every outcome on a state."""
-        return np.einsum("kij,ji->k", self.effects, rho).real
 
 
 def side_state_effects(
@@ -201,16 +189,14 @@ def actual_povm(n_photons: int) -> Povm:
     """
     if n_photons < 1:
         raise ValueError(f"actual_povm requires N >= 1, got {n_photons}")
-    effects = side_state_effects(n_photons, "actual", False)[:VACUUM_STATE]
-    return Povm(n_photons + 1, effects, SIDE_STATES[:VACUUM_STATE])
+    return Povm(side_state_effects(n_photons, "actual", False)[:VACUUM_STATE])
 
 
 def virtual_povm(n_photons: int) -> Povm:
     """Qubit z measurement pulled back through the squash channel."""
     if n_photons < 1:
         raise ValueError(f"virtual_povm requires N >= 1, got {n_photons}")
-    effects = side_state_effects(n_photons, "edp2", False)[:VACUUM_STATE]
-    return Povm(n_photons + 1, effects, SIDE_STATES[:VACUUM_STATE])
+    return Povm(side_state_effects(n_photons, "edp2", False)[:VACUUM_STATE])
 
 
 @dataclass(frozen=True)
@@ -237,34 +223,45 @@ def verify_povm_equivalence(n_photons: int) -> PovmEquivalenceReport:
     return PovmEquivalenceReport(max(dev0, dev1, dev_z), dev0, dev1, dev_z)
 
 
-class _BlockDiagonalState:
-    """Validation and content equality shared by the block-state classes.
+def _photon_numbers(item: tuple) -> tuple[int, int]:
+    """Sort key of a block item: its key, checked to be a pair (m, n) >= 0."""
+    key = item[0]
+    if not (
+        isinstance(key, tuple)
+        and len(key) == 2
+        and all(isinstance(k, numbers.Integral) and k >= 0 for k in key)
+    ):
+        raise ValueError(f"block key must be a pair (m, n) of ints >= 0, got {key!r}")
+    return key
 
-    ``blocks`` maps a photon number, or a tuple of photon numbers (one per
-    side), to a weight and a density operator on the product of the
-    symmetric subspaces, or a state vector standing for a pure block (see
+
+@dataclass(frozen=True, eq=False)
+class CompositeBlockState:
+    """Joint photon-number-block-diagonal state on (left side) x (right side).
+
+    Keys are photon-number pairs (m, n); each block holds a weight and a
+    density operator on the (m+1)(n+1)-dimensional product of symmetric
+    subspaces.  A block may be given as a state vector a of that length
+    instead: it is stored as |a><a|, with only its norm checked (see
     :func:`validate_density`).
     """
+
+    blocks: Mapping[tuple[int, int], tuple[float, np.ndarray]]
 
     def __post_init__(self) -> None:
         cleaned = {}
         total = 0.0
-        for key, (w, rho) in sorted(self.blocks.items()):
-            joint = isinstance(key, tuple)
-            numbers = key if joint else (key,)
-            label = f"({', '.join(map(str, numbers))})" if joint else str(key)
-            if min(numbers) < 0:
-                raise ValueError(f"photon number{'s' * joint} must be >= 0, got {label}")
+        for (m, n), (w, rho) in sorted(self.blocks.items(), key=_photon_numbers):
             if not w >= -1e-12:
                 raise ValueError(f"block weight must be >= 0, got {w}")
             rho = validate_density(rho)
-            dim = math.prod(k + 1 for k in numbers)
+            dim = (m + 1) * (n + 1)
             if rho.shape[0] != dim:
                 raise ValueError(
-                    f"block {label} has dimension {rho.shape[0]}, expected {dim}"
+                    f"block ({m}, {n}) has dimension {rho.shape[0]}, expected {dim}"
                 )
             rho.setflags(write=False)
-            cleaned[key] = (float(w), rho)
+            cleaned[(m, n)] = (float(w), rho)
             total += w
         if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"block weights sum to {total}, expected 1")
@@ -277,77 +274,3 @@ class _BlockDiagonalState:
             w == other.blocks[key][0] and np.array_equal(rho, other.blocks[key][1])
             for key, (w, rho) in self.blocks.items()
         )
-
-
-@dataclass(frozen=True, eq=False)
-class BlockState(_BlockDiagonalState):
-    """Photon-number-block-diagonal state: N -> (weight, density on dim N+1)."""
-
-    blocks: Mapping[int, tuple[float, np.ndarray]]
-
-
-@dataclass(frozen=True, eq=False)
-class CompositeBlockState(_BlockDiagonalState):
-    """Joint photon-number-block-diagonal state on (left side) x (right side).
-
-    Keys are photon-number pairs (m, n); each block holds a weight and a
-    density operator on the (m+1)(n+1)-dimensional product of symmetric
-    subspaces.  A block may be given as a state vector a of that length
-    instead: it is stored as |a><a|, with only its norm checked.
-    """
-
-    blocks: Mapping[tuple[int, int], tuple[float, np.ndarray]]
-
-
-def _fock_truncation_blocks(rho: np.ndarray) -> dict[int, np.ndarray]:
-    """Slice a direct-sum Fock-truncation matrix into photon-number blocks."""
-    dim = rho.shape[0]
-    blocks = {}
-    offset = 0
-    n = 0
-    while offset < dim:
-        size = n + 1
-        if offset + size > dim:
-            raise ValueError(
-                f"matrix dimension {dim} is not a Fock truncation "
-                "(expected 1 + 2 + ... + (n_max+1))"
-            )
-        blocks[n] = rho[offset : offset + size, offset : offset + size]
-        offset += size
-        n += 1
-    return blocks
-
-
-def qnd_split(
-    state: Union[np.ndarray, BlockState, Mapping[int, np.ndarray]],
-) -> BlockState:
-    """Decompose a state into normalized photon-number blocks.
-
-    Accepts a density operator on a Fock truncation (direct sum of the
-    N = 0, 1, 2, ... symmetric subspaces, so total dimension
-    1 + 2 + ... + (n_max + 1)), a mapping from photon number to
-    unnormalized block matrices, or an existing :class:`BlockState`.
-    Off-block coherences are discarded (the measurement decoheres photon
-    number), block weights are the block traces, and each surviving block
-    is renormalized to unit trace.
-    """
-    if isinstance(state, BlockState):
-        raw = {n: w * rho for n, (w, rho) in state.blocks.items()}
-    elif isinstance(state, Mapping):
-        raw = {int(n): np.asarray(b, dtype=complex) for n, b in state.items()}
-    else:
-        rho = np.asarray(state, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-        raw = _fock_truncation_blocks(rho)
-    weights = {n: float(np.trace(b).real) for n, b in raw.items()}
-    total = sum(weights.values())
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"total trace {total} deviates from 1 by more than 1e-8")
-    blocks = {}
-    for n, b in raw.items():
-        w = weights[n]
-        if w <= 1e-15:
-            continue
-        blocks[n] = (w / total, b / np.trace(b).real)
-    return BlockState(blocks)

@@ -386,6 +386,14 @@ class TestKeyrate:
             args = ["keyrate", "--sweep", "0:0.1:0.05", "--fraction", fraction]
             assert runner.invoke(main, args).exit_code == 2
 
+    @pytest.mark.parametrize("step", ["1e-12", "1e-320"])
+    def test_sweep_row_count_capped(self, runner, step):
+        # 5e11 rows would be buffered before the first is written; a
+        # subnormal step makes the row count overflow to inf
+        result = runner.invoke(main, ["keyrate", "--sweep", f"0:0.5:{step}"])
+        assert result.exit_code == 2
+        assert "cap of 1000000" in result.output
+
     def test_requires_some_input(self, runner):
         assert runner.invoke(main, ["keyrate"]).exit_code == 2
 

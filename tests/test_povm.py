@@ -1,4 +1,4 @@
-"""Tests for detector models, QND splitting and the POVM equivalence."""
+"""Tests for detector models, block states and the POVM equivalence."""
 
 import tracemalloc
 import warnings
@@ -7,20 +7,17 @@ import numpy as np
 import pytest
 
 from squashkit.povm import (
-    BlockState,
     ClickClass,
     CompositeBlockState,
     Povm,
     actual_povm,
     classify_click,
-    qnd_split,
     side_state_effects,
     validate_density,
     verify_povm_equivalence,
     virtual_povm,
 )
-from squashkit.squash import random_density
-from squashkit.symfock import Basis, projector, qubit_frame, sym_basis_state
+from squashkit.symfock import Basis, qubit_frame
 
 
 class TestActualPovm:
@@ -44,26 +41,37 @@ class TestActualPovm:
         with pytest.raises(ValueError):
             actual_povm(0)
 
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_born_probabilities_well_formed(self, n):
-        rng = np.random.default_rng(500 + n)
-        povm = actual_povm(n)
-        for _ in range(500):
-            amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-            amps /= np.linalg.norm(amps)
-            probs = povm.probabilities(np.outer(amps, amps.conj()))
-            assert np.all(probs >= -1e-12)
-            assert np.all(probs <= 1 + 1e-12)
-            assert abs(probs.sum() - 1.0) < 1e-10
-
 
 class TestPovmValidation:
+    @staticmethod
+    def qubit_z_effects():
+        return np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+
+    def test_valid_effects_stored_read_only(self):
+        povm = Povm(self.qubit_z_effects())
+        assert np.array_equal(povm.effects, self.qubit_z_effects())
+        assert not povm.effects.flags.writeable
+
     @pytest.mark.parametrize("where", [(...,), (0, 1, 1)])
     def test_nan_effects_rejected(self, where):
-        effects = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+        effects = self.qubit_z_effects()
         effects[where] = np.nan
         with pytest.raises(ValueError):
-            Povm(2, effects, ("a", "b"))
+            Povm(effects)
+
+    @pytest.mark.parametrize(
+        "effects, match",
+        [
+            (np.ones((2, 2, 3)), "square"),
+            (np.eye(2), "square"),
+            (np.array([[[0.5, 0.5], [0.0, 0.5]], [[0.5, -0.5], [0.0, 0.5]]]), "Hermitian"),
+            (np.stack([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])]), "positive"),
+            (np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 0.5])]), "identity"),
+        ],
+    )
+    def test_invalid_effects_rejected(self, effects, match):
+        with pytest.raises(ValueError, match=match):
+            Povm(effects)
 
 
 class TestVirtualPovm:
@@ -150,61 +158,14 @@ class TestClassifyClick:
             classify_click(4, 3)
 
 
-class TestQndSplit:
-    def test_pure_single_photon(self):
-        rho = projector(sym_basis_state(1, 0))
-        blocks = qnd_split({1: rho}).blocks
-        assert set(blocks) == {1}
-        w, block = blocks[1]
-        assert w == pytest.approx(1.0)
-        assert np.allclose(block, rho)
-
-    def test_vacuum_coincidence_mixture(self):
-        raw = {
-            0: 0.3 * np.eye(1),
-            2: 0.7 * projector(sym_basis_state(2, 1)),
-        }
-        blocks = qnd_split(raw).blocks
-        assert blocks[0][0] == pytest.approx(0.3)
-        assert blocks[2][0] == pytest.approx(0.7)
-        assert abs(np.trace(blocks[2][1]).real - 1.0) < 1e-12
-
-    def test_weights_sum_to_one(self):
-        rng = np.random.default_rng(1)
-        raw = {n: 0.25 * random_density(n + 1, rng) for n in range(4)}
-        total = sum(w for w, _ in qnd_split(raw).blocks.values())
-        assert abs(total - 1.0) < 1e-12
-
-    def test_fock_truncation_matrix(self):
-        # direct sum of N = 0, 1, 2 blocks, dimension 1 + 2 + 3 = 6
-        rng = np.random.default_rng(2)
-        rho = np.zeros((6, 6), dtype=complex)
-        rho[0, 0] = 0.5
-        rho[1:3, 1:3] = 0.25 * random_density(2, rng)
-        rho[3:6, 3:6] = 0.25 * random_density(3, rng)
-        rho[0, 3] = rho[3, 0] = 0.1  # off-block coherence, discarded
-        blocks = qnd_split(rho).blocks
-        assert set(blocks) == {0, 1, 2}
-        assert blocks[0][0] == pytest.approx(0.5)
-
-    def test_bad_total_trace_rejected(self):
-        with pytest.raises(ValueError):
-            qnd_split({0: 0.5 * np.eye(1)})
-
-    def test_existing_block_state_renormalized(self):
-        state = BlockState({1: (1.0, np.eye(2) / 2)})
-        again = qnd_split(state)
-        assert again.blocks[1][0] == pytest.approx(1.0)
-
-
 class TestBlockStateValidation:
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            BlockState({1: (0.5, np.eye(2) / 2)})
+        with pytest.raises(ValueError, match="sum to"):
+            CompositeBlockState({(0, 1): (0.5, np.eye(2) / 2)})
 
     def test_dimension_must_match_photon_number(self):
-        with pytest.raises(ValueError):
-            BlockState({2: (1.0, np.eye(2) / 2)})
+        with pytest.raises(ValueError, match="dimension"):
+            CompositeBlockState({(0, 2): (1.0, np.eye(2) / 2)})
 
     def test_composite_checks_joint_dimension(self):
         with pytest.raises(ValueError):
@@ -228,8 +189,18 @@ class TestBlockStateValidation:
                 validate_density(rho)
 
     def test_non_finite_weight_rejected(self):
-        with pytest.raises(ValueError):
-            BlockState({1: (np.nan, np.eye(2) / 2)})
+        with pytest.raises(ValueError, match="weight"):
+            CompositeBlockState({(0, 1): (np.nan, np.eye(2) / 2)})
+
+    @pytest.mark.parametrize(
+        "keys", [[1], [(1,)], [(0, 0, 1)], [(1, -1)], [(1.0, 1)], ["11"], [1, (0, 1)]],
+        ids=repr,
+    )
+    def test_key_must_be_a_photon_number_pair(self, keys):
+        # the exact laws unpack every key as (m, n)
+        blocks = {key: (1.0 / len(keys), np.eye(2) / 2) for key in keys}
+        with pytest.raises(ValueError, match="pair"):
+            CompositeBlockState(blocks)
 
     def test_positivity_boundary(self):
         # eigvalsh of a diagonal matrix returns its entries exactly
