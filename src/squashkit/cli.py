@@ -108,9 +108,10 @@ def verify(nmax: int, tol: float, fmt: str, out: str | None) -> None:
     """Machine-check the squash-operator identities for N = 1..NMAX.
 
     Runs Kraus completeness, detector/squash POVM equivalence, the
-    modulation covariance (operator and channel level), and the
-    lift-vs-oracle cross-check (N up to 6).  A check that raises at some N
-    becomes a FAIL row carrying the error; the report is still written.
+    modulation covariance (per operator, and on the channel as an exact
+    Choi identity and one seeded state), and the lift-vs-oracle
+    cross-check (N up to 6).  A check that raises at some N becomes a
+    FAIL row carrying the error; the report is still written.
     """
     if nmax < 1:
         raise click.UsageError(f"--nmax must be >= 1, got {nmax}")
@@ -201,8 +202,8 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
     """
     if (attack_json is None) == (attack_file is None):
         raise click.UsageError("provide exactly one of --attack or --attack-file")
-    if trials < 1:
-        raise click.UsageError(f"--trials must be >= 1, got {trials}")
+    if not 1 <= trials < 2**63:
+        raise click.UsageError(f"--trials must be in [1, 2**63), got {trials}")
     if not 0 <= seed < 2**64:
         raise click.UsageError("--seed must be a 64-bit unsigned integer")
     raw = attack_json

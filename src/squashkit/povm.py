@@ -111,9 +111,9 @@ def validate_density(rho: np.ndarray, *, atol_trace: float = 1e-10) -> np.ndarra
     return rho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
-    """Positive effects on one block, summing to the identity."""
+    """Positive effects on one block, summing to the identity; compared by identity."""
 
     effects: np.ndarray
 

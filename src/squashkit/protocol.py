@@ -522,8 +522,8 @@ def run_simulation(
     the benchmark's trace mode (``perfbench/run.py --trace 1``) passes it.
     """
     del threads
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials < 2**63:
+        raise ValueError(f"trials must be in [1, 2**63) to fit the int64 tallies, got {trials}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     block_keys, table = _table(attack, protocol, mode, vacuum_random_bit)

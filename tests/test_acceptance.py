@@ -86,14 +86,11 @@ def test_criterion_2_povm_equivalence():
 
 def test_criterion_3_hadamard_covariance():
     start = time.perf_counter()
-    worst_kraus = 0.0
+    worst_kraus = worst_channel = 0.0
     for n in range(1, 13):
-        report = verify_hadamard_invariance(n, trials=1, seed=1)
+        report = verify_hadamard_invariance(n)
         assert report.kraus_phase_ok
         worst_kraus = max(worst_kraus, report.kraus_max_deviation)
-    worst_channel = 0.0
-    for n in range(1, 11):
-        report = verify_hadamard_invariance(n, trials=50, seed=2)
         worst_channel = max(worst_channel, report.channel_max_deviation)
     elapsed = time.perf_counter() - start
     assert worst_kraus < 1e-10

@@ -41,10 +41,9 @@ class TestVerify:
         assert result.exit_code == 2
 
     def test_trial_stacks_stay_within_the_family_peak(self):
-        # A single trial cannot be stacked, so at N = 40 its traced peak is
-        # that of building the squash family.  Trials worked through in
-        # bounded slices stay under it at every N <= 40 and at any count;
-        # stacking them unsliced reaches 6 MB at 50 trials and 52 MB at 500.
+        # The covariance check at N = 40 peaks at building the squash
+        # channel; the lift-vs-oracle row at N = 6 works its 100 random
+        # gates through in bounded slices and stays under that peak.
         from squashkit.cli import _lift_oracle_row
         from squashkit.squash import verify_hadamard_invariance
 
@@ -56,10 +55,7 @@ class TestVerify:
             finally:
                 tracemalloc.stop()
 
-        bound = peak(verify_hadamard_invariance, 40, 1) + 64 * 1024
-        for n in range(1, 41):
-            assert peak(verify_hadamard_invariance, n) <= bound, n
-        assert peak(verify_hadamard_invariance, 40, 500) <= bound
+        bound = peak(verify_hadamard_invariance, 40) + 64 * 1024
         assert peak(_lift_oracle_row, 6, np.random.default_rng(2024)) <= bound
 
     def test_impossible_tolerance_fails(self, runner):
@@ -281,6 +277,14 @@ class TestSimulate:
             "simulate", "--protocol", "bb84", "--attack", DEPOL, "--trials", "10",
         ]
         assert runner.invoke(main, no_seed).exit_code == 2  # seed mandatory
+
+    @pytest.mark.parametrize("trials", ["0", str(2**63)])
+    def test_trials_outside_the_int64_tallies_is_usage_error(self, runner, trials):
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bb84", "--attack", DEPOL,
+            "--trials", trials, "--seed", "1",
+        ])
+        assert result.exit_code == 2
 
     @pytest.mark.parametrize("attack", [
         '{"kind":"custom","blocks":[{"m":0,"n":1,"weight":1,"amps":[[NaN,0],[0,0]]}]}',

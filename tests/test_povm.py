@@ -52,6 +52,11 @@ class TestPovmValidation:
         assert np.array_equal(povm.effects, self.qubit_z_effects())
         assert not povm.effects.flags.writeable
 
+    def test_povms_compare_by_identity(self):
+        povm = actual_povm(2)
+        assert povm == povm
+        assert povm != actual_povm(2)
+
     @pytest.mark.parametrize("where", [(...,), (0, 1, 1)])
     def test_nan_effects_rejected(self, where):
         effects = self.qubit_z_effects()

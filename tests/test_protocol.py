@@ -332,6 +332,11 @@ class TestBb84MonteCarlo:
             assert sum(t["errors"] for t in tallies) == result.errors
             assert np.sum(list(result.sifted_counts.values())) == result.sifted
 
+    @pytest.mark.parametrize("trials", [0, 2**63])
+    def test_trials_outside_the_int64_tallies_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            run_simulation("bb84", "actual", Depolarize(0.05), trials, 3)
+
     def test_bounded_resources_at_very_large_trials(self):
         result = run_simulation("bb84", "actual", Depolarize(0.05), 10**10, 3)
         assert result.vacuum + result.mismatched + result.sifted == 10**10

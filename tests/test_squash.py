@@ -344,7 +344,7 @@ class TestCompleteness:
 class TestHadamardInvariance:
     def test_single_photon_phase_is_unity(self):
         # pair (1, 0): OMEGA^(2*1-1-1) = 1, and the operator is the identity
-        report = verify_hadamard_invariance(1, trials=5)
+        report = verify_hadamard_invariance(1)
         assert report.kraus_phase_ok
         assert report.kraus_max_deviation < 1e-14
 
@@ -357,14 +357,14 @@ class TestHadamardInvariance:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_channel_invariance_on_random_states(self, n):
-        report = verify_hadamard_invariance(n, trials=50, seed=12)
+        report = verify_hadamard_invariance(n)
         assert report.kraus_phase_ok
         assert report.kraus_max_deviation < 1e-10
         assert report.channel_max_deviation < 1e-10
 
     @pytest.mark.parametrize("n", [47, 68, 100, 200, 500])
     def test_invariance_at_large_photon_number(self, n):
-        report = verify_hadamard_invariance(n, trials=5)
+        report = verify_hadamard_invariance(n)
         assert report.kraus_phase_ok
         assert report.kraus_max_deviation < 1e-10
         assert report.channel_max_deviation < 1e-10
@@ -375,25 +375,34 @@ class TestHadamardInvariance:
 
         # OMEGA * 1j = OMEGA^3, so every phase OMEGA^e becomes OMEGA^(3e)
         monkeypatch.setattr(squash, "OMEGA", OMEGA * 1j)
-        report = verify_hadamard_invariance(n, trials=5)
+        report = verify_hadamard_invariance(n)
         assert not report.kraus_phase_ok
         assert report.kraus_max_deviation > 0.1
+
+    @pytest.mark.parametrize("n", [12, 40, 200])
+    def test_non_covariant_part_fails_the_channel_check(self, n, monkeypatch):
+        import squashkit.squash as squash
+
+        # mix in 1e-9 of Psi: <N|rho|N> goes to |0><0|, the rest of the
+        # trace to I/2; a check on a sample of states reads ~1e-11 here
+        eps, dim = 1e-9, n + 1
+        psi = np.zeros((4, dim, dim))
+        psi[0] = psi[3] = np.diag([0.5] * n + [0.0])
+        psi[0, n, n] = 1.0
+        choi = (1 - eps) * build_squash(n).choi + eps * psi.reshape(4, -1)
+        monkeypatch.setattr(squash, "build_squash", lambda _: KrausChannel(dim, 2, choi))
+        assert verify_hadamard_invariance(n).channel_max_deviation > 1e-10
 
     def test_every_trial_reaches_the_channel(self, monkeypatch):
         import squashkit.squash as squash
 
-        states = []
+        shapes = []
 
         def counting(channel, rho):
-            states.append(int(np.prod(np.shape(rho)[:-2])))
+            shapes.append(np.shape(rho))
             return apply_channel(channel, rho)
 
         monkeypatch.setattr(squash, "apply_channel", counting)
-        verify_hadamard_invariance(12, trials=50)
-        # two applications per trial, and at N = 12 the last slice is partial
-        assert sum(states) == 2 * 50
-        assert states[-1] < states[0]
-
-    def test_trials_validated(self):
-        with pytest.raises(ValueError):
-            verify_hadamard_invariance(2, trials=0)
+        verify_hadamard_invariance(12)
+        # the seeded state and its modulated image, each one 13 x 13 operator
+        assert shapes == [(13, 13), (13, 13)]
