@@ -27,7 +27,7 @@ from .protocol import (
     key_rate,
     run_simulation,
 )
-from .squash import verify_completeness, verify_hadamard_invariance
+from .squash import build_squash, verify_completeness, verify_hadamard_invariance
 from .symfock import lift_gate, lift_gate_oracle
 from .povm import verify_povm_equivalence
 
@@ -117,22 +117,25 @@ def verify(nmax: int, tol: float, fmt: str, out: str | None) -> None:
         raise click.UsageError(f"--nmax must be >= 1, got {nmax}")
     if not tol > 0:
         raise click.UsageError(f"--tol must be > 0, got {tol}")
+
+    def attempt(run, *args) -> dict:  # run(*args), or a FAIL row's fields with what it raised
+        try:
+            return run(*args)
+        except Exception as exc:  # reported as a FAIL row; the run goes on
+            return {"max_deviation": None, "error": f"{type(exc).__name__}: {exc}"}
     rng = np.random.default_rng(2024)
-    suites = (
-        ("completeness", nmax, lambda n: vars(verify_completeness(n))),
-        ("povm_equivalence", nmax, lambda n: vars(verify_povm_equivalence(n))),
-        ("hadamard_invariance", nmax, lambda n: vars(verify_hadamard_invariance(n))),
-        ("lift_oracle", min(nmax, 6), lambda n: _lift_oracle_row(n, rng)),
-    )
+    names = ("completeness", "povm_equivalence", "hadamard_invariance")
+    suites = (verify_completeness, verify_povm_equivalence, verify_hadamard_invariance)
     checks = []
-    for name, top, row in suites:
-        for n in range(1, top + 1):
-            try:
-                fields = row(n)
-            except Exception as exc:  # reported as a FAIL row; the run goes on
-                error = f"{type(exc).__name__}: {exc}"
-                fields = {"max_deviation": None, "error": error}
+    for n in range(1, nmax + 1):
+        channel = attempt(build_squash, n)  # a FAIL row's fields if the build raised
+        for name, check in zip(names, suites):
+            fields = channel if type(channel) is dict else attempt(lambda: vars(check(channel)))
             checks.append({"check": name, "n": n, **fields})
+        del channel  # before the next build and the lift_oracle rows
+    checks.sort(key=lambda c: names.index(c["check"]))  # stable: each check's rows keep N order
+    for n in range(1, min(nmax, 6) + 1):
+        checks.append({"check": "lift_oracle", "n": n, **attempt(_lift_oracle_row, n, rng)})
     devs = [c["max_deviation"] for c in checks if c["max_deviation"] is not None]
     passed = len(devs) == len(checks) and all(d < tol for d in devs)
     worst = max(devs, default=None)

@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .squash import build_squash
+from .squash import KrausChannel, build_squash
 from .symfock import X_MODULATION, lift_gate
 
 __all__ = [
@@ -132,6 +132,12 @@ class Povm:
         object.__setattr__(self, "effects", effects)
 
 
+def _pulled_back_bits(channel: KrausChannel, modulated: bool) -> np.ndarray:
+    """The qubit z projectors, after the x modulation if `modulated`, pulled back."""
+    gate = X_MODULATION if modulated else np.eye(2, dtype=complex)  # complex, as in "actual"
+    return np.array([channel.pull_back(gate.conj().T @ np.diag(e) @ gate) for e in np.eye(2)])
+
+
 def side_state_effects(
     n_photons: int, mode: str, basis_is_x: bool, vacuum_random_bit: bool = False
 ) -> np.ndarray:
@@ -166,11 +172,7 @@ def side_state_effects(
         weights[0], weights[n] = _ONE_STATE[flip], _ONE_STATE[1 ^ flip]
         return (mod.conj().T * weights.T[:, None, :]) @ mod
     elif mode in ("edp1", "edp2"):
-        channel = build_squash(n)
-        projs = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        if mode == "edp2" and basis_is_x:
-            projs = [X_MODULATION.conj().T @ proj @ X_MODULATION for proj in projs]
-        fine = np.array([channel.pull_back(proj) for proj in projs])
+        fine = _pulled_back_bits(build_squash(n), mode == "edp2" and basis_is_x)
         if mode == "edp1" and basis_is_x:
             mod = lift_gate(X_MODULATION, n)
             fine = mod.conj().T @ fine @ mod
@@ -192,11 +194,9 @@ def actual_povm(n_photons: int) -> Povm:
     return Povm(side_state_effects(n_photons, "actual", False)[:VACUUM_STATE])
 
 
-def virtual_povm(n_photons: int) -> Povm:
-    """Qubit z measurement pulled back through the squash channel."""
-    if n_photons < 1:
-        raise ValueError(f"virtual_povm requires N >= 1, got {n_photons}")
-    return Povm(side_state_effects(n_photons, "edp2", False)[:VACUUM_STATE])
+def virtual_povm(channel: KrausChannel) -> Povm:
+    """Qubit z measurement pulled back through `channel`, as the builder's edp2 z branch."""
+    return Povm(_pulled_back_bits(channel, False))
 
 
 @dataclass(frozen=True)
@@ -209,14 +209,14 @@ class PovmEquivalenceReport:
     max_dev_z: float
 
 
-def verify_povm_equivalence(n_photons: int) -> PovmEquivalenceReport:
+def verify_povm_equivalence(channel: KrausChannel) -> PovmEquivalenceReport:
     """Max-norm deviations between the detector POVM and its squash twin.
 
     Checks both sifted-bit effects and the Z-operator form
-    P(all on 0) - P(all on 1)  vs  sum F^dagger Z F.
+    P(all on 0) - P(all on 1)  vs  sum F^dagger Z F, at N = input_dim - 1.
     """
-    ac = actual_povm(n_photons).effects
-    vi = virtual_povm(n_photons).effects
+    ac = actual_povm(channel.input_dim - 1).effects
+    vi = virtual_povm(channel).effects
     dev0, dev1 = (float(d) for d in np.max(np.abs(ac - vi), axis=(1, 2)))
     # sum F^dagger Z F is the difference of the pulled-back bit effects
     dev_z = float(np.max(np.abs((ac[0] - ac[1]) - (vi[0] - vi[1]))))

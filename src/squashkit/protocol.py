@@ -43,6 +43,7 @@ tallies of a :class:`SimResult`.  Runs are reproducible bit for bit from
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cache
 from math import log2
@@ -217,31 +218,53 @@ def attack_to_dict(attack: AttackSpec) -> dict:
     raise TypeError(f"unknown attack type {type(attack).__name__}")
 
 
+def _photon_number(item: dict, key: str) -> int:
+    """item[key], which must be an integer: no bool, float or string."""
+    value = item[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(item: dict, key: str) -> float:
+    """item[key], which must be a number: no bool or string."""
+    value = item[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def attack_from_dict(data: dict) -> AttackSpec:
-    """Parse an attack description (the CLI's ``--attack`` JSON payload)."""
+    """Parse an attack description (the CLI's ``--attack`` JSON payload).
+
+    Photon numbers (``n_photons``, ``c``, ``m``, ``n``) must be integers,
+    and ``p`` and ``weight`` numbers; nothing is truncated or parsed from
+    a string.
+    """
     try:
         kind = data["kind"]
     except (TypeError, KeyError):
         raise ValueError("attack spec must be an object with a 'kind' field")
     if kind == "depolarize":
-        return Depolarize(p=float(data["p"]))
+        return Depolarize(p=_real(data, "p"))
     if kind == "intercept_resend":
         return InterceptResend()
     if kind == "coincidence_injection":
         return CoincidenceInjection(
-            n_photons=int(data["n_photons"]), c=int(data["c"])
+            n_photons=_photon_number(data, "n_photons"), c=_photon_number(data, "c")
         )
     if kind == "fixed_block":
         blocks = {}
         for item in data["blocks"]:
-            m, n = int(item["m"]), int(item["n"])
-            blocks[(m, n)] = (float(item["weight"]), _matrix_from_json(item["rho"]))
+            m, n = _photon_number(item, "m"), _photon_number(item, "n")
+            blocks[(m, n)] = (_real(item, "weight"), _matrix_from_json(item["rho"]))
         return FixedBlockState(CompositeBlockState(blocks))
     if kind == "custom":
         blocks = []
         for item in data["blocks"]:
             amps = np.array([complex(re, im) for re, im in item["amps"]])
-            blocks.append((int(item["m"]), int(item["n"]), float(item["weight"]), amps))
+            m, n = _photon_number(item, "m"), _photon_number(item, "n")
+            blocks.append((m, n, _real(item, "weight"), amps))
         return CustomState(tuple(blocks))
     raise ValueError(f"unknown attack kind {kind!r}")
 

@@ -14,14 +14,13 @@ modulation up to a per-operator phase:
     F[b,b'] D(H) = OMEGA^(2b - N - 1) H F[b,b'],
 
 which makes the channel invariant under conjugation by that modulation.
-This module constructs the channel and machine-checks all three
-properties.
 
-No check builds the operators one by one.  The channel is its Choi
-matrix, written in closed form (see :func:`build_squash`) as the
-4 x (N+1)^2 matrix both contractions read: each application (and each
-Heisenberg pull-back) is one O((N+1)^2) matrix product; covariance is one
-Choi identity on the qubit matrix units, exact for every input.
+This module constructs the channel and machine-checks the properties.
+Each check takes the channel it checks, so one build serves all three.
+The channel is its Choi matrix, written in closed form (see
+:func:`build_squash`): each application and each pull-back is one
+O((N+1)^2) matrix product; covariance is one Choi identity on the qubit
+matrix units, exact for every input.
 """
 
 from __future__ import annotations
@@ -239,8 +238,8 @@ def apply_channel_on_bob(channel: KrausChannel, rho_ab: np.ndarray) -> np.ndarra
     return res.reshape(*lead, alice_dim * out, alice_dim * out)
 
 
-def verify_completeness(n_photons: int) -> CompletenessReport:
-    """Check that the squash Kraus family sums to the identity.
+def verify_completeness(channel: KrausChannel) -> CompletenessReport:
+    """Check that the squash channel for N = input_dim - 1 photons is complete.
 
     Two routes: the operator sum of K^dagger K (the pull-back of the
     identity) against the identity in max-norm, and the closed-form diagonal
@@ -249,8 +248,7 @@ def verify_completeness(n_photons: int) -> CompletenessReport:
 
     every element of which must equal 1.
     """
-    channel = build_squash(n_photons)
-    n = n_photons
+    n = channel.input_dim - 1
     dev = float(np.max(np.abs(channel.completeness_sum() - np.eye(n + 1))))
     # b - c = +-1 (mod 4) means c = b -+ 1: sum the binomials by c mod 4 once
     residue_sums = [sum(comb(n, c) for c in range(r, n + 1, 4)) for r in range(4)]
@@ -277,10 +275,10 @@ def random_density(
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def verify_hadamard_invariance(n_photons: int) -> HadamardReport:
-    """Check covariance of the squash family under the x-basis modulation.
+def verify_hadamard_invariance(channel: KrausChannel) -> HadamardReport:
+    """Check covariance of the squash channel under the x-basis modulation.
 
-    Operator level: F[b,b'] D(H) = OMEGA^(2b-N-1) H F[b,b'] entrywise for
+    Operator level, N = input_dim - 1: F[b,b'] D(H) = OMEGA^(2b-N-1) H F[b,b'] for
     every pair, output in y coordinates: there H = diag(OMEGA^-1, OMEGA), so
     rows b' and b of to_y D(H) must be OMEGA^(2r-N) times those of to_y,
     r = b-1 resp. b (mod 4), one product per N.  Channel level: the Choi
@@ -288,8 +286,7 @@ def verify_hadamard_invariance(n_photons: int) -> HadamardReport:
     units O (Phi* the pull-back), exact for every input, and one seeded
     full-rank state sent through :func:`apply_channel` on both sides.
     """
-    channel = build_squash(n_photons)
-    n = n_photons
+    n = channel.input_dim - 1
     to_y, w = _y_terms(n)
     lifted_h = lift_gate(X_MODULATION, n)
     g = to_y @ lifted_h

@@ -56,7 +56,7 @@ def test_criterion_1_completeness():
     start = time.perf_counter()
     worst_sum, worst_diag = 0.0, 0.0
     for n in range(1, 13):
-        report = verify_completeness(n)
+        report = verify_completeness(build_squash(n))
         worst_sum = max(worst_sum, report.max_deviation)
         worst_diag = max(worst_diag, report.diag_formula_deviation)
     elapsed = time.perf_counter() - start
@@ -74,7 +74,7 @@ def test_criterion_2_povm_equivalence():
     start = time.perf_counter()
     worst = 0.0
     for n in range(1, 13):
-        report = verify_povm_equivalence(n)
+        report = verify_povm_equivalence(build_squash(n))
         worst = max(worst, report.max_dev_bit0, report.max_dev_bit1, report.max_dev_z)
     elapsed = time.perf_counter() - start
     assert worst < 1e-10
@@ -88,7 +88,7 @@ def test_criterion_3_hadamard_covariance():
     start = time.perf_counter()
     worst_kraus = worst_channel = 0.0
     for n in range(1, 13):
-        report = verify_hadamard_invariance(n)
+        report = verify_hadamard_invariance(build_squash(n))
         assert report.kraus_phase_ok
         worst_kraus = max(worst_kraus, report.kraus_max_deviation)
         worst_channel = max(worst_channel, report.channel_max_deviation)

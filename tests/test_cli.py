@@ -41,11 +41,11 @@ class TestVerify:
         assert result.exit_code == 2
 
     def test_trial_stacks_stay_within_the_family_peak(self):
-        # The covariance check at N = 40 peaks at building the squash
-        # channel; the lift-vs-oracle row at N = 6 works its 100 random
-        # gates through in bounded slices and stays under that peak.
+        # Building the squash channel at N = 40 and checking its covariance
+        # peaks at the build; the lift-vs-oracle row at N = 6 works its 100
+        # random gates through in bounded slices and stays under that peak.
         from squashkit.cli import _lift_oracle_row
-        from squashkit.squash import verify_hadamard_invariance
+        from squashkit.squash import build_squash, verify_hadamard_invariance
 
         def peak(fn, *args):
             tracemalloc.start()
@@ -55,7 +55,7 @@ class TestVerify:
             finally:
                 tracemalloc.stop()
 
-        bound = peak(verify_hadamard_invariance, 40) + 64 * 1024
+        bound = peak(lambda: verify_hadamard_invariance(build_squash(40))) + 64 * 1024
         assert peak(_lift_oracle_row, 6, np.random.default_rng(2024)) <= bound
 
     def test_impossible_tolerance_fails(self, runner):
@@ -116,10 +116,10 @@ class TestVerify:
 
         real = cli.verify_completeness
 
-        def raising_at_two(n):
-            if n == 2:
+        def raising_at_two(channel):
+            if channel.input_dim == 3:
                 raise RuntimeError("boom")
-            return real(n)
+            return real(channel)
 
         monkeypatch.setattr(cli, "verify_completeness", raising_at_two)
         out = tmp_path / "report.json"
@@ -143,6 +143,54 @@ class TestVerify:
         text = runner.invoke(main, ["verify", "--nmax", "3"])
         assert text.exit_code == 1
         assert "N= 2  error RuntimeError: boom  FAIL" in text.output
+
+    def test_one_channel_build_per_photon_number(self, runner, monkeypatch):
+        import squashkit.cli as cli
+        import squashkit.povm as povm
+
+        real, built = cli.build_squash, []
+
+        def counting(n):
+            built.append(n)
+            return real(n)
+
+        def no_second_build(n):
+            raise AssertionError(f"a second build of the N={n} channel")
+
+        monkeypatch.setattr(cli, "build_squash", counting)
+        monkeypatch.setattr(povm, "build_squash", no_second_build)
+        result = runner.invoke(main, ["verify", "--nmax", "5", "--format", "json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["passed"] is True
+        assert built == [1, 2, 3, 4, 5]
+
+    def test_failed_build_fails_each_check_at_its_n(self, runner, monkeypatch):
+        import squashkit.cli as cli
+
+        real = cli.build_squash
+
+        def raising_at_two(n):
+            if n == 2:
+                raise ValueError("no channel")
+            return real(n)
+
+        monkeypatch.setattr(cli, "build_squash", raising_at_two)
+        result = runner.invoke(main, ["verify", "--nmax", "3", "--format", "json"])
+        assert result.exit_code == 1
+        report = json.loads(result.output)
+        assert report["passed"] is False
+        failed = [c for c in report["checks"] if c["max_deviation"] is None]
+        assert failed == [
+            {"check": name, "n": 2, "max_deviation": None, "error": "ValueError: no channel"}
+            for name in ("completeness", "povm_equivalence", "hadamard_invariance")
+        ]
+        assert [(c["check"], c["n"]) for c in report["checks"]] == [
+            (name, n)
+            for name, top in (("completeness", 3), ("povm_equivalence", 3),
+                              ("hadamard_invariance", 3), ("lift_oracle", 3))
+            for n in range(1, top + 1)
+        ]
+        assert all(c["max_deviation"] < 1e-10 for c in report["checks"] if c not in failed)
 
 
 class TestSimulate:
@@ -304,6 +352,30 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "malformed attack spec" in result.output
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("attack", [
+        '{"kind":"coincidence_injection","n_photons":3.9,"c":1.5}',
+        '{"kind":"coincidence_injection","n_photons":3.0,"c":1}',
+        '{"kind":"coincidence_injection","n_photons":3,"c":true}',
+        '{"kind":"coincidence_injection","n_photons":"3","c":1}',
+        '{"kind":"custom","blocks":[{"m":1.7,"n":0,"weight":1,"amps":[[1,0],[0,0]]}]}',
+        '{"kind":"custom","blocks":[{"m":0,"n":true,"weight":1,"amps":[[1,0],[0,0]]}]}',
+        '{"kind":"custom","blocks":[{"m":0,"n":1,"weight":"1","amps":[[1,0],[0,0]]}]}',
+        '{"kind":"fixed_block","blocks":[{"m":0,"n":"0","weight":1,"rho":[[[1,0]]]}]}',
+        '{"kind":"fixed_block","blocks":[{"m":0,"n":0,"weight":true,"rho":[[[1,0]]]}]}',
+        '{"kind":"depolarize","p":"0.1"}',
+        '{"kind":"depolarize","p":false}',
+    ], ids=["float-photons", "integral-float", "bool-photons", "string-photons",
+            "custom-float-m", "custom-bool-n", "custom-string-weight",
+            "fixed-block-string-n", "fixed-block-bool-weight", "string-p", "bool-p"])
+    def test_mistyped_attack_number_is_usage_error(self, runner, attack):
+        # before, int() and float() ran each of these as a truncated or parsed value
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bbm92", "--attack", attack,
+            "--trials", "100", "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert "malformed attack spec" in result.output
 
     def test_unnormalized_custom_block_is_usage_error(self, runner):
         attack = (

@@ -17,6 +17,7 @@ from squashkit.povm import (
     verify_povm_equivalence,
     virtual_povm,
 )
+from squashkit.squash import build_squash
 from squashkit.symfock import Basis, qubit_frame
 
 
@@ -81,20 +82,26 @@ class TestPovmValidation:
 
 class TestVirtualPovm:
     def test_single_photon_equals_actual(self):
-        vi = virtual_povm(1)
+        vi = virtual_povm(build_squash(1))
         ac = actual_povm(1)
         for a, b in zip(vi.effects, ac.effects):
             assert np.max(np.abs(a - b)) < 1e-14
 
     def test_two_photon_bit0_effect(self):
-        vi = virtual_povm(2)
+        vi = virtual_povm(build_squash(2))
         assert np.max(np.abs(vi.effects[0] - np.diag([1.0, 0.5, 0.0]))) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_effects_sum_to_identity(self, n):
-        vi = virtual_povm(n)
+        vi = virtual_povm(build_squash(n))
         total = vi.effects[0] + vi.effects[1]
         assert np.max(np.abs(total - np.eye(n + 1))) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 47])
+    def test_effects_are_the_builders_squash_branch(self, n):
+        # one pull-back path: the z-basis edp2 bit effects, bit for bit
+        vi = virtual_povm(build_squash(n))
+        assert np.array_equal(vi.effects, side_state_effects(n, "edp2", False)[:2])
 
 
 class TestSideStateEffects:
@@ -135,17 +142,17 @@ class TestSideStateEffects:
 
 class TestEquivalence:
     def test_single_photon_tight(self):
-        report = verify_povm_equivalence(1)
+        report = verify_povm_equivalence(build_squash(1))
         assert report.max_dev_bit0 < 1e-14
         assert report.max_dev_bit1 < 1e-14
 
     def test_two_photon_tight(self):
-        report = verify_povm_equivalence(2)
+        report = verify_povm_equivalence(build_squash(2))
         assert max(report.max_dev_bit0, report.max_dev_bit1) < 1e-12
 
     @pytest.mark.parametrize("n", [*range(1, 13), 47, 68, 100, 500])
     def test_all_forms_agree(self, n):
-        report = verify_povm_equivalence(n)
+        report = verify_povm_equivalence(build_squash(n))
         assert report.max_dev_bit0 < 1e-10
         assert report.max_dev_bit1 < 1e-10
         assert report.max_dev_z < 1e-10

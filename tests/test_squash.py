@@ -321,7 +321,7 @@ class TestCompleteness:
         # f[0,0] = (1/2) C(2,1) = 1 and f[1,1] = (1/2)(C(2,0)+C(2,2)) = 1
         assert 0.5 * comb(2, 1) == 1.0
         assert 0.5 * (comb(2, 0) + comb(2, 2)) == 1.0
-        report = verify_completeness(2)
+        report = verify_completeness(build_squash(2))
         assert report.diag_formula_deviation < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 47, 200])
@@ -332,11 +332,11 @@ class TestCompleteness:
         for b in range(n + 1):
             total = sum(comb(n, c) for c in range(n + 1) if (b - c) % 4 in (1, 3))
             diag_dev = max(diag_dev, abs(2.0 ** (-(n - 1)) * total - 1.0))
-        assert verify_completeness(n).diag_formula_deviation == diag_dev
+        assert verify_completeness(build_squash(n)).diag_formula_deviation == diag_dev
 
     @pytest.mark.parametrize("n", [*range(1, 13), 47, 68, 100, 200, 500])
     def test_deviation_small(self, n):
-        report = verify_completeness(n)
+        report = verify_completeness(build_squash(n))
         assert report.max_deviation < 1e-10
         assert report.diag_formula_deviation < 1e-12
 
@@ -344,7 +344,7 @@ class TestCompleteness:
 class TestHadamardInvariance:
     def test_single_photon_phase_is_unity(self):
         # pair (1, 0): OMEGA^(2*1-1-1) = 1, and the operator is the identity
-        report = verify_hadamard_invariance(1)
+        report = verify_hadamard_invariance(build_squash(1))
         assert report.kraus_phase_ok
         assert report.kraus_max_deviation < 1e-14
 
@@ -357,14 +357,14 @@ class TestHadamardInvariance:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_channel_invariance_on_random_states(self, n):
-        report = verify_hadamard_invariance(n)
+        report = verify_hadamard_invariance(build_squash(n))
         assert report.kraus_phase_ok
         assert report.kraus_max_deviation < 1e-10
         assert report.channel_max_deviation < 1e-10
 
     @pytest.mark.parametrize("n", [47, 68, 100, 200, 500])
     def test_invariance_at_large_photon_number(self, n):
-        report = verify_hadamard_invariance(n)
+        report = verify_hadamard_invariance(build_squash(n))
         assert report.kraus_phase_ok
         assert report.kraus_max_deviation < 1e-10
         assert report.channel_max_deviation < 1e-10
@@ -375,14 +375,12 @@ class TestHadamardInvariance:
 
         # OMEGA * 1j = OMEGA^3, so every phase OMEGA^e becomes OMEGA^(3e)
         monkeypatch.setattr(squash, "OMEGA", OMEGA * 1j)
-        report = verify_hadamard_invariance(n)
+        report = verify_hadamard_invariance(build_squash(n))
         assert not report.kraus_phase_ok
         assert report.kraus_max_deviation > 0.1
 
     @pytest.mark.parametrize("n", [12, 40, 200])
-    def test_non_covariant_part_fails_the_channel_check(self, n, monkeypatch):
-        import squashkit.squash as squash
-
+    def test_non_covariant_part_fails_the_channel_check(self, n):
         # mix in 1e-9 of Psi: <N|rho|N> goes to |0><0|, the rest of the
         # trace to I/2; a check on a sample of states reads ~1e-11 here
         eps, dim = 1e-9, n + 1
@@ -390,8 +388,7 @@ class TestHadamardInvariance:
         psi[0] = psi[3] = np.diag([0.5] * n + [0.0])
         psi[0, n, n] = 1.0
         choi = (1 - eps) * build_squash(n).choi + eps * psi.reshape(4, -1)
-        monkeypatch.setattr(squash, "build_squash", lambda _: KrausChannel(dim, 2, choi))
-        assert verify_hadamard_invariance(n).channel_max_deviation > 1e-10
+        assert verify_hadamard_invariance(KrausChannel(dim, 2, choi)).channel_max_deviation > 1e-10
 
     def test_every_trial_reaches_the_channel(self, monkeypatch):
         import squashkit.squash as squash
@@ -403,6 +400,6 @@ class TestHadamardInvariance:
             return apply_channel(channel, rho)
 
         monkeypatch.setattr(squash, "apply_channel", counting)
-        verify_hadamard_invariance(12)
+        verify_hadamard_invariance(build_squash(12))
         # the seeded state and its modulated image, each one 13 x 13 operator
         assert shapes == [(13, 13), (13, 13)]
