@@ -83,19 +83,19 @@ def classify_click(b: int, n_photons: int) -> ClickClass:
 
 
 def validate_density(rho: np.ndarray, *, atol_trace: float = 1e-10) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density operator.
+    """A complex copy of a density operator, checked Hermitian, unit-trace and PSD.
 
-    A 1-D state vector a stands for the pure state |a><a|: only its trace
-    ||a||^2 is checked, and ``np.outer(a, a.conj())`` is returned, which is
+    A 1-D state vector a stands for the pure state |a><a| and is returned
+    as a vector: only its trace ||a||^2 is checked, since |a><a| is
     Hermitian and positive semidefinite by construction.  Each check fails
     on NaN, so a non-finite matrix or vector is rejected too.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.array(rho, dtype=complex)
     if rho.ndim == 1:
         trace_dev = abs(np.vdot(rho, rho).real - 1.0)  # NaN for any inf entry
         if not trace_dev <= atol_trace:
             raise ValueError(f"density operator trace deviates by {trace_dev:.3e}")
-        return np.outer(rho, rho.conj())
+        return rho
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density operator must be square, got shape {rho.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
@@ -240,10 +240,13 @@ class CompositeBlockState:
     """Joint photon-number-block-diagonal state on (left side) x (right side).
 
     Keys are photon-number pairs (m, n); each block holds a weight and a
-    density operator on the (m+1)(n+1)-dimensional product of symmetric
-    subspaces.  A block may be given as a state vector a of that length
-    instead: it is stored as |a><a|, with only its norm checked (see
-    :func:`validate_density`).
+    read-only density operator on the (m+1)(n+1)-dimensional product of
+    symmetric subspaces, or a read-only state vector a of that length,
+    which stands for |a><a| and costs (m+1)(n+1) entries, not their
+    square.  Every block is copied once (see :func:`validate_density`),
+    so the caller's arrays stay its own.  Two states are equal when their
+    weights and density operators are: a vector block is compared through
+    its outer product.
     """
 
     blocks: Mapping[tuple[int, int], tuple[float, np.ndarray]]
@@ -267,10 +270,15 @@ class CompositeBlockState:
             raise ValueError(f"block weights sum to {total}, expected 1")
         object.__setattr__(self, "blocks", cleaned)
 
+    def density(self, key: tuple[int, int]) -> np.ndarray:
+        """The density operator of block `key`; a vector block's outer product is built."""
+        rho = self.blocks[key][1]
+        return np.outer(rho, rho.conj()) if rho.ndim == 1 else rho
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
         return self.blocks.keys() == other.blocks.keys() and all(
-            w == other.blocks[key][0] and np.array_equal(rho, other.blocks[key][1])
-            for key, (w, rho) in self.blocks.items()
+            w == other.blocks[key][0] and np.array_equal(self.density(key), other.density(key))
+            for key, (w, _) in self.blocks.items()
         )

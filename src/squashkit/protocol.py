@@ -97,6 +97,7 @@ class Depolarize:
     p: float
 
     def __post_init__(self) -> None:
+        _number(self.p, "depolarizing probability")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"depolarizing probability must be in [0, 1], got {self.p}")
 
@@ -118,6 +119,8 @@ class CoincidenceInjection:
     c: int
 
     def __post_init__(self) -> None:
+        _integer(self.n_photons, "n_photons")
+        _integer(self.c, "c")
         if self.n_photons < 2:
             raise ValueError("coincidence injection needs N >= 2")
         if not 1 <= self.c <= self.n_photons - 1:
@@ -139,7 +142,9 @@ class CustomState:
 
     ``blocks`` is a sequence of (m, n, weight, amps) with amps a complex
     vector of length (m+1)(n+1).  Construction validates the blocks as a
-    :class:`squashkit.povm.CompositeBlockState`, which checks each norm.
+    :class:`squashkit.povm.CompositeBlockState`, which checks each norm and
+    keeps each block as a read-only copy of its vector, never as |a><a|;
+    ``blocks`` then holds those same copies, in the caller's order.
     """
 
     blocks: tuple
@@ -147,9 +152,9 @@ class CustomState:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("custom attack requires at least one block")
-        frozen, blocks = [], {}
+        blocks = {}
         for m, n, w, amps in self.blocks:
-            amps = np.array(amps, dtype=complex)  # a copy: the caller's stays writable
+            amps = np.asarray(amps)  # the block state makes the one copy
             if amps.shape != ((m + 1) * (n + 1),):
                 raise ValueError(
                     f"block ({m}, {n}) amplitude vector has length {amps.size}, "
@@ -158,11 +163,11 @@ class CustomState:
             m, n, w = int(m), int(n), float(w)
             if (m, n) in blocks:
                 raise ValueError(f"duplicate block ({m}, {n}) in custom attack")
-            amps.setflags(write=False)
-            frozen.append((m, n, w, amps))
             blocks[(m, n)] = (w, amps)
-        object.__setattr__(self, "blocks", tuple(frozen))
-        object.__setattr__(self, "_block_state", CompositeBlockState(blocks))
+        state = CompositeBlockState(blocks)
+        frozen = tuple((m, n, w, state.blocks[(m, n)][1]) for (m, n), (w, _) in blocks.items())
+        object.__setattr__(self, "blocks", frozen)
+        object.__setattr__(self, "_block_state", state)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CustomState):
@@ -183,8 +188,9 @@ def _complex_to_json(arr: np.ndarray) -> list:
     return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
-def _matrix_from_json(data: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+def _complex_from_json(pair: list, name: str) -> complex:
+    re, im = pair
+    return complex(_number(re, name), _number(im, name))
 
 
 def attack_to_dict(attack: AttackSpec) -> dict:
@@ -203,8 +209,9 @@ def attack_to_dict(attack: AttackSpec) -> dict:
         return {
             "kind": "fixed_block",
             "blocks": [
-                {"m": m, "n": n, "weight": w, "rho": _complex_to_json(rho)}
-                for (m, n), (w, rho) in attack.state.blocks.items()
+                {"m": key[0], "n": key[1], "weight": w,
+                 "rho": _complex_to_json(attack.state.density(key))}
+                for key, (w, _) in attack.state.blocks.items()
             ],
         }
     if isinstance(attack, CustomState):
@@ -218,53 +225,55 @@ def attack_to_dict(attack: AttackSpec) -> dict:
     raise TypeError(f"unknown attack type {type(attack).__name__}")
 
 
-def _photon_number(item: dict, key: str) -> int:
-    """item[key], which must be an integer: no bool, float or string."""
-    value = item[key]
+def _integer(value, name: str) -> int:
+    """`value`, which must be an integer: no bool, float or string."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
-def _real(item: dict, key: str) -> float:
-    """item[key], which must be a number: no bool or string."""
-    value = item[key]
+def _number(value, name: str) -> float:
+    """`value` as a float; it must be a real number (no bool or string) a float holds."""
+    if type(value) is float:  # most JSON entries: skip the slower ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def attack_from_dict(data: dict) -> AttackSpec:
     """Parse an attack description (the CLI's ``--attack`` JSON payload).
 
     Photon numbers (``n_photons``, ``c``, ``m``, ``n``) must be integers,
-    and ``p`` and ``weight`` numbers; nothing is truncated or parsed from
-    a string.
+    and ``p``, ``weight`` and each ``amps`` or ``rho`` entry numbers that
+    fit a float; nothing is truncated or parsed from a string.
     """
     try:
         kind = data["kind"]
     except (TypeError, KeyError):
         raise ValueError("attack spec must be an object with a 'kind' field")
     if kind == "depolarize":
-        return Depolarize(p=_real(data, "p"))
+        return Depolarize(p=_number(data["p"], "'p'"))
     if kind == "intercept_resend":
         return InterceptResend()
     if kind == "coincidence_injection":
-        return CoincidenceInjection(
-            n_photons=_photon_number(data, "n_photons"), c=_photon_number(data, "c")
-        )
+        return CoincidenceInjection(n_photons=data["n_photons"], c=data["c"])
     if kind == "fixed_block":
         blocks = {}
         for item in data["blocks"]:
-            m, n = _photon_number(item, "m"), _photon_number(item, "n")
-            blocks[(m, n)] = (_real(item, "weight"), _matrix_from_json(item["rho"]))
+            m, n = _integer(item["m"], "'m'"), _integer(item["n"], "'n'")
+            rho = [[_complex_from_json(z, "a 'rho' entry") for z in row] for row in item["rho"]]
+            blocks[(m, n)] = (_number(item["weight"], "'weight'"), np.array(rho))
         return FixedBlockState(CompositeBlockState(blocks))
     if kind == "custom":
         blocks = []
         for item in data["blocks"]:
-            amps = np.array([complex(re, im) for re, im in item["amps"]])
-            m, n = _photon_number(item, "m"), _photon_number(item, "n")
-            blocks.append((m, n, _real(item, "weight"), amps))
+            amps = np.array([_complex_from_json(z, "an 'amps' entry") for z in item["amps"]])
+            m, n = _integer(item["m"], "'m'"), _integer(item["n"], "'n'")
+            blocks.append((m, n, _number(item["weight"], "'weight'"), amps))
         return CustomState(tuple(blocks))
     raise ValueError(f"unknown attack kind {kind!r}")
 
@@ -360,12 +369,22 @@ def _require_bb84_blocks(state: CompositeBlockState) -> None:
 
 
 def _born(a_effects: np.ndarray, b_effects: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr[(E_p tensor F_q) rho] for every pair of stacked effects E_p, F_q."""
+    """Tr[(E_p tensor F_q) rho] for every pair of stacked effects E_p, F_q.
+
+    ``rho`` is a density operator on the (da*db)-dimensional product, or a
+    state vector psi standing for |psi><psi|.  A vector is never expanded:
+    with Psi = psi reshaped to (da, db), M_p = Psi^dagger E_p Psi and the
+    law is sum_kl M_p[k, l] F_q[k, l], so memory stays O(da*db).
+    """
     da, db = a_effects.shape[1], b_effects.shape[1]
+    b = b_effects.reshape(len(b_effects), -1)
+    if rho.ndim == 1:
+        psi = rho.reshape(da, db)
+        a_pulled = psi.conj().T @ a_effects @ psi  # (P, db, db)
+        return (a_pulled.reshape(len(a_effects), -1) @ b.T).real
     # rho[(j, l), (i, k)] regrouped as [(i, j), (k, l)], matching E[i, j] F[k, l]
     rho_t = rho.reshape(da, db, da, db).transpose(2, 0, 3, 1).reshape(da * da, db * db)
     a = a_effects.reshape(len(a_effects), -1)
-    b = b_effects.reshape(len(b_effects), -1)
     return (a @ rho_t @ b.T).real
 
 

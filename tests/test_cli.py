@@ -19,6 +19,7 @@ def runner():
 
 
 DEPOL = '{"kind":"depolarize","p":0.0}'
+HUGE = "1" + "0" * 400  # a JSON integer no float holds
 
 
 class TestVerify:
@@ -365,11 +366,27 @@ class TestSimulate:
         '{"kind":"fixed_block","blocks":[{"m":0,"n":0,"weight":true,"rho":[[[1,0]]]}]}',
         '{"kind":"depolarize","p":"0.1"}',
         '{"kind":"depolarize","p":false}',
+        '{"kind":"custom","blocks":[{"m":0,"n":1,"weight":1,"amps":[[true,0],[0,0]]}]}',
+        '{"kind":"custom","blocks":[{"m":0,"n":1,"weight":1,"amps":[[1,false],[0,0]]}]}',
+        '{"kind":"custom","blocks":[{"m":0,"n":1,"weight":1,"amps":[["1",0],[0,0]]}]}',
+        '{"kind":"fixed_block","blocks":[{"m":0,"n":0,"weight":1,"rho":[[[true,0]]]}]}',
+        '{"kind":"fixed_block","blocks":[{"m":0,"n":0,"weight":1,"rho":[[["1",0]]]}]}',
+        '{"kind":"depolarize","p":%s}' % HUGE,
+        '{"kind":"custom","blocks":[{"m":0,"n":1,"weight":%s,"amps":[[1,0],[0,0]]}]}' % HUGE,
+        '{"kind":"custom","blocks":[{"m":0,"n":1,"weight":1,"amps":[[%s,0],[0,0]]}]}' % HUGE,
+        '{"kind":"fixed_block","blocks":[{"m":0,"n":0,"weight":%s,"rho":[[[1,0]]]}]}' % HUGE,
+        '{"kind":"fixed_block","blocks":[{"m":0,"n":0,"weight":1,"rho":[[[1,%s]]]}]}' % HUGE,
     ], ids=["float-photons", "integral-float", "bool-photons", "string-photons",
             "custom-float-m", "custom-bool-n", "custom-string-weight",
-            "fixed-block-string-n", "fixed-block-bool-weight", "string-p", "bool-p"])
+            "fixed-block-string-n", "fixed-block-bool-weight", "string-p", "bool-p",
+            "custom-bool-amp", "custom-bool-imag", "custom-string-amp",
+            "fixed-block-bool-rho", "fixed-block-string-rho", "huge-p",
+            "custom-huge-weight", "custom-huge-amp", "fixed-block-huge-weight",
+            "fixed-block-huge-rho"])
     def test_mistyped_attack_number_is_usage_error(self, runner, attack):
-        # before, int() and float() ran each of these as a truncated or parsed value
+        # before, int() and float() ran each of these as a truncated or parsed
+        # value, complex() read true as 1.0, and a huge integer raised
+        # OverflowError (a traceback, exit 1)
         result = runner.invoke(main, [
             "simulate", "--protocol", "bbm92", "--attack", attack,
             "--trials", "100", "--seed", "1",

@@ -70,6 +70,8 @@ def device_law(attack, vacuum_random_bit=False):
     law = {"vacuum": 0.0, "mismatch": 0.0}
     law.update({(basis, a, b): 0.0 for basis in "zx" for a in (0, 1) for b in (0, 1)})
     for (m, n), (w, rho) in eve_state(attack).blocks.items():
+        if rho.ndim == 1:  # a pure block is stored as its state vector
+            rho = np.outer(rho, rho.conj())
         for a_x in (False, True):
             for b_x in (False, True):
                 gate = np.kron(modulation(m, a_x), modulation(n, b_x))

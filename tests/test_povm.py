@@ -229,11 +229,26 @@ class TestStateVectorBlocks:
         return a / np.linalg.norm(a)
 
     @pytest.mark.parametrize("dim", [1, 2, 12])
-    def test_vector_becomes_its_outer_product(self, dim):
+    def test_vector_stored_as_its_complex_copy(self, dim):
         a = self.unit_vector(dim, dim)
-        rho = validate_density(a)
-        assert rho.dtype == complex
-        assert np.array_equal(rho, np.outer(a, a.conj()))
+        psi = validate_density(a)
+        assert psi.dtype == complex and psi.shape == (dim,)
+        assert np.array_equal(psi, a)
+        assert not np.shares_memory(psi, a)
+
+    @pytest.mark.parametrize(
+        "kind", ["complex-matrix", "real-matrix", "complex-vector", "real-vector"]
+    )
+    def test_blocks_are_copied_not_aliased(self, kind):
+        block = np.eye(4, dtype=complex) / 4 if kind.endswith("matrix") else np.full(4, 0.5 + 0j)
+        if kind.startswith("real"):
+            block = block.real.copy()
+        state = CompositeBlockState({(1, 1): (1.0, block)})
+        stored = state.blocks[(1, 1)][1]
+        block[0] = 0.0  # the caller's array stays writable and its own
+        assert not np.shares_memory(stored, block)
+        assert not stored.flags.writeable and stored.dtype == complex
+        assert stored[0].real.max() > 0.0
 
     def test_trace_checked_at_tolerance(self):
         a = self.unit_vector(6, 1)

@@ -1,6 +1,8 @@
 """Tests for attacks, exact laws, Monte Carlo runs and the key rate."""
 
 import json
+import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from squashkit.protocol import (
     eve_state,
     exact_error_rates,
     exact_sifted_distribution,
+    _born,
     _table,
     key_rate,
     run_simulation,
@@ -156,6 +159,28 @@ class TestEveState:
         assert attack.blocks[0][3][0] == 1.0
         assert not attack.blocks[0][3].flags.writeable
 
+    def test_custom_blocks_are_the_block_states_vectors(self):
+        attack = asymmetric_bbm92_attack()
+        state = eve_state(attack)
+        for m, n, _, amps in attack.blocks:  # one copy, shared, never |a><a|
+            assert amps is state.blocks[(m, n)][1]
+            assert amps.shape == ((m + 1) * (n + 1),)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Depolarize(p=True),
+        lambda: Depolarize(p="0.1"),
+        lambda: Depolarize(p=None),
+        lambda: CoincidenceInjection(3.9, 1.5),
+        lambda: CoincidenceInjection(4.0, 2),
+        lambda: CoincidenceInjection(4, True),
+        lambda: CoincidenceInjection("4", 2),
+    ], ids=["bool-p", "string-p", "none-p", "float-photons", "integral-float-n",
+            "bool-c", "string-n"])
+    def test_mistyped_attack_numbers_rejected_at_construction(self, make):
+        # before, these were accepted here and failed later, in eve_state
+        with pytest.raises(ValueError, match="must be an? (integer|number)"):
+            make()
+
     def test_attack_validation(self):
         with pytest.raises(ValueError):
             Depolarize(1.5)
@@ -169,6 +194,20 @@ class TestEveState:
         data = attack_to_dict(attack)
         back = attack_from_dict(data)
         assert attack_to_dict(back) == data
+
+    def test_vector_built_fixed_block_round_trips_as_matrices(self):
+        rng = np.random.default_rng(57721)
+        attack = FixedBlockState(CompositeBlockState({
+            (0, 0): (0.25, np.array([1.0])),
+            (1, 2): (0.75, _random_block_amps(1, 2, rng)),
+        }))
+        data = attack_to_dict(attack)
+        for block in data["blocks"]:
+            dim = (block["m"] + 1) * (block["n"] + 1)
+            assert np.shape(block["rho"]) == (dim, dim, 2)
+        back = attack_from_dict(json.loads(json.dumps(data)))
+        assert back == attack
+        assert back.state.blocks[(1, 2)][1].ndim == 2
 
     @pytest.mark.parametrize("kind", ["fixed_block", "custom"])
     def test_complex_arrays_round_trip_byte_for_byte(self, kind):
@@ -392,6 +431,8 @@ def reference_table(attack, protocol, mode, vacuum_random_bit):
         for k_i, ((m, n), (w, rho)) in enumerate(state.blocks.items()):
             ea = side_state_effects(m, sender_mode, a_x, vacuum_random_bit)
             eb = side_state_effects(n, mode, b_x, vacuum_random_bit)
+            if rho.ndim == 1:  # a pure block is stored as its state vector
+                rho = np.outer(rho, rho.conj())
             # rho[(j, l), (i, k)] pairs with E[i, j] F[k, l]
             rho = rho.reshape(m + 1, n + 1, m + 1, n + 1)
             born = np.einsum("pij,qkl,jlik->pq", ea, eb, rho).real
@@ -412,6 +453,43 @@ def vacuum_and_zero_weight_attack(protocol):
     return CustomState(tuple(
         (m, n, w, _random_block_amps(m, n, rng)) for (m, n), w in zip(keys, weights)
     ))
+
+
+@cache
+def stacked_effects(n, mode):
+    """One side's z- then x-basis effect stack, as ``_table`` builds it."""
+    return np.concatenate([side_state_effects(n, mode, x) for x in (False, True)])
+
+
+class TestVectorBorn:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        da=st.integers(1, 13),
+        db=st.integers(1, 13),
+        modes=st.tuples(st.sampled_from(["actual", "edp1", "edp2"]),
+                        st.sampled_from(["actual", "edp1", "edp2"])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_vector_equals_its_outer_product(self, da, db, modes, seed):
+        psi = _random_block_amps(da - 1, db - 1, np.random.default_rng(seed))
+        a, b = stacked_effects(da - 1, modes[0]), stacked_effects(db - 1, modes[1])
+        from_vector = _born(a, b, psi)
+        from_density = _born(a, b, np.outer(psi, psi.conj()))
+        assert from_vector.shape == from_density.shape == (len(a), len(b))
+        assert np.max(np.abs(from_vector - from_density)) <= 1e-14
+
+    def test_pure_block_never_forms_its_density(self):
+        # one (30, 30) block: its density would be 961 x 961 complex, 14.8 MB
+        psi = _random_block_amps(30, 30, np.random.default_rng(2718))
+        tracemalloc.start()
+        try:
+            attack = CustomState(((30, 30, 1.0, psi),))
+            _, cells = _table(attack, "bbm92", "actual", False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cells.sum() == pytest.approx(1.0, abs=1e-12)
+        assert peak < 1.5e6
 
 
 class TestTable:
