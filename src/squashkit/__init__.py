@@ -7,9 +7,9 @@ The package has four layers:
 * :mod:`squashkit.squash` - the squash channel as its closed-form Choi
   matrix, channel application, and its completeness /
   modulation-covariance checks;
-* :mod:`squashkit.povm` - threshold-detector models, the joint
-  block-diagonal adversary state, and the detector-vs-squash POVM
-  equivalence;
+* :mod:`squashkit.povm` - the one effect builder (a block's detector or
+  squash effects in both bases, as one stack), the joint block-diagonal
+  adversary state, and the detector-vs-squash POVM equivalence;
 * :mod:`squashkit.protocol` - exact and Monte Carlo BB84/BBM92 against
   adversarial multi-photon sources, error rates and one-way key rates.
 
@@ -40,7 +40,6 @@ from .squash import (
     random_density,
 )
 from .povm import (
-    Povm,
     CompositeBlockState,
     PovmEquivalenceReport,
     actual_povm,
@@ -87,7 +86,6 @@ __all__ = [
     "verify_completeness",
     "verify_hadamard_invariance",
     "random_density",
-    "Povm",
     "CompositeBlockState",
     "PovmEquivalenceReport",
     "actual_povm",

@@ -76,8 +76,11 @@ def _write_text(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
 
 
 def _lift_oracle_row(n: int, rng: np.random.Generator) -> dict:
@@ -209,16 +212,16 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
         raise click.UsageError(f"--trials must be in [1, 2**63), got {trials}")
     if not 0 <= seed < 2**64:
         raise click.UsageError("--seed must be a 64-bit unsigned integer")
-    raw = attack_json
-    if attack_file is not None:
-        with open(attack_file, "r", encoding="utf-8") as fh:
-            raw = fh.read()
     try:
+        raw = attack_json
+        if attack_file is not None:
+            with open(attack_file, "r", encoding="utf-8") as fh:
+                raw = fh.read()
         attack = attack_from_dict(json.loads(raw))
         state = eve_state(attack)
         if protocol == "bb84":
             _require_bb84_blocks(state)
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # decode errors are ValueErrors
         raise click.UsageError(f"malformed attack spec: {exc}")
     start = time.perf_counter()
     try:

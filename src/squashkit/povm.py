@@ -13,7 +13,10 @@ the pull-back of the qubit z measurement through the squash channel,
     P_vi[i] = sum_{b,b'} F[b,b']^dagger |i_z><i_z| F[b,b'].
 
 Both sides of the identity, and every measurement model the protocol
-simulations use, come from one builder, :func:`side_state_effects`.  Also
+simulations use, come from one builder, :func:`side_state_effects`, which
+returns a block's z- and x-basis effects as one stack.  The two sides,
+:func:`actual_povm` and :func:`virtual_povm`, are its ``actual`` and
+``edp2`` z-basis bit effects, as plain (2, N+1, N+1) arrays.  Also
 provided: the joint photon-number-block-diagonal state every attack hands
 to the receivers (:class:`CompositeBlockState`), and the three-way click
 classification (:func:`classify_click`) of a projective z outcome, on
@@ -34,7 +37,6 @@ from .symfock import X_MODULATION, lift_gate
 
 __all__ = [
     "ClickClass",
-    "Povm",
     "CompositeBlockState",
     "PovmEquivalenceReport",
     "SIDE_STATES",
@@ -46,8 +48,6 @@ __all__ = [
     "classify_click",
     "validate_density",
 ]
-
-_EFFECT_ATOL = 1e-10
 
 #: What one receiver reports for a block, in the order of every effect
 #: stack built by :func:`side_state_effects`: a bit, or vacuum (no bit).
@@ -111,39 +111,30 @@ def validate_density(rho: np.ndarray, *, atol_trace: float = 1e-10) -> np.ndarra
     return rho
 
 
-@dataclass(frozen=True, eq=False)
-class Povm:
-    """Positive effects on one block, summing to the identity; compared by identity."""
-
-    effects: np.ndarray
-
-    def __post_init__(self) -> None:
-        effects = np.array(self.effects, dtype=complex)
-        if effects.ndim != 3 or effects.shape[1] != effects.shape[2]:
-            raise ValueError(f"effects must be square matrices, got shape {effects.shape}")
-        if not np.max(np.abs(effects - effects.conj().transpose(0, 2, 1))) <= _EFFECT_ATOL:
-            raise ValueError("effect is not Hermitian")
-        if not np.min(np.linalg.eigvalsh(effects)[:, 0]) >= -_EFFECT_ATOL:
-            raise ValueError("effect is not positive semidefinite")
-        dev = np.max(np.abs(effects.sum(axis=0) - np.eye(effects.shape[1])))
-        if not dev <= _EFFECT_ATOL:
-            raise ValueError(f"effects do not sum to identity (deviation {dev:.3e})")
-        effects.setflags(write=False)
-        object.__setattr__(self, "effects", effects)
+def _pulled_back_bits(channel: KrausChannel) -> np.ndarray:
+    """The qubit z projectors pulled back through `channel`, then those after the x modulation."""
+    gates = (np.eye(2, dtype=complex), X_MODULATION)  # complex, as in "actual"
+    projectors = [g.conj().T @ np.diag(e) @ g for g in gates for e in np.eye(2)]
+    return np.array([channel.pull_back(p) for p in projectors])
 
 
-def _pulled_back_bits(channel: KrausChannel, modulated: bool) -> np.ndarray:
-    """The qubit z projectors, after the x modulation if `modulated`, pulled back."""
-    gate = X_MODULATION if modulated else np.eye(2, dtype=complex)  # complex, as in "actual"
-    return np.array([channel.pull_back(gate.conj().T @ np.diag(e) @ gate) for e in np.eye(2)])
+def _detector_effects(mod: np.ndarray, flip: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Side-state effects of threshold detection after the gate `mod`, bits swapped by `flip`.
+
+    sum_c weights[c, s] mod^dagger |c><c| mod, c photons on detector 1; complex even
+    for the identity, as a first real BLAS product adds 0.25 MB of RSS.
+    """
+    n = len(mod) - 1
+    weights = np.tile(_EITHER_BIT, (n + 1, 1))
+    weights[0], weights[n] = _ONE_STATE[flip], _ONE_STATE[1 ^ flip]
+    return np.matmul(mod.conj().T * weights.T[:, None, :], mod, out=out)
 
 
-def side_state_effects(
-    n_photons: int, mode: str, basis_is_x: bool, vacuum_random_bit: bool = False
-) -> np.ndarray:
-    """Effects of the side states (bit 0, bit 1, vacuum) of an N-photon block.
+def side_state_effects(n_photons: int, mode: str, vacuum_random_bit: bool = False) -> np.ndarray:
+    """Effects of the side states of an N-photon block in both bases.
 
-    One (3, N+1, N+1) stack for a receiver measuring in the z or x basis:
+    One (6, N+1, N+1) stack: the z-basis side states (bit 0, bit 1,
+    vacuum), then the x-basis ones in the same order.  Per mode:
 
     * ``actual``: the lifted x modulation (x basis only), then threshold
       detection; all photons on one detector report its bit and a
@@ -153,37 +144,35 @@ def side_state_effects(
     * ``edp2``: the squash channel, the modulation as a qubit gate, the
       qubit z measurement.
 
-    An x-basis bit is the complement of the detector label.  A zero-photon
-    block reports vacuum, or either bit with probability 1/2 under
-    ``vacuum_random_bit``.  At N = 1 every mode is the projective qubit
-    measurement of its basis (``actual`` exactly, the squash modes to
-    rounding).
+    Both bases come from one squash channel and at most one lift of the
+    modulation.  An x-basis bit is the complement of the detector label.
+    A zero-photon block reports vacuum, or either bit with probability 1/2
+    under ``vacuum_random_bit``.  At N = 1 every mode is the projective
+    qubit measurement of each basis (``actual`` exactly, the squash modes
+    to rounding).
     """
     n = n_photons
-    flip = int(basis_is_x)
+    states = len(SIDE_STATES)
+    out = np.zeros((2 * states, n + 1, n + 1), dtype=complex)
     if n == 0:
         row = _EITHER_BIT if vacuum_random_bit else _ONE_STATE[VACUUM_STATE]
-        weights, fine = row[None], np.ones((1, 1, 1), dtype=complex)
+        out[:, 0, 0] = np.tile(row, 2)
     elif mode == "actual":
-        # sum_c weights[c, s] mod^dagger |c><c| mod, c photons on detector 1;
-        # complex in both bases, as a first real BLAS product adds 0.25 MB of RSS
-        mod = lift_gate(X_MODULATION, n) if basis_is_x else np.eye(n + 1, dtype=complex)
-        weights = np.tile(_EITHER_BIT, (n + 1, 1))
-        weights[0], weights[n] = _ONE_STATE[flip], _ONE_STATE[1 ^ flip]
-        return (mod.conj().T * weights.T[:, None, :]) @ mod
+        for x, mod in enumerate((np.eye(n + 1, dtype=complex), lift_gate(X_MODULATION, n))):
+            _detector_effects(mod, x, out=out[x * states : (x + 1) * states])
     elif mode in ("edp1", "edp2"):
-        fine = _pulled_back_bits(build_squash(n), mode == "edp2" and basis_is_x)
-        if mode == "edp1" and basis_is_x:
+        bits = _pulled_back_bits(build_squash(n))
+        if mode == "edp1":  # the unmodulated projectors, after the lifted modulation
             mod = lift_gate(X_MODULATION, n)
-            fine = mod.conj().T @ fine @ mod
-        weights = _ONE_STATE[[flip, 1 ^ flip]]
+            bits[2:] = mod.conj().T @ bits[:2] @ mod
+        out[[0, 1, states + 1, states]] = bits  # x bit 0 is detector label 1
     else:
         raise ValueError(f"mode must be 'actual', 'edp1' or 'edp2', got {mode!r}")
-    return np.einsum("ps,pij->sij", weights, fine)
+    return out
 
 
-def actual_povm(n_photons: int) -> Povm:
-    """Sifted-bit POVM of the physical threshold-detector unit.
+def actual_povm(n_photons: int) -> np.ndarray:
+    """Sifted-bit effects of the physical threshold-detector unit, shape (2, N+1, N+1).
 
     Effect i is the projector onto all N photons hitting detector i plus
     half of every coincidence projector; the halves encode the uniformly
@@ -191,12 +180,14 @@ def actual_povm(n_photons: int) -> Povm:
     """
     if n_photons < 1:
         raise ValueError(f"actual_povm requires N >= 1, got {n_photons}")
-    return Povm(side_state_effects(n_photons, "actual", False)[:VACUUM_STATE])
+    # the z-basis branch alone: from N = 36 the (6, N+1, N+1) stack crosses glibc's
+    # 128 KiB mmap threshold, and freeing it raises the threshold and the resident heap
+    return _detector_effects(np.eye(n_photons + 1, dtype=complex), 0)[:VACUUM_STATE]
 
 
-def virtual_povm(channel: KrausChannel) -> Povm:
+def virtual_povm(channel: KrausChannel) -> np.ndarray:
     """Qubit z measurement pulled back through `channel`, as the builder's edp2 z branch."""
-    return Povm(_pulled_back_bits(channel, False))
+    return _pulled_back_bits(channel)[:2]
 
 
 @dataclass(frozen=True)
@@ -215,8 +206,8 @@ def verify_povm_equivalence(channel: KrausChannel) -> PovmEquivalenceReport:
     Checks both sifted-bit effects and the Z-operator form
     P(all on 0) - P(all on 1)  vs  sum F^dagger Z F, at N = input_dim - 1.
     """
-    ac = actual_povm(channel.input_dim - 1).effects
-    vi = virtual_povm(channel).effects
+    ac = actual_povm(channel.input_dim - 1)
+    vi = virtual_povm(channel)
     dev0, dev1 = (float(d) for d in np.max(np.abs(ac - vi), axis=(1, 2)))
     # sum F^dagger Z F is the difference of the pulled-back bit effects
     dev_z = float(np.max(np.abs((ac[0] - ac[1]) - (vi[0] - vi[1]))))

@@ -17,17 +17,18 @@ Each view is a stack of effects per receiver, coarse-grained onto the
 side states the protocol reports: bit 0, bit 1 or vacuum, with a
 coincidence reporting either bit with probability 1/2.  One builder,
 :func:`squashkit.povm.side_state_effects`, makes every stack, BB84's
-one-photon sender included.  One Born kernel turns the two stacks and a
-joint block into the exact law over (basis pair, block, sender state,
-receiver state).  The exact law (:func:`exact_sifted_distribution`) and
-the Monte Carlo tallies are the same reduction of that table, applied to
-probabilities and to counts, so the engine and the law cannot drift
-apart.  The law itself is pinned by the physical device's exact law,
-enumerated in the tests from the modulated block's diagonal and
-:func:`squashkit.povm.classify_click`, which shares no code with the
-builder or the kernel; by the detector/squash POVM identity, which
-compares the builder's detector branch
-(:func:`squashkit.povm.actual_povm`) with its squash branch
+one-photon sender included: one call per (photon number, mode) gives
+both bases, from one squash channel in the squash views.  One Born
+kernel turns the two stacks and a joint block into the exact law over
+(basis pair, block, sender state, receiver state).  The exact law
+(:func:`exact_sifted_distribution`) and the Monte Carlo tallies are the
+same reduction of that table, applied to probabilities and to counts, so
+the engine and the law cannot drift apart.  The law itself is pinned by
+the physical device's exact law, enumerated in the tests from the
+modulated block's diagonal and :func:`squashkit.povm.classify_click`,
+which shares no code with the builder or the kernel; by the
+detector/squash POVM identity, which compares the builder's detector
+branch (:func:`squashkit.povm.actual_povm`) with its squash branch
 (:func:`squashkit.povm.virtual_povm`); and by closed-form error rates of
 the shipped attacks.
 
@@ -265,6 +266,8 @@ def attack_from_dict(data: dict) -> AttackSpec:
         blocks = {}
         for item in data["blocks"]:
             m, n = _integer(item["m"], "'m'"), _integer(item["n"], "'n'")
+            if (m, n) in blocks:
+                raise ValueError(f"duplicate block ({m}, {n}) in fixed_block attack")
             rho = [[_complex_from_json(z, "a 'rho' entry") for z in row] for row in item["rho"]]
             blocks[(m, n)] = (_number(item["weight"], "'weight'"), np.array(rho))
         return FixedBlockState(CompositeBlockState(blocks))
@@ -398,11 +401,11 @@ def _table(
     blocks of ``block_keys``: basis pairs in ``_PAIRS`` order, blocks in
     state order, side states in :data:`squashkit.povm.SIDE_STATES` order
     (bit 0, bit 1, vacuum).  One Born-kernel call per block, both bases
-    stacked: each side's :func:`squashkit.povm.side_state_effects` stacks
-    for the z and x bases form one (6, d, d) stack, and the (6, 6) result
-    holds all four basis pairs.  BB84's sender is a one-photon block
-    measured in ``actual`` mode, which at one photon is exactly the
-    projective qubit measurement.
+    stacked: each side's :func:`squashkit.povm.side_state_effects` stack,
+    built once per (photon number, mode), holds both bases as one (6, d, d)
+    array, and the (6, 6) result holds all four basis pairs.  BB84's sender
+    is a one-photon block measured in ``actual`` mode, which at one photon
+    is exactly the projective qubit measurement.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
@@ -415,9 +418,7 @@ def _table(
 
     @cache  # per build: no process-wide cache
     def effects(n, side_mode):  # z-basis side states, then x-basis ones
-        return np.concatenate([
-            side_state_effects(n, side_mode, x, vacuum_random_bit) for x in (False, True)
-        ])
+        return side_state_effects(n, side_mode, vacuum_random_bit)
 
     states = len(SIDE_STATES)
     cells = np.zeros((len(_PAIRS), len(state.blocks), states, states))

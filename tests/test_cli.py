@@ -406,6 +406,28 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "trace deviates" in result.output
 
+    def test_duplicate_fixed_block_is_usage_error(self, runner):
+        # two (1, 1) blocks of weight 1: the second used to replace the first
+        rho = [[[0.25 * (i == j), 0.0] for j in range(4)] for i in range(4)]
+        block = {"m": 1, "n": 1, "weight": 1.0, "rho": rho}
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bbm92",
+            "--attack", json.dumps({"kind": "fixed_block", "blocks": [block, block]}),
+            "--trials", "100", "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert "duplicate block (1, 1)" in result.output
+
+    def test_non_utf8_attack_file_is_usage_error(self, runner, tmp_path):
+        spec = tmp_path / "attack.json"
+        spec.write_bytes(b'{"kind": "depolarize", "p": 0.1\xff}')
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bb84", "--attack-file", str(spec),
+            "--trials", "100", "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert "malformed attack spec" in result.output
+
     def test_large_photon_number_attack_runs(self, runner):
         result = runner.invoke(main, [
             "simulate", "--protocol", "bb84", "--mode", "edp2",
@@ -445,6 +467,18 @@ class TestSimulate:
         ])
         assert result.exit_code == 2
         assert "single qubit" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--nmax", "1"],
+    ["simulate", "--protocol", "bb84", "--attack", DEPOL, "--trials", "10", "--seed", "1"],
+], ids=["verify", "simulate"])
+def test_out_in_missing_directory_is_usage_error(runner, tmp_path, command):
+    out = tmp_path / "missing" / "report"
+    result = runner.invoke(main, command + ["--out", str(out)])
+    assert result.exit_code == 2
+    assert "cannot write --out" in result.output
+    assert not out.parent.exists()
 
 
 class TestKeyrate:

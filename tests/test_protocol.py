@@ -146,6 +146,13 @@ class TestEveState:
         with pytest.raises(ValueError):
             CustomState(((0, 1, 0.5, amps), (0, 1, 0.5, amps)))
 
+    def test_fixed_block_duplicate_block_rejected(self):
+        # a second (m, n) must not silently replace the first
+        rho = [[[0.25 * (i == j), 0.0] for j in range(4)] for i in range(4)]
+        block = {"m": 1, "n": 1, "weight": 1.0, "rho": rho}
+        with pytest.raises(ValueError, match=r"duplicate block \(1, 1\)"):
+            attack_from_dict({"kind": "fixed_block", "blocks": [block, block]})
+
     def test_custom_norm_checked_once_at_construction(self):
         # the block state's trace check, at 1e-10 on the squared norm
         CustomState(((0, 1, 1.0, np.array([1 + 3e-11, 0.0])),))
@@ -429,8 +436,8 @@ def reference_table(attack, protocol, mode, vacuum_random_bit):
     cells = np.zeros((len(pairs), len(state.blocks), 3, 3))
     for p_i, (a_x, b_x) in enumerate(pairs):
         for k_i, ((m, n), (w, rho)) in enumerate(state.blocks.items()):
-            ea = side_state_effects(m, sender_mode, a_x, vacuum_random_bit)
-            eb = side_state_effects(n, mode, b_x, vacuum_random_bit)
+            ea = side_state_effects(m, sender_mode, vacuum_random_bit)[3 * a_x : 3 * a_x + 3]
+            eb = side_state_effects(n, mode, vacuum_random_bit)[3 * b_x : 3 * b_x + 3]
             if rho.ndim == 1:  # a pure block is stored as its state vector
                 rho = np.outer(rho, rho.conj())
             # rho[(j, l), (i, k)] pairs with E[i, j] F[k, l]
@@ -458,7 +465,7 @@ def vacuum_and_zero_weight_attack(protocol):
 @cache
 def stacked_effects(n, mode):
     """One side's z- then x-basis effect stack, as ``_table`` builds it."""
-    return np.concatenate([side_state_effects(n, mode, x) for x in (False, True)])
+    return side_state_effects(n, mode)
 
 
 class TestVectorBorn:
@@ -504,6 +511,26 @@ class TestTable:
         assert cells.shape == ref_cells.shape
         assert np.max(np.abs(cells - ref_cells)) < 1e-15
         assert not cells[:, keys.index(attack.blocks[2][:2])].any()
+
+
+    @pytest.mark.parametrize("mode, lifts", [("edp1", 1), ("edp2", 0)])
+    def test_one_squash_build_per_photon_number(self, mode, lifts, monkeypatch):
+        # both bases of each side come from one channel and at most one lift
+        import squashkit.povm as povm
+
+        built, lifted = [], []
+
+        def counting(calls, real):
+            def count(*args):
+                calls.append(args[-1])  # the photon number
+                return real(*args)
+            return count
+
+        monkeypatch.setattr(povm, "build_squash", counting(built, povm.build_squash))
+        monkeypatch.setattr(povm, "lift_gate", counting(lifted, povm.lift_gate))
+        _table(asymmetric_bbm92_attack(), "bbm92", mode, False)  # blocks (0, 2), (1, 1), (2, 3)
+        assert sorted(built) == [1, 2, 3]
+        assert sorted(lifted) == [1, 2, 3] * lifts
 
 
 class TestBbm92:
