@@ -13,8 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 import time
+from itertools import chain
 
 import click
 import numpy as np
@@ -34,14 +36,8 @@ from .povm import verify_povm_equivalence
 _ORACLE_TRIALS = 100
 
 
-def _format_float(x: float) -> str:
-    return format(x, ".17g")
-
-
-def _json_dumps(obj, level: int = 0) -> str:
-    """JSON text with floats at 17 significant digits (exact round trip)."""
-    pad = "  " * level
-    inner = "  " * (level + 1)
+def _json_scalar(obj) -> str | None:
+    """JSON text of a scalar or an empty container; None for any other container."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -49,38 +45,86 @@ def _json_dumps(obj, level: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+        return "%.17g" % float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        # floats inline: no call per number in the long echoed amplitude lists
-        items = ",\n".join(
-            inner + (_format_float(v) if type(v) is float else _json_dumps(v, level + 1))
-            for v in obj
-        )
-        return "[\n" + items + "\n" + pad + "]"
+        return None if obj else "[]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_json_dumps(v, level + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+        return None if obj else "{}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        click.echo(text, nl=False)
+def _float_rows(rows, level: int) -> str | None:
+    """JSON text of equal-length rows of Python floats (an ``amps`` table,
+    a ``rho`` row), one ``%.17g`` template per row; None for any other list."""
+    if not {*map(type, rows)} <= {list, tuple} or len({*map(len, rows)}) != 1:
+        return None
+    if {*map(type, chain.from_iterable(rows))} != {float}:  # bool, int, np.float64: general path
+        return None
+    inner, cell = "  " * (level + 1), "  " * (level + 2) + "%.17g"
+    template = inner + "[\n" + ",\n".join([cell] * len(rows[0])) + "\n" + inner + "]"
+    return "[\n" + ",\n".join(map(template.__mod__, map(tuple, rows))) + "\n" + "  " * level + "]"
+
+
+def _json_pieces(obj, level: int = 0):
+    """JSON text of ``obj`` in pieces, floats at 17 significant digits
+    (exact round trip); no report is ever joined into one string."""
+    text = _json_scalar(obj)
+    if text is not None:
+        yield text
+        return
+    if isinstance(obj, dict):
+        items = ((json.dumps(str(k)) + ": ", v) for k, v in obj.items())
+        opener, closer = "{\n", "}"
     else:
-        try:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
+        text = _float_rows(obj, level)
+        if text is not None:
+            yield text
+            return
+        items = (("", v) for v in obj)
+        opener, closer = "[\n", "]"
+    sep, inner = opener, "  " * (level + 1)
+    for key, v in items:
+        # floats inline: no call per number in long float lists
+        text = "%.17g" % v if type(v) is float else _json_scalar(v)
+        if text is None:
+            yield sep + inner + key
+            yield from _json_pieces(v, level + 1)
+        else:
+            yield sep + inner + key + text
+        sep = ",\n"
+    yield "\n" + "  " * level + closer
+
+
+def _check_out(ctx, param, out: str | None) -> str | None:
+    """``--out`` callback: a missing parent directory is a usage error before any work."""
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise click.UsageError(f"cannot write --out {out}: no directory {os.path.dirname(out)}")
+    return out
+
+
+_out_option = click.option(
+    "--out", type=click.Path(dir_okay=False), default=None, callback=_check_out,
+    help="Write the report to a file instead of stdout.")
+
+
+def _write(pieces, out: str | None) -> None:
+    """Write text pieces to the --out file, or to the stream ``click.echo`` uses.
+
+    Only opening or writing ``--out`` is a usage error; a broken stdout
+    pipe is left to click.
+    """
+    if out is None:
+        stream = click.get_text_stream("stdout")
+        stream.writelines(pieces)
+        stream.flush()
+        return
+    try:  # pieces are built in memory: every OSError here is the file's
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(pieces)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
 
 
 def _lift_oracle_row(n: int, rng: np.random.Generator) -> dict:
@@ -105,8 +149,7 @@ def main() -> None:
               help="Maximum allowed deviation for every identity.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the report to a file instead of stdout.")
+@_out_option
 def verify(nmax: int, tol: float, fmt: str, out: str | None) -> None:
     """Machine-check the squash-operator identities for N = 1..NMAX.
 
@@ -150,7 +193,7 @@ def verify(nmax: int, tol: float, fmt: str, out: str | None) -> None:
             "max_deviation": worst,
             "checks": checks,
         }
-        _write_text(_json_dumps(report) + "\n", out)
+        _write(chain(_json_pieces(report), ("\n",)), out)
     else:
         lines = []
         for c in checks:
@@ -165,7 +208,7 @@ def verify(nmax: int, tol: float, fmt: str, out: str | None) -> None:
             f"{'PASS' if passed else 'FAIL'}: {len(checks)} checks, "
             f"worst deviation {worst_text}, tolerance {tol:.6g}"
         )
-        _write_text("\n".join(lines) + "\n", out)
+        _write(["\n".join(lines) + "\n"], out)
     if not passed:
         sys.exit(1)
 
@@ -197,8 +240,7 @@ def _csv_cell(value) -> str:
               help="64-bit RNG seed; mandatory so runs are reproducible.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the report to a file instead of stdout.")
+@_out_option
 def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
     """Monte Carlo a protocol run against an adversarial source.
 
@@ -213,11 +255,11 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
     if not 0 <= seed < 2**64:
         raise click.UsageError("--seed must be a 64-bit unsigned integer")
     try:
-        raw = attack_json
-        if attack_file is not None:
+        if attack_file is None:
+            attack = attack_from_dict(json.loads(attack_json))
+        else:  # the file's text and its parsed object are not kept for the run
             with open(attack_file, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        attack = attack_from_dict(json.loads(raw))
+                attack = attack_from_dict(json.load(fh))
         state = eve_state(attack)
         if protocol == "bb84":
             _require_bb84_blocks(state)
@@ -231,7 +273,7 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
         sys.exit(1)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if fmt == "json":
-        _write_text(_json_dumps({**vars(result), "runtime_ms": runtime_ms}) + "\n", out)
+        _write(chain(_json_pieces({**vars(result), "runtime_ms": runtime_ms}), ("\n",)), out)
         return
     row = {
         **vars(result),
@@ -244,7 +286,7 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
     writer = csv.writer(buf)
     writer.writerow(_CSV_COLUMNS)
     writer.writerow([_csv_cell(row[c]) for c in _CSV_COLUMNS])
-    _write_text(buf.getvalue(), out)
+    _write([buf.getvalue()], out)
 
 
 #: Most rows ``keyrate --sweep`` writes; the whole curve is buffered first.
@@ -277,7 +319,7 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
               help="start:stop:step symmetric-error sweep, bounds in [0, 0.5].")
 @click.option("--fraction", type=float, default=1.0, show_default=True,
               help="Single-photon fraction multiplying the rate.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_out_option
 def keyrate(ebit, eph, sweep, fraction, out):
     """One-way key rate 1 - H2(e_bit) - H2(e_ph), single point or CSV curve."""
     if not 0.0 <= fraction <= 1.0:
@@ -297,7 +339,7 @@ def keyrate(ebit, eph, sweep, fraction, out):
                 _csv_cell(binary_entropy(e)),
                 _csv_cell(key_rate(e, e, fraction)),
             ])
-        _write_text(buf.getvalue(), out)
+        _write([buf.getvalue()], out)
         return
     if ebit is None or eph is None:
         raise click.UsageError("provide --ebit and --eph, or --sweep")
@@ -305,7 +347,7 @@ def keyrate(ebit, eph, sweep, fraction, out):
         rate = key_rate(ebit, eph, fraction)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    _write_text(f"{rate:.6g}\n", out)
+    _write([f"{rate:.6g}\n"], out)
 
 
 if __name__ == "__main__":

@@ -469,16 +469,65 @@ class TestSimulate:
         assert "single qubit" in result.output
 
 
-@pytest.mark.parametrize("command", [
-    ["verify", "--nmax", "1"],
-    ["simulate", "--protocol", "bb84", "--attack", DEPOL, "--trials", "10", "--seed", "1"],
-], ids=["verify", "simulate"])
-def test_out_in_missing_directory_is_usage_error(runner, tmp_path, command):
-    out = tmp_path / "missing" / "report"
+@pytest.mark.parametrize("command, work", [
+    (["verify", "--nmax", "200"], "build_squash"),
+    (["simulate", "--protocol", "bb84", "--attack", DEPOL, "--trials", "10", "--seed", "1"],
+     "run_simulation"),
+    (["keyrate", "--sweep", "0:0.25:0.005"], "key_rate"),
+], ids=["verify", "simulate", "keyrate"])
+def test_out_in_missing_directory_is_usage_error(runner, tmp_path, monkeypatch, command, work):
+    # checked before any work: a monkeypatched stage is never reached
+    import squashkit.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, work, lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "missing" / "r.json"
     result = runner.invoke(main, command + ["--out", str(out)])
     assert result.exit_code == 2
     assert "cannot write --out" in result.output
     assert not out.parent.exists()
+    assert calls == []
+
+
+def test_out_under_a_file_is_usage_error(runner, tmp_path):
+    (tmp_path / "file").write_text("not a directory")
+    result = runner.invoke(main, ["keyrate", "--ebit", "0", "--eph", "0",
+                                  "--out", str(tmp_path / "file" / "r.csv")])
+    assert result.exit_code == 2
+    assert "cannot write --out" in result.output
+
+
+def test_broken_stdout_pipe_is_not_an_out_error(tmp_path):
+    # a reader that takes 20 bytes of a 0.8 MB record and closes the pipe
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import squashkit
+
+    attack = tmp_path / "ladder.json"
+    attack.write_text(json.dumps(ladder_attack_seed1()), encoding="utf-8")
+    src = str(Path(squashkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "squashkit", "simulate", "--protocol", "bbm92",
+         "--attack-file", str(attack), "--trials", "1000", "--seed", "1", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert head == b'{\n  "protocol": "bbm'
+    assert "--out" not in stderr
+    assert code == 1  # click's exit for EPIPE on stdout
 
 
 class TestKeyrate:
@@ -573,19 +622,23 @@ def ladder_attack_seed1():
         del sys.modules[name]
 
 
+def dumps(obj):
+    """The streamed writer's pieces, joined."""
+    from squashkit.cli import _json_pieces
+
+    return "".join(_json_pieces(obj))
+
+
 class TestJsonSerializer:
     def test_ladder_record_matches_reference_writer(self):
-        from squashkit.cli import _json_dumps
         from squashkit.protocol import attack_from_dict, run_simulation
 
         attack = attack_from_dict(ladder_attack_seed1())
         result = run_simulation("bbm92", "actual", attack, 2_000_000, 1)
         record = {**vars(result), "runtime_ms": 1234.5678}
-        assert _json_dumps(record) == reference_json_dumps(record)
+        assert dumps(record) == reference_json_dumps(record)
 
     def test_mixed_record_matches_reference_writer(self):
-        from squashkit.cli import _json_dumps
-
         record = {
             "np_scalars": [np.float64(0.1), np.float32(0.1), np.int64(-3), np.uint8(7)],
             "bools": [True, False],
@@ -597,27 +650,66 @@ class TestJsonSerializer:
             "inf": [float("inf"), -float("inf")],
             "deep": {"a": {"b": [{"c": [0.5]}]}, "": {}},
         }
-        assert _json_dumps(record) == reference_json_dumps(record)
+        assert dumps(record) == reference_json_dumps(record)
         for value in ([], {}, 0.25, np.float64(0.25), [0.25], [[0.25, True]]):
-            assert _json_dumps(value) == reference_json_dumps(value)
+            assert dumps(value) == reference_json_dumps(value)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_equal_length_float_rows_match_reference_writer(self, width):
+        # the rows take the one-template-per-row path
+        special = [-0.0, 2.0 ** -1074, 1e300, float("inf"), -float("inf"), 0.1]
+        rows = [[special[(i + j) % len(special)] for j in range(width)] for i in range(7)]
+        for value in (rows, {"amps": rows}, [{"rho": [rows, rows]}], [rows[:1]]):
+            assert dumps(value) == reference_json_dumps(value)
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, -0.0], [1e300]],                 # ragged
+        [[]],                                   # one empty row
+        [[], []],
+        [[0.5, True], [0.25, 1.0]],             # a bool in a row
+        [[0.5, 1], [0.25, 1.0]],                # an int in a row
+        [[0.5, np.float64(0.1)], [0.25, 1.0]],  # an np.float64 in a row
+        [[0.5, 0.25], 0.75],                    # a float beside the rows
+        [(0.5, -0.0), (2.0 ** -1074, 1e300)],   # tuple rows
+        ((0.5, -0.0), [float("inf"), 0.1]),     # a tuple of mixed rows
+    ], ids=["ragged", "empty-row", "empty-rows", "bool", "int", "np-float64",
+            "not-all-rows", "tuple-rows", "mixed-row-types"])
+    def test_other_row_lists_match_reference_writer(self, rows):
+        for value in (rows, {"rows": rows}, [rows, rows]):
+            assert dumps(value) == reference_json_dumps(value)
+
+    def test_ladder_record_streams_in_small_pieces(self, tmp_path):
+        # the 0.8 MB record is never held whole: the largest piece is one
+        # block's amps table
+        from squashkit.cli import _json_pieces, _write
+        from squashkit.protocol import attack_from_dict, run_simulation
+
+        attack = attack_from_dict(ladder_attack_seed1())
+        result = run_simulation("bbm92", "actual", attack, 100_000, 1)
+        record = {**vars(result), "runtime_ms": 1234.5678}
+        path = tmp_path / "record.json"
+        tracemalloc.start()
+        try:
+            _write(_json_pieces(record), str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 500_000
+        assert peak <= 0.2 * 2**20
 
     def test_floats_round_trip_exactly(self):
-        from squashkit.cli import _json_dumps
-
         values = [
             0.1, 1.0 / 3.0, 2.0 ** -1074, 1e300, 0.1101,
             0.04899366530350413, 1.0, 0.0,
         ]
         payload = {"values": values, "nested": {"x": [values[1]]}, "n": 7}
-        parsed = json.loads(_json_dumps(payload))
+        parsed = json.loads(dumps(payload))
         assert parsed["values"] == values
         assert parsed["nested"]["x"][0] == values[1]
         assert parsed["n"] == 7
 
     def test_null_and_bool(self):
-        from squashkit.cli import _json_dumps
-
-        assert json.loads(_json_dumps({"a": None, "b": True})) == {
+        assert json.loads(dumps({"a": None, "b": True})) == {
             "a": None,
             "b": True,
         }
