@@ -37,7 +37,6 @@ from .squash import (
     apply_channel_on_bob,
     verify_completeness,
     verify_hadamard_invariance,
-    random_density,
 )
 from .povm import (
     CompositeBlockState,
@@ -85,7 +84,6 @@ __all__ = [
     "apply_channel_on_bob",
     "verify_completeness",
     "verify_hadamard_invariance",
-    "random_density",
     "CompositeBlockState",
     "PovmEquivalenceReport",
     "actual_povm",

@@ -11,9 +11,11 @@ re-parses to the exact same record.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import os
+import random
 import sys
 import time
 from itertools import chain
@@ -113,12 +115,23 @@ def _write(pieces, out: str | None) -> None:
     """Write text pieces to the --out file, or to the stream ``click.echo`` uses.
 
     Only opening or writing ``--out`` is a usage error; a broken stdout
-    pipe is left to click.
+    pipe is left to click.  On stdout each piece goes to the binary buffer,
+    and a short write (a pipe closed mid-write, which the text layer
+    ignores) raises ``BrokenPipeError``.
     """
     if out is None:
         stream = click.get_text_stream("stdout")
-        stream.writelines(pieces)
+        binary = getattr(stream, "buffer", None)
+        if binary is None:  # an in-memory text stream, as under redirect_stdout
+            stream.writelines(pieces)
+            stream.flush()
+            return
         stream.flush()
+        for piece in pieces:
+            data = piece.encode(stream.encoding, stream.errors)
+            if binary.write(data) != len(data):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        binary.flush()
         return
     try:  # pieces are built in memory: every OSError here is the file's
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -127,9 +140,11 @@ def _write(pieces, out: str | None) -> None:
         raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
 
 
-def _lift_oracle_row(n: int, rng: np.random.Generator) -> dict:
-    # Haar-random gates; each takes its real, then its imaginary part from rng
-    x = rng.normal(size=(_ORACLE_TRIALS, 2, 2, 2))
+def _lift_oracle_row(n: int, rng: random.Random) -> dict:
+    # Haar-random gates; each takes its real, then its imaginary part from
+    # rng (the stdlib's, so verify never imports numpy.random)
+    normals = [rng.gauss(0.0, 1.0) for _ in range(_ORACLE_TRIALS * 8)]
+    x = np.reshape(normals, (_ORACLE_TRIALS, 2, 2, 2))
     q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     u = q * (d / np.abs(d))[:, None, :]
@@ -155,7 +170,7 @@ def verify(nmax: int, tol: float, fmt: str, out: str | None) -> None:
 
     Runs Kraus completeness, detector/squash POVM equivalence, the
     modulation covariance (per operator, and on the channel as an exact
-    Choi identity and one seeded state), and the lift-vs-oracle
+    Choi identity and one fixed full-rank state), and the lift-vs-oracle
     cross-check (N up to 6).  A check that raises at some N becomes a
     FAIL row carrying the error; the report is still written.
     """
@@ -169,7 +184,7 @@ def verify(nmax: int, tol: float, fmt: str, out: str | None) -> None:
             return run(*args)
         except Exception as exc:  # reported as a FAIL row; the run goes on
             return {"max_deviation": None, "error": f"{type(exc).__name__}: {exc}"}
-    rng = np.random.default_rng(2024)
+    rng = random.Random(2024)
     names = ("completeness", "povm_equivalence", "hadamard_invariance")
     suites = (verify_completeness, verify_povm_equivalence, verify_hadamard_invariance)
     checks = []

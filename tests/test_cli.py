@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 import tracemalloc
 import warnings
 
@@ -57,7 +58,7 @@ class TestVerify:
                 tracemalloc.stop()
 
         bound = peak(lambda: verify_hadamard_invariance(build_squash(40))) + 64 * 1024
-        assert peak(_lift_oracle_row, 6, np.random.default_rng(2024)) <= bound
+        assert peak(_lift_oracle_row, 6, random.Random(2024)) <= bound
 
     def test_impossible_tolerance_fails(self, runner):
         result = runner.invoke(main, ["verify", "--nmax", "8", "--tol", "1e-20"])
@@ -497,26 +498,40 @@ def test_out_under_a_file_is_usage_error(runner, tmp_path):
     assert "cannot write --out" in result.output
 
 
-def test_broken_stdout_pipe_is_not_an_out_error(tmp_path):
-    # a reader that takes 20 bytes of a 0.8 MB record and closes the pipe
+def child_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     import os
-    import subprocess
-    import sys
     from pathlib import Path
 
     import squashkit
 
+    src = str(Path(squashkit.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+LADDER_SIMULATE = ["simulate", "--protocol", "bbm92", "--attack-file", "{attack}",
+                   "--trials", "1000", "--seed", "1"]
+
+
+@pytest.mark.parametrize("command, head", [
+    (LADDER_SIMULATE + ["--format", "json"], b'{\n  "protocol": "bbm'),
+    (LADDER_SIMULATE, b"protocol,mode,attack"),
+    (["keyrate", "--sweep", "0:0.5:0.000001"], b"e,h2,rate\r\n0.0,0.0,1"),
+], ids=["simulate-json", "simulate-csv", "keyrate-sweep"])
+def test_broken_stdout_pipe_is_not_an_out_error(tmp_path, command, head):
+    # a reader that takes 20 bytes of a report far larger than a pipe's
+    # buffer (0.8 MB record, 0.5 MB CSV row, 25 MB curve) and closes the pipe
+    import subprocess
+    import sys
+
     attack = tmp_path / "ladder.json"
     attack.write_text(json.dumps(ladder_attack_seed1()), encoding="utf-8")
-    src = str(Path(squashkit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "squashkit", "simulate", "--protocol", "bbm92",
-         "--attack-file", str(attack), "--trials", "1000", "--seed", "1", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        [sys.executable, "-m", "squashkit", *(arg.format(attack=attack) for arg in command)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
     try:
-        head = proc.stdout.read(20)
+        got = proc.stdout.read(20)
         proc.stdout.close()
         stderr = proc.stderr.read().decode()
         code = proc.wait(timeout=60)
@@ -525,9 +540,30 @@ def test_broken_stdout_pipe_is_not_an_out_error(tmp_path):
             proc.kill()
             proc.wait()
         proc.stderr.close()
-    assert head == b'{\n  "protocol": "bbm'
+    assert got == head
     assert "--out" not in stderr
     assert code == 1  # click's exit for EPIPE on stdout
+
+
+def test_verify_never_imports_numpy_random():
+    # verify draws its oracle gates from the stdlib's random; numpy.random
+    # and its extension modules would cost about 6 MB of peak RSS
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from squashkit.cli import main\n"
+        "for fmt in ('text', 'json'):\n"
+        "    main(['verify', '--nmax', '8', '--format', fmt], standalone_mode=False)\n"
+        "print('numpy.random' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS: 30 checks" in proc.stdout
+    assert json.loads(proc.stdout[proc.stdout.index("{"):])["passed"] is True
+    assert proc.stderr.strip() == "False"
 
 
 class TestKeyrate:

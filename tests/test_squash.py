@@ -14,7 +14,6 @@ from squashkit.squash import (
     apply_channel,
     apply_channel_on_bob,
     build_squash,
-    random_density,
     squash_index_pairs,
     verify_completeness,
     verify_hadamard_invariance,
@@ -29,6 +28,20 @@ from squashkit.symfock import (
     qubit_frame,
     sym_basis_state,
 )
+
+
+def random_density(dim, rng, size=()):
+    """Full-rank random density operators (normalized Wishart draws), (*size, dim, dim)."""
+    x = rng.normal(size=(*size, 2, dim, dim))
+    g = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def index_pairs(n):
+    """The pairs of :func:`squash_index_pairs` as a list of (b, b') tuples."""
+    b, bp = squash_index_pairs(n)
+    return list(zip(b.tolist(), bp.tolist()))
 
 
 def squash_kraus(n):
@@ -46,7 +59,7 @@ def squash_kraus(n):
             sqrt(comb(n, bp)) * np.outer(y1, to_y[b])
             + sqrt(comb(n, b)) * np.outer(y0, to_y[bp])
         )
-        for b, bp in squash_index_pairs(n)
+        for b, bp in index_pairs(n)
     }
 
 
@@ -64,14 +77,14 @@ def choi_from_kraus(ops):
 
 class TestIndexPairs:
     def test_single_photon(self):
-        assert squash_index_pairs(1) == [(1, 0)]
+        assert index_pairs(1) == [(1, 0)]
 
     def test_two_photons(self):
-        assert squash_index_pairs(2) == [(1, 0), (2, 1)]
+        assert index_pairs(2) == [(1, 0), (2, 1)]
 
     def test_three_photons_includes_wraparound(self):
         # 0 - 3 = -3 = 1 (mod 4), the easiest pair to lose to a sign bug
-        assert sorted(squash_index_pairs(3)) == [(0, 3), (1, 0), (2, 1), (3, 2)]
+        assert sorted(index_pairs(3)) == [(0, 3), (1, 0), (2, 1), (3, 2)]
 
     @given(n=st.integers(min_value=1, max_value=20))
     @settings(max_examples=20, deadline=None)
@@ -80,7 +93,13 @@ class TestIndexPairs:
         expected = sum(
             n + 1 - abs(d) for d in range(-n, n + 1) if d % 4 == 1
         )
-        assert len(squash_index_pairs(n)) == expected
+        assert len(index_pairs(n)) == expected
+
+    @pytest.mark.parametrize("n", [1, 3, 12, 200])
+    def test_row_major_order_of_the_enumeration(self, n):
+        assert index_pairs(n) == [
+            (b, bp) for b in range(n + 1) for bp in range(n + 1) if (b - bp) % 4 == 1
+        ]
 
 
 class TestBuildSquash:
@@ -157,25 +176,6 @@ class TestBuildSquash:
         text = repr(channel)
         assert time.perf_counter() - start < 1.0
         assert len(text) < 200
-
-
-class TestRandomDensity:
-    @pytest.mark.parametrize("dim", [1, 2, 9, 41])
-    def test_stack_equals_successive_draws(self, dim):
-        stacked = random_density(dim, np.random.default_rng(8), size=(5,))
-        rng = np.random.default_rng(8)
-        singles = [random_density(dim, rng) for _ in range(5)]
-        assert np.array_equal(stacked, np.stack(singles))
-        # a single draw is the normalized Wishart matrix, real part first
-        rng = np.random.default_rng(8)
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = g @ g.conj().T
-        assert np.array_equal(singles[0], rho / np.trace(rho).real)
-
-    def test_stack_shape(self):
-        rhos = random_density(3, np.random.default_rng(0), size=(2, 4))
-        assert rhos.shape == (2, 4, 3, 3)
-        assert np.allclose(np.trace(rhos, axis1=-2, axis2=-1), 1.0, atol=1e-15)
 
 
 #: A stacked application and a per-state loop run the same contraction
@@ -401,5 +401,25 @@ class TestHadamardInvariance:
 
         monkeypatch.setattr(squash, "apply_channel", counting)
         verify_hadamard_invariance(build_squash(12))
-        # the seeded state and its modulated image, each one 13 x 13 operator
+        # the fixed state and its modulated image, each one 13 x 13 operator
         assert shapes == [(13, 13), (13, 13)]
+
+    @pytest.mark.parametrize("n", [2, 12, 40])
+    def test_fixed_state_is_full_rank_and_diagonal_in_neither_basis(self, n, monkeypatch):
+        import squashkit.squash as squash
+
+        states = []
+
+        def recording(channel, rho):
+            states.append(rho)
+            return apply_channel(channel, rho)
+
+        monkeypatch.setattr(squash, "apply_channel", recording)
+        verify_hadamard_invariance(build_squash(n))
+        rho = states[0]
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
+        assert abs(np.trace(rho) - 1.0) < 1e-14
+        assert np.linalg.eigvalsh(rho)[0] > 0.0
+        to_y = basis_change_matrix(n, Basis.Z, Basis.Y)
+        for r in (rho, to_y @ rho @ to_y.conj().T):  # z, then y coordinates
+            assert np.max(np.abs(r - np.diag(np.diag(r)))) > 1e-3
