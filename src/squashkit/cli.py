@@ -10,9 +10,7 @@ re-parses to the exact same record.
 
 from __future__ import annotations
 
-import csv
 import errno
-import io
 import json
 import os
 import random
@@ -24,6 +22,8 @@ import click
 import numpy as np
 
 from .protocol import (
+    _complex_array,
+    _complex_to_json,
     _require_bb84_blocks,
     attack_from_dict,
     binary_entropy,
@@ -50,8 +50,8 @@ def _json_scalar(obj) -> str | None:
         return "%.17g" % float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return None if obj else "[]"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return None if len(obj) else "[]"
     if isinstance(obj, dict):
         return None if obj else "{}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -72,6 +72,8 @@ def _float_rows(rows, level: int) -> str | None:
 def _json_pieces(obj, level: int = 0):
     """JSON text of ``obj`` in pieces, floats at 17 significant digits
     (exact round trip); no report is ever joined into one string."""
+    if isinstance(obj, np.ndarray):  # an attack block's numbers: its lists, one block at a time
+        obj = obj.tolist()
     text = _json_scalar(obj)
     if text is not None:
         yield text
@@ -234,12 +236,32 @@ _CSV_COLUMNS = [
 ]
 
 
+#: Characters of a CSV attack cell written per piece, and rows of a
+#: ``keyrate --sweep`` curve: a CSV report is never buffered whole.
+_PIECE = 1 << 16
+_SWEEP_ROWS_PER_PIECE = 1 << 10
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _decode_block(obj: dict) -> dict:
+    """``object_hook`` of an attack spec: a block's ``amps`` or ``rho`` lists
+    become a float64 (..., 2) array as soon as the block is decoded, so the
+    attack's whole list tree never exists.  Lists that do not convert stay
+    lists, for :func:`attack_from_dict` to reject if it reads them."""
+    for key in ("amps", "rho"):
+        if type(obj.get(key)) is list:
+            try:
+                obj[key] = _complex_to_json(_complex_array(obj[key], key))
+            except (ValueError, TypeError):
+                pass
+    return obj
 
 
 @main.command()
@@ -271,10 +293,10 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
         raise click.UsageError("--seed must be a 64-bit unsigned integer")
     try:
         if attack_file is None:
-            attack = attack_from_dict(json.loads(attack_json))
+            attack = attack_from_dict(json.loads(attack_json, object_hook=_decode_block))
         else:  # the file's text and its parsed object are not kept for the run
             with open(attack_file, "r", encoding="utf-8") as fh:
-                attack = attack_from_dict(json.load(fh))
+                attack = attack_from_dict(json.load(fh, object_hook=_decode_block))
         state = eve_state(attack)
         if protocol == "bb84":
             _require_bb84_blocks(state)
@@ -290,21 +312,23 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
     if fmt == "json":
         _write(chain(_json_pieces({**vars(result), "runtime_ms": runtime_ms}), ("\n",)), out)
         return
-    row = {
-        **vars(result),
-        "attack": json.dumps(result.attack, sort_keys=True, separators=(",", ":")),
-        # Deliberately absent in CSV: byte-identical output across reruns
-        # and thread counts is part of the contract.  JSON carries it.
-        "runtime_ms": None,
-    }
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_CSV_COLUMNS)
-    writer.writerow([_csv_cell(row[c]) for c in _CSV_COLUMNS])
-    _write([buf.getvalue()], out)
+    # runtime_ms is deliberately absent in CSV: byte-identical output across
+    # reruns and thread counts is part of the contract.  JSON carries it.
+    row = {**vars(result), "attack": None, "runtime_ms": None}
+    cells = [_csv_cell(row[c]) for c in _CSV_COLUMNS]
+    at = _CSV_COLUMNS.index("attack")
+    attack = json.dumps(result.attack, sort_keys=True, separators=(",", ":"),
+                        default=np.ndarray.tolist)
+    # The row as csv.writer writes it, in pieces: only the attack cell, a
+    # JSON object, holds a '"' or ',', so it alone is quoted, '"' doubled.
+    _write(chain(
+        [",".join(_CSV_COLUMNS) + "\r\n", ",".join(cells[:at]) + ',"'],
+        (attack[i:i + _PIECE].replace('"', '""') for i in range(0, len(attack), _PIECE)),
+        ['",' + ",".join(cells[at + 1:]) + "\r\n"],
+    ), out)
 
 
-#: Most rows ``keyrate --sweep`` writes; the whole curve is buffered first.
+#: Most rows ``keyrate --sweep`` writes (about 5 s of work at the cap).
 _SWEEP_MAX_ROWS = 10**6
 
 
@@ -343,18 +367,14 @@ def keyrate(ebit, eph, sweep, fraction, out):
         if ebit is not None or eph is not None:
             raise click.UsageError("--sweep excludes --ebit/--eph")
         start, step, rows = _parse_sweep(sweep)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["e", "h2", "rate"])
-        # index-based stepping avoids float accumulation drift
-        for i in range(rows):
+
+        def row(i: int) -> str:  # index-based stepping avoids float accumulation drift
             e = min(start + i * step, 0.5)
-            writer.writerow([
-                _csv_cell(e),
-                _csv_cell(binary_entropy(e)),
-                _csv_cell(key_rate(e, e, fraction)),
-            ])
-        _write([buf.getvalue()], out)
+            # numbers only: csv.writer would quote none of these cells
+            return f"{e!r},{binary_entropy(e)!r},{key_rate(e, e, fraction)!r}\r\n"
+        _write(chain(["e,h2,rate\r\n"], (
+            "".join(map(row, range(first, min(first + _SWEEP_ROWS_PER_PIECE, rows))))
+            for first in range(0, rows, _SWEEP_ROWS_PER_PIECE))), out)
         return
     if ebit is None or eph is None:
         raise click.UsageError("provide --ebit and --eph, or --sweep")

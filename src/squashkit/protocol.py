@@ -184,9 +184,11 @@ AttackSpec = Union[
 ]
 
 
-def _complex_to_json(arr: np.ndarray) -> list:
-    """Nested lists with each complex entry as a [real, imag] pair of floats."""
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+def _complex_to_json(arr: np.ndarray) -> np.ndarray:
+    """Read-only float64 view of a complex array as its (..., 2) [real, imag] pairs: no copy."""
+    pairs = arr.view(np.float64).reshape(arr.shape + (2,))
+    pairs.flags.writeable = False
+    return pairs
 
 
 def _complex_from_json(pair: list, name: str) -> complex:
@@ -194,8 +196,23 @@ def _complex_from_json(pair: list, name: str) -> complex:
     return complex(_number(re, name), _number(im, name))
 
 
+def _complex_array(value, key: str) -> np.ndarray:
+    """The complex 'amps' vector or 'rho' matrix of a block, from its [re, im]
+    number pairs as nested lists, or as a float64 (..., 2) array of them (as
+    the CLI decodes and :func:`attack_to_dict` echoes them: not re-checked)."""
+    if isinstance(value, np.ndarray):
+        return np.ascontiguousarray(value, dtype=np.float64).view(complex).squeeze(-1)
+    if key == "amps":
+        return np.array([_complex_from_json(z, "an 'amps' entry") for z in value])
+    return np.array([[_complex_from_json(z, "a 'rho' entry") for z in row] for row in value])
+
+
 def attack_to_dict(attack: AttackSpec) -> dict:
-    """JSON-ready description of an attack; inverse of :func:`attack_from_dict`."""
+    """Description of an attack; inverse of :func:`attack_from_dict`.
+
+    A block's ``amps`` or ``rho`` is a read-only float64 (..., 2) view of the
+    stored array, not lists: ``json.dumps`` it with ``default=np.ndarray.tolist``.
+    """
     if isinstance(attack, Depolarize):
         return {"kind": "depolarize", "p": attack.p}
     if isinstance(attack, InterceptResend):
@@ -268,13 +285,13 @@ def attack_from_dict(data: dict) -> AttackSpec:
             m, n = _integer(item["m"], "'m'"), _integer(item["n"], "'n'")
             if (m, n) in blocks:
                 raise ValueError(f"duplicate block ({m}, {n}) in fixed_block attack")
-            rho = [[_complex_from_json(z, "a 'rho' entry") for z in row] for row in item["rho"]]
-            blocks[(m, n)] = (_number(item["weight"], "'weight'"), np.array(rho))
+            rho = _complex_array(item["rho"], "rho")
+            blocks[(m, n)] = (_number(item["weight"], "'weight'"), rho)
         return FixedBlockState(CompositeBlockState(blocks))
     if kind == "custom":
         blocks = []
         for item in data["blocks"]:
-            amps = np.array([_complex_from_json(z, "an 'amps' entry") for z in item["amps"]])
+            amps = _complex_array(item["amps"], "amps")
             m, n = _integer(item["m"], "'m'"), _integer(item["n"], "'n'")
             blocks.append((m, n, _number(item["weight"], "'weight'"), amps))
         return CustomState(tuple(blocks))

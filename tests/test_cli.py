@@ -21,6 +21,8 @@ def runner():
 
 DEPOL = '{"kind":"depolarize","p":0.0}'
 HUGE = "1" + "0" * 400  # a JSON integer no float holds
+CUSTOM = '{"kind":"custom","blocks":[{"m":0,"n":1,"weight":1,"amps":%s}]}'
+FIXED = '{"kind":"fixed_block","blocks":[{"m":1,"n":0,"weight":1,"rho":%s}]}'
 
 
 class TestVerify:
@@ -407,6 +409,53 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "trace deviates" in result.output
 
+    @pytest.mark.parametrize("source", ["--attack", "--attack-file"])
+    @pytest.mark.parametrize("attack, message", [
+        (CUSTOM % "[[true,0],[0,0]]", "an 'amps' entry must be a number, got True"),
+        (CUSTOM % '[["1",0],[0,0]]', "an 'amps' entry must be a number, got '1'"),
+        (CUSTOM % "[[%s,0],[0,0]]" % HUGE, "an 'amps' entry is too large for a float"),
+        (CUSTOM % "[[1,0,0],[0,0]]", "too many values to unpack (expected 2)"),
+        (CUSTOM % "[[1],[0,0]]", "not enough values to unpack (expected 2, got 1)"),
+        (FIXED % "[[[true,0],[0,0]],[[0,0],[0,0]]]", "a 'rho' entry must be a number, got True"),
+        (FIXED % '[[["1",0],[0,0]],[[0,0],[0,0]]]', "a 'rho' entry must be a number, got '1'"),
+        (FIXED % "[[[1,%s],[0,0]],[[0,0],[0,0]]]" % HUGE, "a 'rho' entry is too large for a float"),
+        (FIXED % "[[[1,0,0],[0,0]],[[0,0],[0,0]]]", "too many values to unpack (expected 2)"),
+        (FIXED % "[[[0.5,0],[0,0]],[[0.5,0]]]", "setting an array element with a sequence"),
+        ('{"kind":"custom","blocks":[%s,%s]}' % ((
+            '{"m":0,"n":1,"weight":0.5,"amps":[[1,0],[0,0]]}',) * 2),
+         "duplicate block (0, 1) in custom attack"),
+        ('{"kind":"fixed_block","blocks":[%s,%s]}' % ((
+            '{"m":0,"n":0,"weight":0.5,"rho":[[[1,0]]]}',) * 2),
+         "duplicate block (0, 0) in fixed_block attack"),
+    ], ids=["amps-bool", "amps-string", "amps-huge", "amps-long-pair", "amps-short-pair",
+            "rho-bool", "rho-string", "rho-huge", "rho-long-pair", "rho-ragged-rows",
+            "custom-duplicate", "fixed-block-duplicate"])
+    def test_malformed_block_numbers_keep_their_message(self, runner, tmp_path, source,
+                                                        attack, message):
+        # a block's numbers are decoded to an array as the block is read, and
+        # each malformed entry is still a usage error with the same message
+        if source == "--attack-file":
+            (tmp_path / "attack.json").write_text(attack, encoding="utf-8")
+            attack = str(tmp_path / "attack.json")
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bbm92", source, attack, "--trials", "100", "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert f"malformed attack spec: {message}" in result.output
+
+    @pytest.mark.parametrize("source", ["--attack", "--attack-file"])
+    def test_numbers_the_attack_does_not_read_are_not_checked(self, runner, tmp_path, source):
+        # as before the decode hook: only a block's own kind of numbers is read
+        attack = ('{"kind":"custom","blocks":[{"m":0,"n":1,"weight":1,'
+                  '"amps":[[1,0],[0,0]],"rho":[[true]]}],"amps":["x"]}')
+        if source == "--attack-file":
+            (tmp_path / "attack.json").write_text(attack, encoding="utf-8")
+            attack = str(tmp_path / "attack.json")
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bbm92", source, attack, "--trials", "100", "--seed", "1",
+        ])
+        assert result.exit_code == 0, result.output
+
     def test_duplicate_fixed_block_is_usage_error(self, runner):
         # two (1, 1) blocks of weight 1: the second used to replace the first
         rho = [[[0.25 * (i == j), 0.0] for j in range(4)] for i in range(4)]
@@ -624,6 +673,8 @@ def reference_json_dumps(obj, level=0):
         return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray):  # an attack block's numbers: the lists they stand for
+        return reference_json_dumps(obj.tolist(), level)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -640,8 +691,9 @@ def reference_json_dumps(obj, level=0):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def ladder_attack_seed1():
-    """The benchmark's seeded 13x13-block BBM92 attack (perfbench/workloads.py)."""
+def ladder_attack_seed1(nmax=None):
+    """The benchmark's seeded 13x13-block BBM92 attack (perfbench/workloads.py),
+    or its (nmax+1)x(nmax+1)-block form."""
     import importlib.util
     import sys
     from pathlib import Path
@@ -653,6 +705,8 @@ def ladder_attack_seed1():
     sys.modules[name] = module  # its dataclasses look their module up
     try:
         spec.loader.exec_module(module)
+        if nmax is not None:
+            module.LADDER_NMAX = nmax
         return module.ladder_attack(1)
     finally:
         del sys.modules[name]
@@ -732,6 +786,29 @@ class TestJsonSerializer:
             tracemalloc.stop()
         assert path.stat().st_size > 500_000
         assert peak <= 0.2 * 2**20
+
+    @pytest.mark.parametrize("fmt, bound_mib", [("json", 6), ("csv", 8)])
+    def test_large_custom_attack_is_held_once(self, tmp_path, fmt, bound_mib):
+        # the ladder up to (20, 20), 2.4 MB of JSON text: its blocks are
+        # arrays from the moment each is decoded and are echoed as views, so
+        # the peak is the file's text, read whole by json.load (4.7 MiB as
+        # JSON, 6.2 MiB as CSV); holding the attack as lists took 9.9 and
+        # 23.6 MiB
+        from squashkit.cli import main
+
+        attack = tmp_path / "ladder-20.json"
+        attack.write_text(json.dumps(ladder_attack_seed1(20)), encoding="utf-8")
+        out = tmp_path / f"record.{fmt}"
+        tracemalloc.start()
+        try:
+            main(["simulate", "--protocol", "bbm92", "--attack-file", str(attack),
+                  "--trials", "1000", "--seed", "1", "--format", fmt, "--out", str(out)],
+                 standalone_mode=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 2_000_000
+        assert peak <= bound_mib * 2**20
 
     def test_floats_round_trip_exactly(self):
         values = [

@@ -82,6 +82,11 @@ SHIPPED_BB84_ATTACKS = [
 ]
 
 
+def to_json(data):
+    """JSON text of an attack description: its arrays as the lists they stand for."""
+    return json.dumps(data, default=np.ndarray.tolist)
+
+
 def law_chi_square_pvalue(result, law):
     """Goodness of fit of Monte Carlo tallies against an exact round law."""
     cells = [("vacuum", result.vacuum), ("mismatch", result.mismatched)]
@@ -200,7 +205,8 @@ class TestEveState:
     def test_attack_dict_round_trip(self, attack):
         data = attack_to_dict(attack)
         back = attack_from_dict(data)
-        assert attack_to_dict(back) == data
+        # a block's numbers are arrays, so the dicts compare as their JSON text
+        assert to_json(attack_to_dict(back)) == to_json(data)
 
     def test_vector_built_fixed_block_round_trips_as_matrices(self):
         rng = np.random.default_rng(57721)
@@ -212,7 +218,7 @@ class TestEveState:
         for block in data["blocks"]:
             dim = (block["m"] + 1) * (block["n"] + 1)
             assert np.shape(block["rho"]) == (dim, dim, 2)
-        back = attack_from_dict(json.loads(json.dumps(data)))
+        back = attack_from_dict(json.loads(to_json(data)))
         assert back == attack
         assert back.state.blocks[(1, 2)][1].ndim == 2
 
@@ -230,9 +236,24 @@ class TestEveState:
         key = "amps" if kind == "custom" else "rho"
         leaves = np.ravel(data["blocks"][0][key]).tolist()
         assert all(type(v) is float for v in leaves)
-        text = json.dumps(data)
-        assert json.dumps(attack_to_dict(attack_from_dict(json.loads(text)))) == text
+        text = to_json(data)
+        assert to_json(attack_to_dict(attack_from_dict(json.loads(text)))) == text
         assert "-0.0" in text
+
+    @pytest.mark.parametrize("kind", ["fixed_block", "custom"])
+    def test_echo_is_a_read_only_view_of_the_stored_block(self, kind):
+        # no copy and no lists: the echo costs O(1) per block
+        attack = asymmetric_custom_attack()
+        if kind == "fixed_block":
+            attack = FixedBlockState(CompositeBlockState({
+                (m, n): (w, np.outer(a, a.conj())) for m, n, w, a in attack.blocks}))
+        stored = {key: rho for key, (_, rho) in eve_state(attack).blocks.items()}
+        key = "amps" if kind == "custom" else "rho"
+        for block in attack_to_dict(attack)["blocks"]:
+            pairs, array = block[key], stored[(block["m"], block["n"])]
+            assert pairs.dtype == np.float64 and pairs.shape == array.shape + (2,)
+            assert np.shares_memory(pairs, array) and not pairs.flags.writeable
+            assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], array)
 
     def test_equality_compares_content(self):
         for attack in (asymmetric_bbm92_attack(), double_coincidence_attack()):
