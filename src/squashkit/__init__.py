@@ -9,9 +9,11 @@ The package has four layers:
   modulation-covariance checks;
 * :mod:`squashkit.povm` - the one effect builder (a block's detector or
   squash effects in both bases, as one stack), the joint block-diagonal
-  adversary state, and the detector-vs-squash POVM equivalence;
+  adversary state (:class:`CompositeBlockState`, also the type of an
+  explicit attack), and the detector-vs-squash POVM equivalence;
 * :mod:`squashkit.protocol` - exact and Monte Carlo BB84/BBM92 against
-  adversarial multi-photon sources, error rates and one-way key rates.
+  adversarial multi-photon sources (named attack families, or an explicit
+  block state), error rates and one-way key rates.
 
 The ``squashkit`` console script exposes ``verify``, ``simulate`` and
 ``keyrate`` subcommands.
@@ -49,8 +51,6 @@ from .protocol import (
     Depolarize,
     InterceptResend,
     CoincidenceInjection,
-    FixedBlockState,
-    CustomState,
     AttackSpec,
     attack_from_dict,
     attack_to_dict,
@@ -92,8 +92,6 @@ __all__ = [
     "Depolarize",
     "InterceptResend",
     "CoincidenceInjection",
-    "FixedBlockState",
-    "CustomState",
     "AttackSpec",
     "attack_from_dict",
     "attack_to_dict",

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import random
 import sys
 import time
 from itertools import chain
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -178,8 +180,8 @@ def verify(nmax: int, tol: float, fmt: str, out: str | None) -> None:
     """
     if nmax < 1:
         raise click.UsageError(f"--nmax must be >= 1, got {nmax}")
-    if not tol > 0:
-        raise click.UsageError(f"--tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:  # a JSON report cannot hold inf
+        raise click.UsageError(f"--tol must be finite and > 0, got {tol}")
 
     def attempt(run, *args) -> dict:  # run(*args), or a FAIL row's fields with what it raised
         try:
@@ -264,6 +266,14 @@ def _decode_block(obj: dict) -> dict:
     return obj
 
 
+def _simulation_failed(exc: Exception) -> NoReturn:
+    """Exit 1 with a one-line message: numpy's allocation failures are
+    private subclasses of MemoryError, so they are named as that."""
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    click.echo(f"simulation failed: {name}: {exc}", err=True)
+    sys.exit(1)
+
+
 @main.command()
 @click.option("--protocol", type=click.Choice(["bb84", "bbm92"]), required=True)
 @click.option("--mode", type=click.Choice(["actual", "edp1", "edp2"]),
@@ -302,12 +312,13 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
             _require_bb84_blocks(state)
     except (OSError, ValueError, KeyError, TypeError) as exc:  # decode errors are ValueErrors
         raise click.UsageError(f"malformed attack spec: {exc}")
+    except MemoryError as exc:  # a valid attack too large to build
+        _simulation_failed(exc)
     start = time.perf_counter()
     try:
         result = run_simulation(protocol, mode, attack, trials, seed)
     except Exception as exc:  # a valid input the numerics cannot handle
-        click.echo(f"simulation failed: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(1)
+        _simulation_failed(exc)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if fmt == "json":
         _write(chain(_json_pieces({**vars(result), "runtime_ms": runtime_ms}), ("\n",)), out)

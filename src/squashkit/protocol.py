@@ -33,12 +33,12 @@ branch (:func:`squashkit.povm.actual_povm`) with its squash branch
 the shipped attacks.
 
 The adversary hands out an arbitrary photon-number-block-diagonal joint
-state (:class:`squashkit.povm.CompositeBlockState`); some standard attack
-families are shipped as named constructors.  The Monte Carlo engine,
-:func:`run_simulation`, samples counts, not rounds: each fixed-size chunk
-of trials is one multinomial draw over the table from its own
-counter-offset Philox stream, and the run is reported as the count
-tallies of a :class:`SimResult`.  Runs are reproducible bit for bit from
+state (:class:`squashkit.povm.CompositeBlockState`), which is itself an
+attack; some standard attack families are shipped as named constructors.
+The Monte Carlo engine, :func:`run_simulation`, samples counts, not
+rounds: each fixed-size chunk of trials is one multinomial draw over the
+table from its own counter-offset Philox stream, and the run is reported
+as the count tallies of a :class:`SimResult`.  Runs are reproducible bit for bit from
 (config, seed) and cost memory independent of the number of trials.
 """
 
@@ -59,8 +59,6 @@ __all__ = [
     "Depolarize",
     "InterceptResend",
     "CoincidenceInjection",
-    "FixedBlockState",
-    "CustomState",
     "AttackSpec",
     "attack_from_dict",
     "attack_to_dict",
@@ -130,58 +128,8 @@ class CoincidenceInjection:
             )
 
 
-@dataclass(frozen=True)
-class FixedBlockState:
-    """Adversary hands out an explicitly specified joint block state."""
-
-    state: CompositeBlockState
-
-
-@dataclass(frozen=True)
-class CustomState:
-    """Pure-state amplitude table per joint photon-number block.
-
-    ``blocks`` is a sequence of (m, n, weight, amps) with amps a complex
-    vector of length (m+1)(n+1).  Construction validates the blocks as a
-    :class:`squashkit.povm.CompositeBlockState`, which checks each norm and
-    keeps each block as a read-only copy of its vector, never as |a><a|;
-    ``blocks`` then holds those same copies, in the caller's order.
-    """
-
-    blocks: tuple
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("custom attack requires at least one block")
-        blocks = {}
-        for m, n, w, amps in self.blocks:
-            amps = np.asarray(amps)  # the block state makes the one copy
-            if amps.shape != ((m + 1) * (n + 1),):
-                raise ValueError(
-                    f"block ({m}, {n}) amplitude vector has length {amps.size}, "
-                    f"expected {(m + 1) * (n + 1)}"
-                )
-            m, n, w = int(m), int(n), float(w)
-            if (m, n) in blocks:
-                raise ValueError(f"duplicate block ({m}, {n}) in custom attack")
-            blocks[(m, n)] = (w, amps)
-        state = CompositeBlockState(blocks)
-        frozen = tuple((m, n, w, state.blocks[(m, n)][1]) for (m, n), (w, _) in blocks.items())
-        object.__setattr__(self, "blocks", frozen)
-        object.__setattr__(self, "_block_state", state)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CustomState):
-            return NotImplemented
-        return len(self.blocks) == len(other.blocks) and all(
-            mine[:3] == theirs[:3] and np.array_equal(mine[3], theirs[3])
-            for mine, theirs in zip(self.blocks, other.blocks)
-        )
-
-
-AttackSpec = Union[
-    Depolarize, InterceptResend, CoincidenceInjection, FixedBlockState, CustomState
-]
+#: A named attack family, or an explicit joint block state.
+AttackSpec = Union[Depolarize, InterceptResend, CoincidenceInjection, CompositeBlockState]
 
 
 def _complex_to_json(arr: np.ndarray) -> np.ndarray:
@@ -210,8 +158,11 @@ def _complex_array(value, key: str) -> np.ndarray:
 def attack_to_dict(attack: AttackSpec) -> dict:
     """Description of an attack; inverse of :func:`attack_from_dict`.
 
-    A block's ``amps`` or ``rho`` is a read-only float64 (..., 2) view of the
-    stored array, not lists: ``json.dumps`` it with ``default=np.ndarray.tolist``.
+    An explicit state echoes its blocks in (m, n) order: as ``custom`` with
+    each ``amps`` vector when every block is a vector, otherwise as
+    ``fixed_block`` with each block's ``rho`` density operator.  A block's
+    ``amps`` or ``rho`` is a read-only float64 (..., 2) view of the stored
+    array, not lists: ``json.dumps`` it with ``default=np.ndarray.tolist``.
     """
     if isinstance(attack, Depolarize):
         return {"kind": "depolarize", "p": attack.p}
@@ -223,21 +174,15 @@ def attack_to_dict(attack: AttackSpec) -> dict:
             "n_photons": attack.n_photons,
             "c": attack.c,
         }
-    if isinstance(attack, FixedBlockState):
+    if isinstance(attack, CompositeBlockState):
+        pure = all(rho.ndim == 1 for _, rho in attack.blocks.values())
+        kind, field = ("custom", "amps") if pure else ("fixed_block", "rho")
         return {
-            "kind": "fixed_block",
+            "kind": kind,
             "blocks": [
-                {"m": key[0], "n": key[1], "weight": w,
-                 "rho": _complex_to_json(attack.state.density(key))}
-                for key, (w, _) in attack.state.blocks.items()
-            ],
-        }
-    if isinstance(attack, CustomState):
-        return {
-            "kind": "custom",
-            "blocks": [
-                {"m": m, "n": n, "weight": w, "amps": _complex_to_json(amps)}
-                for m, n, w, amps in attack.blocks
+                {"m": m, "n": n, "weight": w,
+                 field: _complex_to_json(rho if pure else attack.density((m, n)))}
+                for (m, n), (w, rho) in attack.blocks.items()
             ],
         }
     raise TypeError(f"unknown attack type {type(attack).__name__}")
@@ -267,7 +212,10 @@ def attack_from_dict(data: dict) -> AttackSpec:
 
     Photon numbers (``n_photons``, ``c``, ``m``, ``n``) must be integers,
     and ``p``, ``weight`` and each ``amps`` or ``rho`` entry numbers that
-    fit a float; nothing is truncated or parsed from a string.
+    fit a float; nothing is truncated or parsed from a string.  A
+    ``fixed_block`` or ``custom`` attack is the
+    :class:`squashkit.povm.CompositeBlockState` of its blocks: each ``rho``
+    must be a matrix and each ``amps`` a vector.
     """
     try:
         kind = data["kind"]
@@ -279,22 +227,20 @@ def attack_from_dict(data: dict) -> AttackSpec:
         return InterceptResend()
     if kind == "coincidence_injection":
         return CoincidenceInjection(n_photons=data["n_photons"], c=data["c"])
-    if kind == "fixed_block":
+    if kind in ("fixed_block", "custom"):
+        field, axes = ("rho", 2) if kind == "fixed_block" else ("amps", 1)
         blocks = {}
         for item in data["blocks"]:
             m, n = _integer(item["m"], "'m'"), _integer(item["n"], "'n'")
             if (m, n) in blocks:
-                raise ValueError(f"duplicate block ({m}, {n}) in fixed_block attack")
-            rho = _complex_array(item["rho"], "rho")
-            blocks[(m, n)] = (_number(item["weight"], "'weight'"), rho)
-        return FixedBlockState(CompositeBlockState(blocks))
-    if kind == "custom":
-        blocks = []
-        for item in data["blocks"]:
-            amps = _complex_array(item["amps"], "amps")
-            m, n = _integer(item["m"], "'m'"), _integer(item["n"], "'n'")
-            blocks.append((m, n, _number(item["weight"], "'weight'"), amps))
-        return CustomState(tuple(blocks))
+                raise ValueError(f"duplicate block ({m}, {n}) in {kind} attack")
+            array = _complex_array(item[field], field)
+            if array.ndim != axes:  # a vector read as a matrix, or back, is another state
+                raise ValueError(
+                    f"block ({m}, {n}) '{field}' must be {axes}-D, got shape {array.shape}"
+                )
+            blocks[(m, n)] = (_number(item["weight"], "'weight'"), array)
+        return CompositeBlockState(blocks)
     raise ValueError(f"unknown attack kind {kind!r}")
 
 
@@ -314,7 +260,8 @@ def eve_state(attack: AttackSpec) -> CompositeBlockState:
     """Joint block-diagonal state the adversary hands to the two parties.
 
     For BB84 the left factor is the sender's virtual reference qubit
-    (photon number 1); for BBM92 both factors are incoming pulses.
+    (photon number 1); for BBM92 both factors are incoming pulses.  An
+    explicit attack, a :class:`CompositeBlockState`, is returned as it is.
     """
     if isinstance(attack, Depolarize):
         rho = (1.0 - attack.p) * bell_state() + attack.p * np.eye(4) / 4.0
@@ -332,10 +279,8 @@ def eve_state(attack: AttackSpec) -> CompositeBlockState:
         rho = np.zeros((2 * d, 2 * d), dtype=complex)
         rho[:d, :d] = rho[d:, d:] = bob / 2.0  # maximally mixed reference qubit
         return CompositeBlockState({(1, attack.n_photons): (1.0, rho)})
-    if isinstance(attack, FixedBlockState):
-        return attack.state
-    if isinstance(attack, CustomState):
-        return attack._block_state
+    if isinstance(attack, CompositeBlockState):
+        return attack
     raise TypeError(f"unknown attack type {type(attack).__name__}")
 
 

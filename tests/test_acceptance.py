@@ -14,7 +14,6 @@ from squashkit.povm import CompositeBlockState, verify_povm_equivalence
 from squashkit.protocol import (
     CoincidenceInjection,
     Depolarize,
-    FixedBlockState,
     InterceptResend,
     bell_state,
     binary_entropy,
@@ -192,14 +191,12 @@ def test_criterion_8_depolarizing_end_to_end():
 
 def test_criterion_9_bbm92():
     start = time.perf_counter()
-    honest = FixedBlockState(CompositeBlockState({(1, 1): (1.0, bell_state())}))
+    honest = CompositeBlockState({(1, 1): (1.0, bell_state())})
     result = run_simulation("bbm92", "actual", honest, 100_000, 606)
     assert result.e_bit == 0.0
     assert result.key_rate == 1.0
     blk = projector(sym_basis_state(2, 1))
-    double = FixedBlockState(
-        CompositeBlockState({(2, 2): (1.0, np.kron(blk, blk))})
-    )
+    double = CompositeBlockState({(2, 2): (1.0, np.kron(blk, blk))})
     result = run_simulation("bbm92", "actual", double, 100_000, 607)
     sigma = np.sqrt(0.25 / result.sifted)
     assert abs(result.e_bit - 0.5) < 4 * sigma

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import sys
 import tracemalloc
 import warnings
 
@@ -39,10 +40,18 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--nmax", "0"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("tol", ["0", "-1e-10", "nan"])
+    @pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf", "-inf", "1e400"])
     def test_bad_tol_is_usage_error(self, runner, tol):
-        result = runner.invoke(main, ["verify", "--nmax", "1", "--tol", tol])
+        # click reads 1e400 as inf, which no JSON report can hold
+        result = runner.invoke(main, ["verify", "--nmax", "1", "--tol", tol, "--format", "json"])
         assert result.exit_code == 2
+        assert "--tol must be finite and > 0" in result.output
+
+    def test_largest_finite_tol_report_parses(self, runner):
+        tol = sys.float_info.max
+        result = runner.invoke(main, ["verify", "--nmax", "1", "--tol", repr(tol), "--format", "json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["tol"] == tol
 
     def test_trial_stacks_stay_within_the_family_peak(self):
         # Building the squash channel at N = 40 and checking its covariance
@@ -485,6 +494,24 @@ class TestSimulate:
             "--trials", "1000", "--seed", "1",
         ])
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("error", [MemoryError, type("_ArrayMemoryError", (MemoryError,), {})])
+    def test_attack_too_large_for_memory_exits_one(self, runner, monkeypatch, error):
+        # building the state is where a huge attack's allocation fails; numpy
+        # raises a private subclass, reported by its public name
+        import squashkit.cli as cli
+
+        def failing(attack):
+            raise error("Unable to allocate 1.5 PiB")
+
+        monkeypatch.setattr(cli, "eve_state", failing)
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bb84",
+            "--attack", '{"kind":"coincidence_injection","n_photons":10000000,"c":1}',
+            "--trials", "10", "--seed", "1",
+        ])
+        assert result.exit_code == 1
+        assert result.output == "simulation failed: MemoryError: Unable to allocate 1.5 PiB\n"
 
     def test_numerical_failure_exits_one(self, runner, monkeypatch):
         # A numerical failure inside a valid simulation (here a forced

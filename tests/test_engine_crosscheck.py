@@ -21,10 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squashkit.povm import ClickClass, classify_click
+from squashkit.povm import ClickClass, CompositeBlockState, classify_click
 from squashkit.protocol import (
     CoincidenceInjection,
-    CustomState,
     eve_state,
     exact_sifted_distribution,
 )
@@ -119,10 +118,10 @@ def pure_block_attacks(draw, protocol):
     keys = draw(st.lists(st.tuples(sender, st.integers(0, 6)), min_size=1, max_size=3, unique=True))
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(keys), max_size=len(keys)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return CustomState(tuple(
-        (m, n, w / sum(weights), _random_block_amps(m, n, rng))
+    return CompositeBlockState({
+        (m, n): (w / sum(weights), _random_block_amps(m, n, rng))
         for (m, n), w in zip(keys, weights)
-    ))
+    })
 
 
 @pytest.mark.parametrize("vacuum_random_bit", [False, True])

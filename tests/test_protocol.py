@@ -14,9 +14,7 @@ from scipy.stats import chi2
 from squashkit.povm import CompositeBlockState, side_state_effects
 from squashkit.protocol import (
     CoincidenceInjection,
-    CustomState,
     Depolarize,
-    FixedBlockState,
     InterceptResend,
     attack_from_dict,
     attack_to_dict,
@@ -40,11 +38,11 @@ def binomial_4sigma(p, n):
 def double_coincidence_attack():
     blk = projector(sym_basis_state(2, 1))
     rho = np.kron(blk, blk)
-    return FixedBlockState(CompositeBlockState({(2, 2): (1.0, rho)}))
+    return CompositeBlockState({(2, 2): (1.0, rho)})
 
 
 def honest_bbm92_attack():
-    return FixedBlockState(CompositeBlockState({(1, 1): (1.0, bell_state())}))
+    return CompositeBlockState({(1, 1): (1.0, bell_state())})
 
 
 def _random_block_amps(m, n, rng):
@@ -56,20 +54,20 @@ def _random_block_amps(m, n, rng):
 def asymmetric_custom_attack():
     """Complex-valued multi-block source with no accidental basis symmetry."""
     rng = np.random.default_rng(271828)
-    return CustomState((
-        (1, 0, 0.2, np.array([0.6, 0.8])),
-        (1, 2, 0.5, _random_block_amps(1, 2, rng)),
-        (1, 3, 0.3, _random_block_amps(1, 3, rng)),
-    ))
+    return CompositeBlockState({
+        (1, 0): (0.2, np.array([0.6, 0.8])),
+        (1, 2): (0.5, _random_block_amps(1, 2, rng)),
+        (1, 3): (0.3, _random_block_amps(1, 3, rng)),
+    })
 
 
 def asymmetric_bbm92_attack():
     rng = np.random.default_rng(314159)
-    return CustomState((
-        (0, 2, 0.15, _random_block_amps(0, 2, rng)),
-        (1, 1, 0.45, _random_block_amps(1, 1, rng)),
-        (2, 3, 0.4, _random_block_amps(2, 3, rng)),
-    ))
+    return CompositeBlockState({
+        (0, 2): (0.15, _random_block_amps(0, 2, rng)),
+        (1, 1): (0.45, _random_block_amps(1, 1, rng)),
+        (2, 3): (0.4, _random_block_amps(2, 3, rng)),
+    })
 
 
 SHIPPED_BB84_ATTACKS = [
@@ -85,6 +83,12 @@ SHIPPED_BB84_ATTACKS = [
 def to_json(data):
     """JSON text of an attack description: its arrays as the lists they stand for."""
     return json.dumps(data, default=np.ndarray.tolist)
+
+
+def to_pairs(array):
+    """A complex array as the float64 (..., 2) [re, im] pairs an attack block holds."""
+    array = np.asarray(array, dtype=complex)
+    return np.stack([array.real, array.imag], axis=-1)
 
 
 def law_chi_square_pvalue(result, law):
@@ -147,9 +151,9 @@ class TestEveState:
         assert np.max(np.abs(rho - expected)) < 1e-14
 
     def test_custom_duplicate_block_rejected(self):
-        amps = np.array([1.0, 0.0])
-        with pytest.raises(ValueError):
-            CustomState(((0, 1, 0.5, amps), (0, 1, 0.5, amps)))
+        block = {"m": 0, "n": 1, "weight": 0.5, "amps": [[1.0, 0.0], [0.0, 0.0]]}
+        with pytest.raises(ValueError, match=r"duplicate block \(0, 1\) in custom attack"):
+            attack_from_dict({"kind": "custom", "blocks": [block, block]})
 
     def test_fixed_block_duplicate_block_rejected(self):
         # a second (m, n) must not silently replace the first
@@ -160,22 +164,21 @@ class TestEveState:
 
     def test_custom_norm_checked_once_at_construction(self):
         # the block state's trace check, at 1e-10 on the squared norm
-        CustomState(((0, 1, 1.0, np.array([1 + 3e-11, 0.0])),))
+        CompositeBlockState({(0, 1): (1.0, np.array([1 + 3e-11, 0.0]))})
         with pytest.raises(ValueError, match="trace deviates"):
-            CustomState(((0, 1, 1.0, np.array([1 + 3e-10, 0.0])),))
+            CompositeBlockState({(0, 1): (1.0, np.array([1 + 3e-10, 0.0]))})
 
     def test_custom_copies_the_callers_amplitudes(self):
         amps = np.array([1.0 + 0j, 0.0])
-        attack = CustomState(((0, 1, 1.0, amps),))
+        attack = CompositeBlockState({(0, 1): (1.0, amps)})
         amps[0] = 0.5  # the caller's array stays writable
-        assert attack.blocks[0][3][0] == 1.0
-        assert not attack.blocks[0][3].flags.writeable
+        assert attack.blocks[(0, 1)][1][0] == 1.0
+        assert not attack.blocks[(0, 1)][1].flags.writeable
 
-    def test_custom_blocks_are_the_block_states_vectors(self):
+    def test_explicit_attack_is_its_own_block_state(self):
         attack = asymmetric_bbm92_attack()
-        state = eve_state(attack)
-        for m, n, _, amps in attack.blocks:  # one copy, shared, never |a><a|
-            assert amps is state.blocks[(m, n)][1]
+        assert eve_state(attack) is attack
+        for (m, n), (_, amps) in attack.blocks.items():  # kept as vectors, never |a><a|
             assert amps.shape == ((m + 1) * (n + 1),)
 
     @pytest.mark.parametrize("make", [
@@ -208,30 +211,55 @@ class TestEveState:
         # a block's numbers are arrays, so the dicts compare as their JSON text
         assert to_json(attack_to_dict(back)) == to_json(data)
 
-    def test_vector_built_fixed_block_round_trips_as_matrices(self):
+    def test_echo_kind_follows_the_blocks(self):
+        # all vectors echo as custom amps; one matrix makes every block a rho
         rng = np.random.default_rng(57721)
-        attack = FixedBlockState(CompositeBlockState({
+        vectors = {
             (0, 0): (0.25, np.array([1.0])),
             (1, 2): (0.75, _random_block_amps(1, 2, rng)),
-        }))
-        data = attack_to_dict(attack)
-        for block in data["blocks"]:
-            dim = (block["m"] + 1) * (block["n"] + 1)
-            assert np.shape(block["rho"]) == (dim, dim, 2)
-        back = attack_from_dict(json.loads(to_json(data)))
-        assert back == attack
-        assert back.state.blocks[(1, 2)][1].ndim == 2
+        }
+        mixed = {**vectors, (0, 0): (0.25, np.array([[1.0]]))}
+        for blocks, kind, axes in ((vectors, "custom", 1), (mixed, "fixed_block", 2)):
+            attack = CompositeBlockState(blocks)
+            data = attack_to_dict(attack)
+            assert data["kind"] == kind
+            field = "amps" if kind == "custom" else "rho"
+            for block in data["blocks"]:
+                dim = (block["m"] + 1) * (block["n"] + 1)
+                assert np.shape(block[field]) == (dim,) * axes + (2,)
+            back = attack_from_dict(json.loads(to_json(data)))
+            assert back == attack
+            assert all(rho.ndim == axes for _, rho in back.blocks.values())
+
+    @pytest.mark.parametrize("kind, field, array", [
+        ("custom", "amps", np.eye(2) / 2),
+        ("fixed_block", "rho", np.array([0.6, 0.8])),
+    ], ids=["custom-matrix", "fixed-block-vector"])
+    def test_block_array_with_the_wrong_axes_rejected(self, kind, field, array):
+        # a valid state of the other shape: never read as the other kind
+        block = {"m": 0, "n": 1, "weight": 1.0, field: to_pairs(array)}
+        with pytest.raises(ValueError):
+            attack_from_dict({"kind": kind, "blocks": [block]})
+
+    def test_unsorted_custom_attack_echoes_in_block_order(self):
+        rng = np.random.default_rng(1618)
+        data = {"kind": "custom", "blocks": [
+            {"m": m, "n": n, "weight": 0.5, "amps": to_pairs(_random_block_amps(m, n, rng))}
+            for m, n in ((1, 1), (0, 1))
+        ]}
+        attack = attack_from_dict(data)
+        echo = json.loads(to_json(attack_to_dict(attack)))
+        assert [(b["m"], b["n"]) for b in echo["blocks"]] == [(0, 1), (1, 1)]
+        assert attack_from_dict(echo) == attack
 
     @pytest.mark.parametrize("kind", ["fixed_block", "custom"])
     def test_complex_arrays_round_trip_byte_for_byte(self, kind):
         # signed zeros and full-precision parts survive both directions
         amps = np.array([complex(0.6, -0.0), complex(-0.0, 0.8), 0.0, 0.0])
         if kind == "custom":
-            attack = CustomState(((1, 1, 1.0, amps),))
+            attack = CompositeBlockState({(1, 1): (1.0, amps)})
         else:
-            attack = FixedBlockState(
-                CompositeBlockState({(1, 1): (1.0, np.outer(amps, amps.conj()))})
-            )
+            attack = CompositeBlockState({(1, 1): (1.0, np.outer(amps, amps.conj()))})
         data = attack_to_dict(attack)
         key = "amps" if kind == "custom" else "rho"
         leaves = np.ravel(data["blocks"][0][key]).tolist()
@@ -245,8 +273,8 @@ class TestEveState:
         # no copy and no lists: the echo costs O(1) per block
         attack = asymmetric_custom_attack()
         if kind == "fixed_block":
-            attack = FixedBlockState(CompositeBlockState({
-                (m, n): (w, np.outer(a, a.conj())) for m, n, w, a in attack.blocks}))
+            attack = CompositeBlockState({
+                key: (w, np.outer(a, a.conj())) for key, (w, a) in attack.blocks.items()})
         stored = {key: rho for key, (_, rho) in eve_state(attack).blocks.items()}
         key = "amps" if kind == "custom" else "rho"
         for block in attack_to_dict(attack)["blocks"]:
@@ -264,8 +292,9 @@ class TestEveState:
         assert eve_state(Depolarize(0.1)) != eve_state(Depolarize(0.2))
         assert honest_bbm92_attack() != double_coincidence_attack()
         amps = np.array([1.0, 0.0])
-        assert CustomState(((0, 1, 1.0, amps),)) != CustomState(((0, 1, 1.0, amps[::-1]),))
-        assert CustomState(((0, 1, 1.0, amps),)) != CustomState(((1, 0, 1.0, amps),))
+        state = CompositeBlockState({(0, 1): (1.0, amps)})
+        assert state != CompositeBlockState({(0, 1): (1.0, amps[::-1])})
+        assert state != CompositeBlockState({(1, 0): (1.0, amps)})
 
 
 class TestExactErrorRates:
@@ -290,9 +319,7 @@ class TestExactErrorRates:
         assert abs(e_ph) < 1e-12
 
     def test_all_vacuum_rejected(self):
-        attack = FixedBlockState(
-            CompositeBlockState({(1, 0): (1.0, np.eye(2) / 2)})
-        )
+        attack = CompositeBlockState({(1, 0): (1.0, np.eye(2) / 2)})
         with pytest.raises(ValueError):
             exact_error_rates(attack)
 
@@ -356,9 +383,7 @@ class TestBb84MonteCarlo:
         assert abs(result.e_bit - e_exact) < binomial_4sigma(e_exact, result.sifted)
 
     def test_zero_sifted_flagged_as_absent(self):
-        attack = FixedBlockState(
-            CompositeBlockState({(1, 0): (1.0, np.eye(2) / 2)})
-        )
+        attack = CompositeBlockState({(1, 0): (1.0, np.eye(2) / 2)})
         result = run_simulation("bb84", "actual", attack, 1000, 5)
         assert result.sifted == 0
         assert result.vacuum == 1000
@@ -379,9 +404,7 @@ class TestBb84MonteCarlo:
         assert r_act.e_ph is None
 
     def test_bad_alice_side_rejected(self):
-        attack = FixedBlockState(
-            CompositeBlockState({(2, 1): (1.0, np.eye(6) / 6)})
-        )
+        attack = CompositeBlockState({(2, 1): (1.0, np.eye(6) / 6)})
         with pytest.raises(ValueError):
             run_simulation("bb84", "actual", attack, 100, 1)
 
@@ -478,9 +501,9 @@ def vacuum_and_zero_weight_attack(protocol):
     weights = np.arange(1.0, len(keys) + 1)
     weights[2] = 0.0
     weights /= weights.sum()
-    return CustomState(tuple(
-        (m, n, w, _random_block_amps(m, n, rng)) for (m, n), w in zip(keys, weights)
-    ))
+    return CompositeBlockState({
+        (m, n): (w, _random_block_amps(m, n, rng)) for (m, n), w in zip(keys, weights)
+    })
 
 
 @cache
@@ -511,7 +534,7 @@ class TestVectorBorn:
         psi = _random_block_amps(30, 30, np.random.default_rng(2718))
         tracemalloc.start()
         try:
-            attack = CustomState(((30, 30, 1.0, psi),))
+            attack = CompositeBlockState({(30, 30): (1.0, psi)})
             _, cells = _table(attack, "bbm92", "actual", False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -531,7 +554,8 @@ class TestTable:
         assert keys == ref_keys
         assert cells.shape == ref_cells.shape
         assert np.max(np.abs(cells - ref_cells)) < 1e-15
-        assert not cells[:, keys.index(attack.blocks[2][:2])].any()
+        zero = next(key for key, (w, _) in attack.blocks.items() if w == 0.0)
+        assert not cells[:, keys.index(zero)].any()
 
 
     @pytest.mark.parametrize("mode, lifts", [("edp1", 1), ("edp2", 0)])
@@ -570,7 +594,7 @@ class TestBbm92:
             (0, 1): (0.5, np.eye(2) / 2),
             (1, 1): (0.5, bell_state()),
         }
-        attack = FixedBlockState(CompositeBlockState(blocks))
+        attack = CompositeBlockState(blocks)
         result = run_simulation("bbm92", "actual", attack, 40_000, 23)
         assert abs(result.vacuum - 20_000) < 4 * np.sqrt(40_000 * 0.25)
         assert result.e_bit == 0.0
@@ -607,9 +631,7 @@ class TestBbm92:
 
 class TestVacuumRandomBit:
     def test_vacuum_rounds_become_coin_flips(self):
-        attack = FixedBlockState(
-            CompositeBlockState({(1, 0): (1.0, np.eye(2) / 2)})
-        )
+        attack = CompositeBlockState({(1, 0): (1.0, np.eye(2) / 2)})
         result = run_simulation(
             "bb84", "actual", attack, 50_000, 41, vacuum_random_bit=True
         )
