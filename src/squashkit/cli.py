@@ -29,7 +29,6 @@ from .protocol import (
     _require_bb84_blocks,
     attack_from_dict,
     binary_entropy,
-    eve_state,
     key_rate,
     run_simulation,
 )
@@ -307,12 +306,11 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
         else:  # the file's text and its parsed object are not kept for the run
             with open(attack_file, "r", encoding="utf-8") as fh:
                 attack = attack_from_dict(json.load(fh, object_hook=_decode_block))
-        state = eve_state(attack)
-        if protocol == "bb84":
-            _require_bb84_blocks(state)
+        if protocol == "bb84":  # before any build: run_simulation builds the state once
+            _require_bb84_blocks(attack)
     except (OSError, ValueError, KeyError, TypeError) as exc:  # decode errors are ValueErrors
         raise click.UsageError(f"malformed attack spec: {exc}")
-    except MemoryError as exc:  # a valid attack too large to build
+    except MemoryError as exc:  # an attack too large to parse
         _simulation_failed(exc)
     start = time.perf_counter()
     try:

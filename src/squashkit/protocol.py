@@ -145,14 +145,17 @@ def _complex_from_json(pair: list, name: str) -> complex:
 
 
 def _complex_array(value, key: str) -> np.ndarray:
-    """The complex 'amps' vector or 'rho' matrix of a block, from its [re, im]
-    number pairs as nested lists, or as a float64 (..., 2) array of them (as
-    the CLI decodes and :func:`attack_to_dict` echoes them: not re-checked)."""
+    """The complex array of a block's 'amps' or 'rho', from its [re, im] number
+    pairs as nested lists (a vector or a matrix as the first entry nests), or
+    as a float64 (..., 2) array of them (as the CLI decodes and
+    :func:`attack_to_dict` echoes them: not re-checked)."""
     if isinstance(value, np.ndarray):
         return np.ascontiguousarray(value, dtype=np.float64).view(complex).squeeze(-1)
-    if key == "amps":
-        return np.array([_complex_from_json(z, "an 'amps' entry") for z in value])
-    return np.array([[_complex_from_json(z, "a 'rho' entry") for z in row] for row in value])
+    name = f"an '{key}' entry" if key == "amps" else f"a '{key}' entry"
+    first = value[0] if type(value) is list and value else None
+    if type(first) is list and first and type(first[0]) is list:  # rows of pairs
+        return np.array([[_complex_from_json(z, name) for z in row] for row in value])
+    return np.array([_complex_from_json(z, name) for z in value])
 
 
 def attack_to_dict(attack: AttackSpec) -> dict:
@@ -215,32 +218,38 @@ def attack_from_dict(data: dict) -> AttackSpec:
     fit a float; nothing is truncated or parsed from a string.  A
     ``fixed_block`` or ``custom`` attack is the
     :class:`squashkit.povm.CompositeBlockState` of its blocks: each ``rho``
-    must be a matrix and each ``amps`` a vector.
+    must be a matrix and each ``amps`` a vector.  A missing field is named
+    with the attack or block that lacks it.
     """
     try:
         kind = data["kind"]
     except (TypeError, KeyError):
         raise ValueError("attack spec must be an object with a 'kind' field")
-    if kind == "depolarize":
-        return Depolarize(p=_number(data["p"], "'p'"))
-    if kind == "intercept_resend":
-        return InterceptResend()
-    if kind == "coincidence_injection":
-        return CoincidenceInjection(n_photons=data["n_photons"], c=data["c"])
-    if kind in ("fixed_block", "custom"):
-        field, axes = ("rho", 2) if kind == "fixed_block" else ("amps", 1)
-        blocks = {}
-        for item in data["blocks"]:
-            m, n = _integer(item["m"], "'m'"), _integer(item["n"], "'n'")
-            if (m, n) in blocks:
-                raise ValueError(f"duplicate block ({m}, {n}) in {kind} attack")
-            array = _complex_array(item[field], field)
-            if array.ndim != axes:  # a vector read as a matrix, or back, is another state
-                raise ValueError(
-                    f"block ({m}, {n}) '{field}' must be {axes}-D, got shape {array.shape}"
-                )
-            blocks[(m, n)] = (_number(item["weight"], "'weight'"), array)
-        return CompositeBlockState(blocks)
+    owner = f"{kind} attack"
+    try:
+        if kind == "depolarize":
+            return Depolarize(p=_number(data["p"], "'p'"))
+        if kind == "intercept_resend":
+            return InterceptResend()
+        if kind == "coincidence_injection":
+            return CoincidenceInjection(n_photons=data["n_photons"], c=data["c"])
+        if kind in ("fixed_block", "custom"):
+            field, axes = ("rho", 2) if kind == "fixed_block" else ("amps", 1)
+            blocks = {}
+            for i, item in enumerate(data["blocks"]):
+                owner = f"blocks[{i}]"
+                m, n = _integer(item["m"], "'m'"), _integer(item["n"], "'n'")
+                if (m, n) in blocks:
+                    raise ValueError(f"duplicate block ({m}, {n}) in {kind} attack")
+                array = _complex_array(item[field], field)
+                if array.ndim != axes:  # a vector read as a matrix, or back, is another state
+                    raise ValueError(
+                        f"block ({m}, {n}) '{field}' must be {axes}-D, got shape {array.shape}"
+                    )
+                blocks[(m, n)] = (_number(item["weight"], "'weight'"), array)
+            return CompositeBlockState(blocks)
+    except KeyError as exc:  # the field the attack or its block lacks
+        raise ValueError(f"{owner} has no field {exc}") from None
     raise ValueError(f"unknown attack kind {kind!r}")
 
 
@@ -320,8 +329,12 @@ def key_rate(e_bit: float, e_ph: float, single_photon_fraction: float = 1.0) -> 
 # ---------------------------------------------------------------------------
 
 
-def _require_bb84_blocks(state: CompositeBlockState) -> None:
-    bad = [key for key in state.blocks if key[0] != 1]
+def _require_bb84_blocks(attack: AttackSpec) -> None:
+    """BB84's sender is one qubit, as in every named attack: an explicit
+    state's blocks must all have m = 1."""
+    if not isinstance(attack, CompositeBlockState):
+        return
+    bad = [key for key in attack.blocks if key[0] != 1]
     if bad:
         raise ValueError(
             f"BB84 requires the sender side to be a single qubit; got blocks {bad}"
@@ -373,9 +386,9 @@ def _table(
         raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    state = eve_state(attack)
     if protocol == "bb84":
-        _require_bb84_blocks(state)
+        _require_bb84_blocks(attack)
+    state = eve_state(attack)
     sender_mode = "actual" if protocol == "bb84" else mode
 
     @cache  # per build: no process-wide cache

@@ -196,14 +196,9 @@ def build_squash(n_photons: int) -> KrausChannel:
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply a Kraus channel to a density operator.
-
-    `rho` is input_dim x input_dim, or a stack of such operators with
-    shape (..., input_dim, input_dim); the result has shape
-    (..., output_dim, output_dim).
-    """
+    """Apply a Kraus channel to an input_dim x input_dim density operator."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (channel.input_dim, channel.input_dim):
+    if rho.shape != (channel.input_dim, channel.input_dim):
         raise ValueError(
             f"state dimension {rho.shape} does not match channel input "
             f"dimension {channel.input_dim}"
@@ -215,28 +210,21 @@ def apply_channel_on_bob(channel: KrausChannel, rho_ab: np.ndarray) -> np.ndarra
     """Apply (identity on the left factor) tensor (channel on the right).
 
     `rho_ab` must act on a space of dimension alice_dim * input_dim, the
-    right factor (Bob's) being the channel input.  A stack of joint
-    operators with shape (..., total, total) is applied in one product
-    with the Choi matrix, giving shape (..., alice_dim * output_dim,
-    alice_dim * output_dim).
+    right factor (Bob's) being the channel input; one product with the
+    Choi matrix gives the alice_dim * output_dim square result.
     """
     rho_ab = np.asarray(rho_ab, dtype=complex)
     total, inp = rho_ab.shape[-1], channel.input_dim
-    if rho_ab.ndim < 2 or rho_ab.shape[-2] != total or total % inp != 0:
+    if rho_ab.shape != (total, total) or total % inp != 0:
         raise ValueError(
             f"joint dimension {rho_ab.shape} is not divisible into "
             f"(alice, bob) factors with bob's dimension the channel input {inp}"
         )
-    lead = rho_ab.shape[:-2]
-    n_lead = len(lead)
     alice_dim, out = total // inp, channel.output_dim
-    # out[..., a, i, b, m] = sum_{j,l} J[i, j, m, l] rho_ab[..., a, j, b, l]
-    rho = rho_ab.reshape(*lead, alice_dim, inp, alice_dim, inp)
-    rho = rho.transpose(n_lead + 1, n_lead + 3, *range(n_lead), n_lead, n_lead + 2)
-    rho = rho.reshape(inp * inp, -1)
-    res = (channel.choi @ rho).reshape(out, out, *lead, alice_dim, alice_dim)
-    res = res.transpose(*range(2, n_lead + 3), 0, n_lead + 3, 1)
-    return res.reshape(*lead, alice_dim * out, alice_dim * out)
+    # out[a, i, b, m] = sum_{j,l} J[i, j, m, l] rho_ab[a, j, b, l]
+    rho = rho_ab.reshape(alice_dim, inp, alice_dim, inp).transpose(1, 3, 0, 2)
+    res = (channel.choi @ rho.reshape(inp * inp, -1)).reshape(out, out, alice_dim, alice_dim)
+    return res.transpose(2, 0, 3, 1).reshape(alice_dim * out, alice_dim * out)
 
 
 def verify_completeness(channel: KrausChannel) -> CompletenessReport:

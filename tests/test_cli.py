@@ -436,9 +436,12 @@ class TestSimulate:
         ('{"kind":"fixed_block","blocks":[%s,%s]}' % ((
             '{"m":0,"n":0,"weight":0.5,"rho":[[[1,0]]]}',) * 2),
          "duplicate block (0, 0) in fixed_block attack"),
+        (FIXED % "[[1,0],[0,0]]", "block (1, 0) 'rho' must be 2-D, got shape (2,)"),
+        (CUSTOM % "[[[1,0],[0,0]],[[0,0],[0,0]]]",
+         "block (0, 1) 'amps' must be 1-D, got shape (2, 2)"),
     ], ids=["amps-bool", "amps-string", "amps-huge", "amps-long-pair", "amps-short-pair",
             "rho-bool", "rho-string", "rho-huge", "rho-long-pair", "rho-ragged-rows",
-            "custom-duplicate", "fixed-block-duplicate"])
+            "custom-duplicate", "fixed-block-duplicate", "rho-vector", "amps-matrix"])
     def test_malformed_block_numbers_keep_their_message(self, runner, tmp_path, source,
                                                         attack, message):
         # a block's numbers are decoded to an array as the block is read, and
@@ -451,6 +454,33 @@ class TestSimulate:
         ])
         assert result.exit_code == 2
         assert f"malformed attack spec: {message}" in result.output
+
+    @pytest.mark.parametrize("attack, message", [
+        ('{"kind":"depolarize"}', "depolarize attack has no field 'p'"),
+        ('{"kind":"coincidence_injection","c":1}',
+         "coincidence_injection attack has no field 'n_photons'"),
+        ('{"kind":"coincidence_injection","n_photons":3}',
+         "coincidence_injection attack has no field 'c'"),
+        ('{"kind":"custom"}', "custom attack has no field 'blocks'"),
+        ('{"kind":"custom","blocks":[{"n":1,"weight":1,"amps":[[1,0],[0,0]]}]}',
+         "blocks[0] has no field 'm'"),
+        ('{"kind":"custom","blocks":[{"m":0,"weight":1,"amps":[[1,0],[0,0]]}]}',
+         "blocks[0] has no field 'n'"),
+        ('{"kind":"custom","blocks":[{"m":0,"n":1,"amps":[[1,0],[0,0]]}]}',
+         "blocks[0] has no field 'weight'"),
+        ('{"kind":"custom","blocks":[{"m":0,"n":0,"weight":0.5,"amps":[[1,0]]},'
+         '{"m":0,"n":1,"weight":0.5}]}', "blocks[1] has no field 'amps'"),
+        ('{"kind":"fixed_block","blocks":[{"m":0,"n":0,"weight":1,"amps":[[1,0]]}]}',
+         "blocks[0] has no field 'rho'"),
+    ], ids=["p", "n_photons", "c", "blocks", "m", "n", "weight", "amps", "rho"])
+    def test_missing_field_names_itself(self, runner, attack, message):
+        # before, each was a bare KeyError: "malformed attack spec: 'p'"
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bbm92", "--attack", attack,
+            "--trials", "100", "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert f"malformed attack spec: {message}\n" in result.output
 
     @pytest.mark.parametrize("source", ["--attack", "--attack-file"])
     def test_numbers_the_attack_does_not_read_are_not_checked(self, runner, tmp_path, source):
@@ -497,14 +527,15 @@ class TestSimulate:
 
     @pytest.mark.parametrize("error", [MemoryError, type("_ArrayMemoryError", (MemoryError,), {})])
     def test_attack_too_large_for_memory_exits_one(self, runner, monkeypatch, error):
-        # building the state is where a huge attack's allocation fails; numpy
-        # raises a private subclass, reported by its public name
-        import squashkit.cli as cli
+        # building the state, inside run_simulation, is where a huge attack's
+        # allocation fails; numpy raises a private subclass, reported by its
+        # public name
+        import squashkit.protocol as protocol
 
         def failing(attack):
             raise error("Unable to allocate 1.5 PiB")
 
-        monkeypatch.setattr(cli, "eve_state", failing)
+        monkeypatch.setattr(protocol, "eve_state", failing)
         result = runner.invoke(main, [
             "simulate", "--protocol", "bb84",
             "--attack", '{"kind":"coincidence_injection","n_photons":10000000,"c":1}',
@@ -512,6 +543,33 @@ class TestSimulate:
         ])
         assert result.exit_code == 1
         assert result.output == "simulation failed: MemoryError: Unable to allocate 1.5 PiB\n"
+
+    @pytest.mark.parametrize("protocol, attack", [
+        ("bb84", '{"kind":"coincidence_injection","n_photons":4,"c":1}'),
+        ("bb84", '{"kind":"custom","blocks":[{"m":1,"n":1,"weight":1,'
+                 '"amps":[[1,0],[0,0],[0,0],[0,0]]}]}'),
+        ("bbm92", FIXED % "[[[1,0],[0,0]],[[0,0],[0,0]]]"),
+    ], ids=["bb84-named", "bb84-explicit", "bbm92-explicit"])
+    def test_one_state_build_per_run(self, runner, monkeypatch, protocol, attack):
+        # every binding of eve_state is counted, so a second build anywhere shows
+        import squashkit.cli as cli
+        import squashkit.protocol as protocol_module
+
+        real, built = protocol_module.eve_state, []
+
+        def counting(spec):
+            built.append(spec)
+            return real(spec)
+
+        for module in (cli, protocol_module):
+            if getattr(module, "eve_state", None) is real:
+                monkeypatch.setattr(module, "eve_state", counting)
+        result = runner.invoke(main, [
+            "simulate", "--protocol", protocol, "--attack", attack,
+            "--trials", "1000", "--seed", "1",
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(built) == 1
 
     def test_numerical_failure_exits_one(self, runner, monkeypatch):
         # A numerical failure inside a valid simulation (here a forced

@@ -231,14 +231,21 @@ class TestEveState:
             assert back == attack
             assert all(rho.ndim == axes for _, rho in back.blocks.values())
 
-    @pytest.mark.parametrize("kind, field, array", [
-        ("custom", "amps", np.eye(2) / 2),
-        ("fixed_block", "rho", np.array([0.6, 0.8])),
-    ], ids=["custom-matrix", "fixed-block-vector"])
-    def test_block_array_with_the_wrong_axes_rejected(self, kind, field, array):
-        # a valid state of the other shape: never read as the other kind
-        block = {"m": 0, "n": 1, "weight": 1.0, field: to_pairs(array)}
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("kind, field, array, message, as_list", [
+        (kind, field, array, message, as_list)
+        for as_list in (False, True)
+        for kind, field, array, message in (
+            ("custom", "amps", np.eye(2) / 2, r"'amps' must be 1-D, got shape \(2, 2\)"),
+            ("fixed_block", "rho", np.array([0.6, 0.8]), r"'rho' must be 2-D, got shape \(2,\)"),
+        )
+    ], ids=["custom-matrix", "fixed-block-vector", "custom-matrix-list", "fixed-block-vector-list"])
+    def test_block_array_with_the_wrong_axes_rejected(self, kind, field, array, message,
+                                                       as_list):
+        # a valid state of the other shape: never read as the other kind, and
+        # JSON lists get the message arrays get
+        pairs = to_pairs(array).tolist() if as_list else to_pairs(array)
+        block = {"m": 0, "n": 1, "weight": 1.0, field: pairs}
+        with pytest.raises(ValueError, match=r"block \(0, 1\) " + message):
             attack_from_dict({"kind": kind, "blocks": [block]})
 
     def test_unsorted_custom_attack_echoes_in_block_order(self):
@@ -403,10 +410,16 @@ class TestBb84MonteCarlo:
         r_act = run_simulation("bb84", "actual", Depolarize(0.2), 10_000, 21)
         assert r_act.e_ph is None
 
-    def test_bad_alice_side_rejected(self):
-        attack = CompositeBlockState({(2, 1): (1.0, np.eye(6) / 6)})
-        with pytest.raises(ValueError):
+    def test_bad_alice_side_rejected(self, monkeypatch):
+        # before the state is built
+        import squashkit.protocol as protocol
+
+        built = []
+        monkeypatch.setattr(protocol, "eve_state", built.append)
+        attack = CompositeBlockState({(1, 1): (0.5, bell_state()), (2, 1): (0.5, np.eye(6) / 6)})
+        with pytest.raises(ValueError, match=r"single qubit; got blocks \[\(2, 1\)\]"):
             run_simulation("bb84", "actual", attack, 100, 1)
+        assert built == []
 
     def test_photon_tallies_cover_all_trials(self):
         for protocol, attack, keys in (
