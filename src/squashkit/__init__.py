@@ -13,7 +13,8 @@ The package has four layers:
   explicit attack), and the detector-vs-squash POVM equivalence;
 * :mod:`squashkit.protocol` - exact and Monte Carlo BB84/BBM92 against
   adversarial multi-photon sources (named attack families, or an explicit
-  block state), error rates and one-way key rates.
+  block state), error rates and one-way key rates.  Its names are served
+  from this package too, but the module is imported on first use.
 
 The ``squashkit`` console script exposes ``verify``, ``simulate`` and
 ``keyrate`` subcommands.
@@ -47,22 +48,17 @@ from .povm import (
     virtual_povm,
     verify_povm_equivalence,
 )
-from .protocol import (
-    Depolarize,
-    InterceptResend,
-    CoincidenceInjection,
-    AttackSpec,
-    attack_from_dict,
-    attack_to_dict,
-    SimResult,
-    bell_state,
-    eve_state,
-    binary_entropy,
-    key_rate,
-    exact_error_rates,
-    exact_sifted_distribution,
-    run_simulation,
-)
+
+
+def __getattr__(name: str):
+    # The names of __all__ not bound above are squashkit.protocol's, which
+    # is imported on first use so that verify and --help never load it.
+    if name in __all__:
+        from . import protocol
+
+        return getattr(protocol, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

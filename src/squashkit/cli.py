@@ -23,15 +23,8 @@ from typing import NoReturn
 import click
 import numpy as np
 
-from .protocol import (
-    _complex_array,
-    _complex_to_json,
-    _require_bb84_blocks,
-    attack_from_dict,
-    binary_entropy,
-    key_rate,
-    run_simulation,
-)
+# squashkit.protocol is imported by the commands that use it, so that
+# verify and --help never compile or load it.
 from .squash import build_squash, verify_completeness, verify_hadamard_invariance
 from .symfock import lift_gate, lift_gate_oracle
 from .povm import verify_povm_equivalence
@@ -145,7 +138,7 @@ def _write(pieces, out: str | None) -> None:
 
 def _lift_oracle_row(n: int, rng: random.Random) -> dict:
     # Haar-random gates; each takes its real, then its imaginary part from
-    # rng (the stdlib's, so verify never imports numpy.random)
+    # rng, the standard library's generator
     normals = [rng.gauss(0.0, 1.0) for _ in range(_ORACLE_TRIALS * 8)]
     x = np.reshape(normals, (_ORACLE_TRIALS, 2, 2, 2))
     q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
@@ -256,6 +249,8 @@ def _decode_block(obj: dict) -> dict:
     become a float64 (..., 2) array as soon as the block is decoded, so the
     attack's whole list tree never exists.  Lists that do not convert stay
     lists, for :func:`attack_from_dict` to reject if it reads them."""
+    from .protocol import _complex_array, _complex_to_json
+
     for key in ("amps", "rho"):
         if type(obj.get(key)) is list:
             try:
@@ -294,6 +289,8 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
     error rates and one-way key rate.  Absent rates (for example when no
     rounds were sifted) are empty CSV fields, never zeros.
     """
+    from .protocol import _require_bb84_blocks, attack_from_dict, run_simulation
+
     if (attack_json is None) == (attack_file is None):
         raise click.UsageError("provide exactly one of --attack or --attack-file")
     if not 1 <= trials < 2**63:
@@ -370,6 +367,8 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
 @_out_option
 def keyrate(ebit, eph, sweep, fraction, out):
     """One-way key rate 1 - H2(e_bit) - H2(e_ph), single point or CSV curve."""
+    from .protocol import binary_entropy, key_rate
+
     if not 0.0 <= fraction <= 1.0:
         raise click.UsageError(f"--fraction must be in [0, 1], got {fraction}")
     if sweep is not None:

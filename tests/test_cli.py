@@ -571,15 +571,36 @@ class TestSimulate:
         assert result.exit_code == 0, result.output
         assert len(built) == 1
 
+    def test_table_holding_nan_fails_the_simulation(self, runner, monkeypatch):
+        # the sampler refuses a law it cannot draw from; the CLI exits 1
+        import squashkit.protocol as protocol
+
+        real = protocol._table
+
+        def poisoned(*args):
+            keys, cells = real(*args)
+            cells[0, 0, 0, 0] = np.nan
+            return keys, cells
+
+        monkeypatch.setattr(protocol, "_table", poisoned)
+        with pytest.raises(ValueError, match="finite"):
+            protocol.run_simulation("bb84", "actual", protocol.Depolarize(0.1), 1000, 1)
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bb84", "--attack", DEPOL, "--trials", "1000", "--seed", "1",
+        ])
+        assert result.exit_code == 1
+        assert result.output.startswith("simulation failed: ValueError: cell weights must be")
+        assert result.output.count("\n") == 1 and result.output.endswith("\n")
+
     def test_numerical_failure_exits_one(self, runner, monkeypatch):
         # A numerical failure inside a valid simulation (here a forced
         # LinAlgError) is a simulation failure, not a usage error.
-        import squashkit.cli as cli
+        import squashkit.protocol as protocol
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("forced")
 
-        monkeypatch.setattr(cli, "run_simulation", failing)
+        monkeypatch.setattr(protocol, "run_simulation", failing)
         result = runner.invoke(main, [
             "simulate", "--protocol", "bb84", "--mode", "edp2",
             "--attack", '{"kind":"coincidence_injection","n_photons":50,"c":3}',
@@ -604,18 +625,22 @@ class TestSimulate:
         assert "single qubit" in result.output
 
 
-@pytest.mark.parametrize("command, work", [
-    (["verify", "--nmax", "200"], "build_squash"),
+@pytest.mark.parametrize("command, module, work", [
+    (["verify", "--nmax", "200"], "cli", "build_squash"),
     (["simulate", "--protocol", "bb84", "--attack", DEPOL, "--trials", "10", "--seed", "1"],
-     "run_simulation"),
-    (["keyrate", "--sweep", "0:0.25:0.005"], "key_rate"),
+     "protocol", "run_simulation"),
+    (["keyrate", "--sweep", "0:0.25:0.005"], "protocol", "key_rate"),
 ], ids=["verify", "simulate", "keyrate"])
-def test_out_in_missing_directory_is_usage_error(runner, tmp_path, monkeypatch, command, work):
-    # checked before any work: a monkeypatched stage is never reached
-    import squashkit.cli as cli
+def test_out_in_missing_directory_is_usage_error(runner, tmp_path, monkeypatch, command, module,
+                                                 work):
+    # checked before any work: a monkeypatched stage is never reached (the
+    # CLI takes simulate's and keyrate's stages from squashkit.protocol as
+    # each command runs)
+    import importlib
 
     calls = []
-    monkeypatch.setattr(cli, work, lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(importlib.import_module(f"squashkit.{module}"), work,
+                        lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "missing" / "r.json"
     result = runner.invoke(main, command + ["--out", str(out)])
     assert result.exit_code == 2
@@ -680,8 +705,9 @@ def test_broken_stdout_pipe_is_not_an_out_error(tmp_path, command, head):
 
 
 def test_verify_never_imports_numpy_random():
-    # verify draws its oracle gates from the stdlib's random; numpy.random
-    # and its extension modules would cost about 6 MB of peak RSS
+    # verify and simulate draw from the stdlib's random; numpy.random and
+    # its extension modules would cost about 6 MB of peak RSS.  verify does
+    # not load squashkit.protocol either.
     import subprocess
     import sys
 
@@ -690,14 +716,25 @@ def test_verify_never_imports_numpy_random():
         "from squashkit.cli import main\n"
         "for fmt in ('text', 'json'):\n"
         "    main(['verify', '--nmax', '8', '--format', fmt], standalone_mode=False)\n"
+        "print('squashkit.protocol' in sys.modules, 'numpy.random' in sys.modules,\n"
+        "      file=sys.stderr)\n"
+        "print('---')\n"
+        "for protocol in ('bb84', 'bbm92'):\n"
+        "    for fmt in ('csv', 'json'):\n"
+        "        main(['simulate', '--protocol', protocol, '--attack', sys.argv[1],\n"
+        "              '--trials', '100000', '--seed', '1', '--format', fmt],\n"
+        "             standalone_mode=False)\n"
         "print('numpy.random' in sys.modules, file=sys.stderr)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", code, DEPOL], capture_output=True, text=True,
                           env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "PASS: 30 checks" in proc.stdout
-    assert json.loads(proc.stdout[proc.stdout.index("{"):])["passed"] is True
-    assert proc.stderr.strip() == "False"
+    verify, simulate = proc.stdout.split("---\n")
+    assert "PASS: 30 checks" in verify
+    assert json.loads(verify[verify.index("{"):])["passed"] is True
+    assert simulate.count("protocol,mode,attack") == 2
+    assert simulate.count('"sifted_counts"') == 2
+    assert proc.stderr.split("\n") == ["False False", "False", ""]
 
 
 class TestKeyrate:

@@ -1,6 +1,7 @@
 """Tests for attacks, exact laws, Monte Carlo runs and the key rate."""
 
 import json
+import random
 import tracemalloc
 from functools import cache
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.stats import chi2
+from scipy.stats import binom, chi2
 
 from squashkit.povm import CompositeBlockState, side_state_effects
 from squashkit.protocol import (
@@ -23,7 +24,10 @@ from squashkit.protocol import (
     eve_state,
     exact_error_rates,
     exact_sifted_distribution,
+    _binomial,
     _born,
+    _marginals,
+    _multinomial,
     _table,
     key_rate,
     run_simulation,
@@ -440,10 +444,131 @@ class TestBb84MonteCarlo:
         with pytest.raises(ValueError, match="trials"):
             run_simulation("bb84", "actual", Depolarize(0.05), trials, 3)
 
+    def test_numpy_integer_trials_and_seed(self):
+        expected = run_simulation("bb84", "actual", Depolarize(0.1), 10**12, 3)
+        result = run_simulation("bb84", "actual", Depolarize(0.1), np.int64(10**12), np.uint64(3))
+        assert result == expected
+        assert type(result.trials) is int and type(result.seed) is int
+
     def test_bounded_resources_at_very_large_trials(self):
         result = run_simulation("bb84", "actual", Depolarize(0.05), 10**10, 3)
         assert result.vacuum + result.mismatched + result.sifted == 10**10
         assert sum(t["rounds"] for t in result.photon_tallies.values()) == 10**10
+
+
+def pooled_chi_square_pvalue(observed, expected):
+    """Goodness of fit of counts against expected counts, neighbouring cells
+    pooled from the left until each pool expects at least 5."""
+    pools, want, got = [], 0.0, 0
+    for o, e in zip(observed, expected):
+        want, got = want + e, got + o
+        if want >= 5.0:
+            pools.append((got, want))
+            want, got = 0.0, 0
+    last_got, last_want = pools.pop()
+    pools.append((last_got + got, last_want + want))
+    stat = sum((o - e) ** 2 / e for o, e in pools)
+    return chi2.sf(stat, len(pools) - 1)
+
+
+class TestSampler:
+    """The one multinomial draw of a run, and the binomials it is made of."""
+
+    @pytest.mark.parametrize("n, p, seed", [
+        (1, 0.3, 1),
+        (40, 0.1, 2),  # n p < 10: Devroye's geometric method
+        (12, 0.9, 3),  # p > 1/2, reflected into the geometric method
+        (300, 0.2, 4),  # BTRS
+        (80, 0.85, 5),  # p > 1/2, reflected into BTRS
+        (2**62, 1e-18, 13),  # 1 - p rounds to 1
+    ], ids=["n1", "geometric", "geometric-reflected", "btrs", "btrs-reflected", "geometric-tiny-p"])
+    def test_binomial_matches_its_law(self, n, p, seed):
+        rng = random.Random(seed)
+        draws = [_binomial(n, p, rng) for _ in range(10_000)]
+        observed = np.bincount(draws)
+        support = np.arange(observed.size)
+        expected = 10_000 * binom.pmf(support, n, p)
+        expected[-1] += 10_000 * binom.sf(support[-1], n, p)  # the tail above the largest draw
+        assert pooled_chi_square_pvalue(observed, expected) > 1e-3
+
+    @pytest.mark.parametrize("n, p", [(40, 0.1), (300, 0.2), (80, 0.85)])
+    def test_binomial_takes_a_zero_uniform(self, n, p):
+        # random() may return 0.0: it is never logged or divided by
+        class ZerosFirst(random.Random):
+            zeros = 5
+
+            def random(self):
+                if self.zeros:
+                    self.zeros -= 1
+                    return 0.0
+                return super().random()
+
+        assert 0 <= _binomial(n, p, ZerosFirst(14)) <= n
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 10**12, 2**63 - 1])
+    def test_binomial_at_certain_outcomes(self, n):
+        rng = random.Random(6)
+        assert _binomial(n, 0.0, rng) == 0
+        assert _binomial(n, 1.0, rng) == n
+        assert _binomial(0, 0.3, rng) == _binomial(0, 0.7, rng) == 0
+
+    @pytest.mark.parametrize("n, p, seed", [
+        (10**13, 0.3, 7),
+        (10**13, 1e-3, 8),
+        (10**16, 0.3, 9),
+        (10**16, 1e-3, 10),
+        (2**62, 0.3, 11),
+        (2**62, 1e-3, 12),
+    ])
+    def test_binomial_keeps_its_shape_at_huge_n(self, n, p, seed):
+        # The acceptance test written as lgamma(m + 1) - lgamma(k + 1) + ...
+        # loses every digit here: the standardized variance read 1.6 at
+        # n = 1e16 and 17 at n = 2**62 (p = 0.3).
+        rng = random.Random(seed)
+        num, den = p.as_integer_ratio()  # p exactly, so z is exact to rounding
+        sd = np.sqrt(n * p * (1.0 - p))
+        z = np.array([(_binomial(n, p, rng) * den - n * num) / den / sd for _ in range(20_000)])
+        assert abs(z.mean()) < 5 / np.sqrt(20_000)
+        assert abs(np.mean(z**2) - 1.0) < 0.05  # 5 standard errors
+        assert abs(np.mean(np.abs(z) > 2.0) - 0.0455) < 0.0075  # 5 standard errors
+
+    @pytest.mark.parametrize("trials", [1, 2**20, 2**20 + 1, 10**12, 2**63 - 1])
+    def test_multinomial_sums_exactly_and_skips_zero_cells(self, trials):
+        # zero cells first, in the middle and last; one cell near the bottom
+        # of the float range
+        weights = np.array([[0.0, 0.3, 0.0], [1e-300, 0.2, 0.0], [0.5, 0.0, 0.0]])
+        for seed in range(20):
+            counts = _multinomial(trials, weights, random.Random(seed))
+            assert counts.dtype == np.int64 and counts.shape == (weights.size,)
+            assert sum(counts.tolist()) == trials
+            assert counts.min() >= 0
+            assert not counts[weights.ravel() == 0.0].any()
+        assert _multinomial(trials, [0.0, 2.0, 0.0], random.Random(1)).tolist() == [0, trials, 0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_multinomial_rejects_weights_that_are_no_law(self, bad):
+        with pytest.raises(ValueError, match="finite, non-negative"):
+            _multinomial(10, np.array([0.5, bad, 0.5]), random.Random(1))
+        with pytest.raises(ValueError, match="not all zero"):
+            _multinomial(10, np.zeros(3), random.Random(1))
+
+    def test_run_is_one_multinomial_draw_from_its_seed(self):
+        attack = asymmetric_bbm92_attack()
+        result = run_simulation("bbm92", "edp1", attack, 10**9, 29)
+        _, table = _table(attack, "bbm92", "edp1", False)
+        counts = _multinomial(10**9, table, random.Random(29)).reshape(table.shape)
+        vacuum, mismatched, sifted, _ = _marginals(counts)
+        assert (result.vacuum, result.mismatched) == (vacuum, mismatched)
+        assert result.sifted_counts == {"z": sifted[0].tolist(), "x": sifted[1].tolist()}
+
+    @pytest.mark.parametrize("protocol, attack", [
+        ("bb84", asymmetric_custom_attack()),
+        ("bbm92", asymmetric_bbm92_attack()),
+    ], ids=["bb84", "bbm92"])
+    def test_monte_carlo_matches_exact_law_at_a_billion_trials(self, protocol, attack):
+        law = exact_sifted_distribution(attack, protocol, "actual")
+        result = run_simulation(protocol, "actual", attack, 10**9, 43)
+        assert law_chi_square_pvalue(result, law) > 0.001
 
 
 class TestDistributionalEquivalence:
