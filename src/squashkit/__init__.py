@@ -9,12 +9,13 @@ The package has four layers:
   modulation-covariance checks;
 * :mod:`squashkit.povm` - the one effect builder (a block's detector or
   squash effects in both bases, as one stack), the joint block-diagonal
-  adversary state (:class:`CompositeBlockState`, also the type of an
-  explicit attack), and the detector-vs-squash POVM equivalence;
+  adversary state (:class:`CompositeBlockState`, the one type of an
+  attack), and the detector-vs-squash POVM equivalence;
 * :mod:`squashkit.protocol` - exact and Monte Carlo BB84/BBM92 against
-  adversarial multi-photon sources (named attack families, or an explicit
-  block state), error rates and one-way key rates.  Its names are served
-  from this package too, but the module is imported on first use.
+  adversarial multi-photon sources (an explicit block state, or one that
+  a named attack's constructor returns), error rates and one-way key
+  rates.  Its names are served from this package too, but the module is
+  imported on first use.
 
 The ``squashkit`` console script exposes ``verify``, ``simulate`` and
 ``keyrate`` subcommands.

@@ -303,12 +303,12 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
         else:  # the file's text and its parsed object are not kept for the run
             with open(attack_file, "r", encoding="utf-8") as fh:
                 attack = attack_from_dict(json.load(fh, object_hook=_decode_block))
-        if protocol == "bb84":  # before any build: run_simulation builds the state once
+        if protocol == "bb84":  # a usage error, before the run
             _require_bb84_blocks(attack)
+    except (MemoryError, np.linalg.LinAlgError) as exc:  # the numerics of building the state
+        _simulation_failed(exc)
     except (OSError, ValueError, KeyError, TypeError) as exc:  # decode errors are ValueErrors
         raise click.UsageError(f"malformed attack spec: {exc}")
-    except MemoryError as exc:  # an attack too large to parse
-        _simulation_failed(exc)
     start = time.perf_counter()
     try:
         result = run_simulation(protocol, mode, attack, trials, seed)

@@ -18,9 +18,11 @@ returns a block's z- and x-basis effects as one stack.  The two sides,
 :func:`actual_povm` and :func:`virtual_povm`, are its ``actual`` and
 ``edp2`` z-basis bit effects, as plain (2, N+1, N+1) arrays.  Also
 provided: the joint photon-number-block-diagonal state every attack hands
-to the receivers (:class:`CompositeBlockState`), and the three-way click
-classification (:func:`classify_click`) of a projective z outcome, on
-which the tests enumerate the physical device's exact law.
+to the receivers (:class:`CompositeBlockState`, which is the attack
+itself, explicit or returned by a named constructor of
+:mod:`squashkit.protocol`), and the three-way click classification
+(:func:`classify_click`) of a projective z outcome, on which the tests
+enumerate the physical device's exact law.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -235,12 +237,16 @@ class CompositeBlockState:
     symmetric subspaces, or a read-only state vector a of that length,
     which stands for |a><a| and costs (m+1)(n+1) entries, not their
     square.  Every block is copied once (see :func:`validate_density`),
-    so the caller's arrays stay its own.  Two states are equal when their
-    weights and density operators are: a vector block is compared through
-    its outer product.
+    so the caller's arrays stay its own.  ``spec``, when set, is the
+    description a named attack was made from (its kind and parameters),
+    which :func:`squashkit.protocol.attack_to_dict` echoes in place of the
+    blocks.  Two states are equal when their weights and density operators
+    are, whatever their ``spec``: a vector block is compared through its
+    outer product.
     """
 
     blocks: Mapping[tuple[int, int], tuple[float, np.ndarray]]
+    spec: Optional[dict] = None
 
     def __post_init__(self) -> None:
         cleaned = {}

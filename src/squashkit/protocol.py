@@ -33,8 +33,9 @@ branch (:func:`squashkit.povm.actual_povm`) with its squash branch
 the shipped attacks.
 
 The adversary hands out an arbitrary photon-number-block-diagonal joint
-state (:class:`squashkit.povm.CompositeBlockState`), which is itself an
-attack; some standard attack families are shipped as named constructors.
+state (:class:`squashkit.povm.CompositeBlockState`), which is itself the
+attack; the standard attack families are named constructors that return
+one, carrying the kind and parameters that its echo reports.
 The Monte Carlo engine, :func:`run_simulation`, samples counts, not
 rounds: a run is one multinomial draw of all its trials over the table,
 made as sequential binomial draws from the standard library's
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import floor, lgamma, log, log1p, log2, pi, sqrt
 from random import Random
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -92,47 +93,8 @@ _PAIRS = ((False, False), (False, True), (True, False), (True, True))
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Depolarize:
-    """Bell pair mixed with white noise in the single-photon block."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        _number(self.p, "depolarizing probability")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"depolarizing probability must be in [0, 1], got {self.p}")
-
-
-@dataclass(frozen=True)
-class InterceptResend:
-    """Eve measures the flying qubit in a random z/x basis and resends."""
-
-
-@dataclass(frozen=True)
-class CoincidenceInjection:
-    """Maximally mixed reference qubit with a fixed coincidence state sent on.
-
-    Bob receives the N-photon symmetric state with c photons on one
-    detector and N-c on the other, which always fires both detectors.
-    """
-
-    n_photons: int
-    c: int
-
-    def __post_init__(self) -> None:
-        _integer(self.n_photons, "n_photons")
-        _integer(self.c, "c")
-        if self.n_photons < 2:
-            raise ValueError("coincidence injection needs N >= 2")
-        if not 1 <= self.c <= self.n_photons - 1:
-            raise ValueError(
-                f"c must lie strictly between 0 and N = {self.n_photons}, got {self.c}"
-            )
-
-
-#: A named attack family, or an explicit joint block state.
-AttackSpec = Union[Depolarize, InterceptResend, CoincidenceInjection, CompositeBlockState]
+#: An attack: an explicit joint block state, or one a named constructor returns.
+AttackSpec = CompositeBlockState
 
 
 def _complex_to_json(arr: np.ndarray) -> np.ndarray:
@@ -164,34 +126,25 @@ def _complex_array(value, key: str) -> np.ndarray:
 def attack_to_dict(attack: AttackSpec) -> dict:
     """Description of an attack; inverse of :func:`attack_from_dict`.
 
-    An explicit state echoes its blocks in (m, n) order: as ``custom`` with
+    A named attack echoes its ``spec``: its kind and parameters.  An
+    explicit state echoes its blocks in (m, n) order: as ``custom`` with
     each ``amps`` vector when every block is a vector, otherwise as
     ``fixed_block`` with each block's ``rho`` density operator.  A block's
     ``amps`` or ``rho`` is a read-only float64 (..., 2) view of the stored
     array, not lists: ``json.dumps`` it with ``default=np.ndarray.tolist``.
     """
-    if isinstance(attack, Depolarize):
-        return {"kind": "depolarize", "p": attack.p}
-    if isinstance(attack, InterceptResend):
-        return {"kind": "intercept_resend"}
-    if isinstance(attack, CoincidenceInjection):
-        return {
-            "kind": "coincidence_injection",
-            "n_photons": attack.n_photons,
-            "c": attack.c,
-        }
-    if isinstance(attack, CompositeBlockState):
-        pure = all(rho.ndim == 1 for _, rho in attack.blocks.values())
-        kind, field = ("custom", "amps") if pure else ("fixed_block", "rho")
-        return {
-            "kind": kind,
-            "blocks": [
-                {"m": m, "n": n, "weight": w,
-                 field: _complex_to_json(rho if pure else attack.density((m, n)))}
-                for (m, n), (w, rho) in attack.blocks.items()
-            ],
-        }
-    raise TypeError(f"unknown attack type {type(attack).__name__}")
+    if attack.spec is not None:
+        return {**attack.spec}
+    pure = all(rho.ndim == 1 for _, rho in attack.blocks.values())
+    kind, field = ("custom", "amps") if pure else ("fixed_block", "rho")
+    return {
+        "kind": kind,
+        "blocks": [
+            {"m": m, "n": n, "weight": w,
+             field: _complex_to_json(rho if pure else attack.density((m, n)))}
+            for (m, n), (w, rho) in attack.blocks.items()
+        ],
+    }
 
 
 def _integer(value, name: str) -> int:
@@ -218,11 +171,13 @@ def attack_from_dict(data: dict) -> AttackSpec:
 
     Photon numbers (``n_photons``, ``c``, ``m``, ``n``) must be integers,
     and ``p``, ``weight`` and each ``amps`` or ``rho`` entry numbers that
-    fit a float; nothing is truncated or parsed from a string.  A
-    ``fixed_block`` or ``custom`` attack is the
-    :class:`squashkit.povm.CompositeBlockState` of its blocks: each ``rho``
-    must be a matrix and each ``amps`` a vector.  A missing field is named
-    with the attack or block that lacks it.
+    fit a float; nothing is truncated or parsed from a string.  A named
+    kind is its constructor's state, built here.  A ``fixed_block`` or
+    ``custom`` attack is the :class:`squashkit.povm.CompositeBlockState` of
+    its list of block objects: each ``rho`` must be a matrix and each
+    ``amps`` a vector.  A missing field is named with the attack or block
+    that lacks it, and a block list, block or block array of the wrong
+    type with its path.
     """
     try:
         kind = data["kind"]
@@ -231,20 +186,29 @@ def attack_from_dict(data: dict) -> AttackSpec:
     owner = f"{kind} attack"
     try:
         if kind == "depolarize":
-            return Depolarize(p=_number(data["p"], "'p'"))
+            return Depolarize(_number(data["p"], "'p'"))
         if kind == "intercept_resend":
             return InterceptResend()
         if kind == "coincidence_injection":
-            return CoincidenceInjection(n_photons=data["n_photons"], c=data["c"])
+            return CoincidenceInjection(data["n_photons"], data["c"])
         if kind in ("fixed_block", "custom"):
             field, axes = ("rho", 2) if kind == "fixed_block" else ("amps", 1)
+            items = data["blocks"]
+            if not isinstance(items, (list, tuple)):
+                raise ValueError("blocks must be a list")
             blocks = {}
-            for i, item in enumerate(data["blocks"]):
+            for i, item in enumerate(items):
                 owner = f"blocks[{i}]"
+                if not isinstance(item, dict):
+                    raise ValueError(f"{owner} must be an object")
                 m, n = _integer(item["m"], "'m'"), _integer(item["n"], "'n'")
                 if (m, n) in blocks:
                     raise ValueError(f"duplicate block ({m}, {n}) in {kind} attack")
-                array = _complex_array(item[field], field)
+                value = item[field]
+                if not isinstance(value, (list, tuple, np.ndarray)):
+                    rows = "rows of " if axes == 2 else ""
+                    raise ValueError(f"{owner} '{field}' must be a list of {rows}[re, im] pairs")
+                array = _complex_array(value, field)
                 if array.ndim != axes:  # a vector read as a matrix, or back, is another state
                     raise ValueError(
                         f"block ({m}, {n}) '{field}' must be {axes}-D, got shape {array.shape}"
@@ -268,32 +232,56 @@ def bell_state() -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def eve_state(attack: AttackSpec) -> CompositeBlockState:
-    """Joint block-diagonal state the adversary hands to the two parties.
+# Each named attack is a constructor: it checks its parameters and returns
+# the joint block state, with the kind and parameters its echo reports.  For
+# BB84 the left factor is the sender's virtual reference qubit (photon
+# number 1); for BBM92 both factors are incoming pulses.
 
-    For BB84 the left factor is the sender's virtual reference qubit
-    (photon number 1); for BBM92 both factors are incoming pulses.  An
-    explicit attack, a :class:`CompositeBlockState`, is returned as it is.
+
+def Depolarize(p: float) -> CompositeBlockState:
+    """Bell pair mixed with white noise in the single-photon block."""
+    p = _number(p, "depolarizing probability")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing probability must be in [0, 1], got {p}")
+    rho = (1.0 - p) * bell_state() + p * np.eye(4) / 4.0
+    return CompositeBlockState({(1, 1): (1.0, rho)}, {"kind": "depolarize", "p": p})
+
+
+def InterceptResend() -> CompositeBlockState:
+    """Eve measures the flying qubit in a random z/x basis and resends."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for basis in (Basis.Z, Basis.X):
+        for v in qubit_frame(basis).T:
+            vv = np.outer(v, v).ravel()  # |v>|v>
+            rho += 0.25 * np.outer(vv, vv.conj())
+    return CompositeBlockState({(1, 1): (1.0, rho)}, {"kind": "intercept_resend"})
+
+
+def CoincidenceInjection(n_photons: int, c: int) -> CompositeBlockState:
+    """Maximally mixed reference qubit with a fixed coincidence state sent on.
+
+    Bob receives the N-photon symmetric state with c photons on one
+    detector and N-c on the other, which always fires both detectors.
     """
-    if isinstance(attack, Depolarize):
-        rho = (1.0 - attack.p) * bell_state() + attack.p * np.eye(4) / 4.0
-        return CompositeBlockState({(1, 1): (1.0, rho)})
-    if isinstance(attack, InterceptResend):
-        rho = np.zeros((4, 4), dtype=complex)
-        for basis in (Basis.Z, Basis.X):
-            for v in qubit_frame(basis).T:
-                vv = np.outer(v, v).ravel()  # |v>|v>
-                rho += 0.25 * np.outer(vv, vv.conj())
-        return CompositeBlockState({(1, 1): (1.0, rho)})
-    if isinstance(attack, CoincidenceInjection):
-        bob = projector(sym_basis_state(attack.n_photons, attack.c))
-        d = attack.n_photons + 1
-        rho = np.zeros((2 * d, 2 * d), dtype=complex)
-        rho[:d, :d] = rho[d:, d:] = bob / 2.0  # maximally mixed reference qubit
-        return CompositeBlockState({(1, attack.n_photons): (1.0, rho)})
-    if isinstance(attack, CompositeBlockState):
-        return attack
-    raise TypeError(f"unknown attack type {type(attack).__name__}")
+    n_photons, c = _integer(n_photons, "n_photons"), _integer(c, "c")
+    if n_photons < 2:
+        raise ValueError("coincidence injection needs N >= 2")
+    if not 1 <= c <= n_photons - 1:
+        raise ValueError(f"c must lie strictly between 0 and N = {n_photons}, got {c}")
+    bob = projector(sym_basis_state(n_photons, c))
+    d = n_photons + 1
+    rho = np.zeros((2 * d, 2 * d), dtype=complex)
+    rho[:d, :d] = rho[d:, d:] = bob / 2.0  # maximally mixed reference qubit
+    spec = {"kind": "coincidence_injection", "n_photons": n_photons, "c": c}
+    return CompositeBlockState({(1, n_photons): (1.0, rho)}, spec)
+
+
+def eve_state(attack: AttackSpec) -> CompositeBlockState:
+    """Joint block-diagonal state the adversary hands to the two parties:
+    the attack itself, which must be a :class:`CompositeBlockState`."""
+    if not isinstance(attack, CompositeBlockState):
+        raise TypeError(f"unknown attack type {type(attack).__name__}")
+    return attack
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +321,8 @@ def key_rate(e_bit: float, e_ph: float, single_photon_fraction: float = 1.0) -> 
 
 
 def _require_bb84_blocks(attack: AttackSpec) -> None:
-    """BB84's sender is one qubit, as in every named attack: an explicit
-    state's blocks must all have m = 1."""
-    if not isinstance(attack, CompositeBlockState):
-        return
+    """BB84's sender is one qubit, as in every named attack: an attack's
+    blocks must all have m = 1."""
     bad = [key for key in attack.blocks if key[0] != 1]
     if bad:
         raise ValueError(

@@ -482,6 +482,26 @@ class TestSimulate:
         assert result.exit_code == 2
         assert f"malformed attack spec: {message}\n" in result.output
 
+    @pytest.mark.parametrize("attack, message", [
+        ('{"kind":"custom","blocks":5}', "blocks must be a list"),
+        ('{"kind":"fixed_block","blocks":{"m":1}}', "blocks must be a list"),
+        ('{"kind":"custom","blocks":[null]}', "blocks[0] must be an object"),
+        ('{"kind":"custom","blocks":[{"m":0,"n":0,"weight":1,"amps":[[1,0]]},5]}',
+         "blocks[1] must be an object"),
+        (CUSTOM % "5", "blocks[0] 'amps' must be a list of [re, im] pairs"),
+        (CUSTOM % "null", "blocks[0] 'amps' must be a list of [re, im] pairs"),
+        (FIXED % "5", "blocks[0] 'rho' must be a list of rows of [re, im] pairs"),
+    ], ids=["blocks-int", "blocks-object", "block-null", "block-int", "amps-int", "amps-null",
+            "rho-int"])
+    def test_mistyped_block_structure_names_its_path(self, runner, attack, message):
+        # before, each was Python's own message, such as "'int' object is not iterable"
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bbm92", "--attack", attack,
+            "--trials", "100", "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert f"malformed attack spec: {message}\n" in result.output
+
     @pytest.mark.parametrize("source", ["--attack", "--attack-file"])
     def test_numbers_the_attack_does_not_read_are_not_checked(self, runner, tmp_path, source):
         # as before the decode hook: only a block's own kind of numbers is read
@@ -527,15 +547,15 @@ class TestSimulate:
 
     @pytest.mark.parametrize("error", [MemoryError, type("_ArrayMemoryError", (MemoryError,), {})])
     def test_attack_too_large_for_memory_exits_one(self, runner, monkeypatch, error):
-        # building the state, inside run_simulation, is where a huge attack's
-        # allocation fails; numpy raises a private subclass, reported by its
-        # public name
+        # building the named state, while the attack is parsed, is where a
+        # huge attack's allocation fails (here its first array); numpy
+        # raises a private subclass, reported by its public name
         import squashkit.protocol as protocol
 
-        def failing(attack):
+        def failing(n_photons, b):
             raise error("Unable to allocate 1.5 PiB")
 
-        monkeypatch.setattr(protocol, "eve_state", failing)
+        monkeypatch.setattr(protocol, "sym_basis_state", failing)
         result = runner.invoke(main, [
             "simulate", "--protocol", "bb84",
             "--attack", '{"kind":"coincidence_injection","n_photons":10000000,"c":1}',
@@ -551,25 +571,43 @@ class TestSimulate:
         ("bbm92", FIXED % "[[[1,0],[0,0]],[[0,0],[0,0]]]"),
     ], ids=["bb84-named", "bb84-explicit", "bbm92-explicit"])
     def test_one_state_build_per_run(self, runner, monkeypatch, protocol, attack):
-        # every binding of eve_state is counted, so a second build anywhere shows
-        import squashkit.cli as cli
-        import squashkit.protocol as protocol_module
+        # every block-state construction is counted, so a second build anywhere shows
+        from squashkit.povm import CompositeBlockState
 
-        real, built = protocol_module.eve_state, []
+        real, built = CompositeBlockState.__post_init__, []
 
-        def counting(spec):
-            built.append(spec)
-            return real(spec)
+        def counting(state):
+            built.append(state)
+            real(state)
 
-        for module in (cli, protocol_module):
-            if getattr(module, "eve_state", None) is real:
-                monkeypatch.setattr(module, "eve_state", counting)
+        monkeypatch.setattr(CompositeBlockState, "__post_init__", counting)
         result = runner.invoke(main, [
             "simulate", "--protocol", protocol, "--attack", attack,
             "--trials", "1000", "--seed", "1",
         ])
         assert result.exit_code == 0, result.output
         assert len(built) == 1
+
+    @pytest.mark.parametrize("attack", [
+        DEPOL,
+        '{"kind":"intercept_resend"}',
+        '{"kind":"coincidence_injection","n_photons":4,"c":1}',
+    ], ids=["depolarize", "intercept-resend", "coincidence-injection"])
+    def test_named_build_numerical_failure_exits_one(self, runner, monkeypatch, attack):
+        # a named state is built while the attack is parsed; a LinAlgError
+        # there is a simulation failure, not a malformed attack
+        import squashkit.povm as povm
+
+        def failing(rho):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(povm, "validate_density", failing)
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bb84", "--attack", attack,
+            "--trials", "10", "--seed", "1",
+        ])
+        assert result.exit_code == 1
+        assert result.output == "simulation failed: LinAlgError: Eigenvalues did not converge\n"
 
     def test_table_holding_nan_fails_the_simulation(self, runner, monkeypatch):
         # the sampler refuses a law it cannot draw from; the CLI exits 1

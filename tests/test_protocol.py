@@ -179,6 +179,29 @@ class TestEveState:
         assert attack.blocks[(0, 1)][1][0] == 1.0
         assert not attack.blocks[(0, 1)][1].flags.writeable
 
+    @pytest.mark.parametrize("make, kind, fields", [
+        (Depolarize, "depolarize", {"p": 0}),
+        (Depolarize, "depolarize", {"p": 0.25}),
+        (InterceptResend, "intercept_resend", {}),
+        (CoincidenceInjection, "coincidence_injection", {"n_photons": 4, "c": 1}),
+        (CoincidenceInjection, "coincidence_injection", {"n_photons": np.int64(5), "c": 2}),
+    ], ids=["depolarize-int", "depolarize-float", "intercept-resend", "coincidence-int",
+            "coincidence-numpy-int"])
+    def test_named_attack_is_its_block_state(self, make, kind, fields):
+        # one attack type: a named constructor returns the state, and its
+        # echo is the input's fields, p as a float and photon numbers as ints
+        attack = make(**fields)
+        assert type(attack) is CompositeBlockState
+        assert eve_state(attack) is attack
+        data = attack_to_dict(attack)
+        assert data == {"kind": kind, **fields}
+        assert [type(v) for v in data.values()] == [str] + [
+            float if key == "p" else int for key in fields]
+        data["kind"] = "changed"  # the echo is a copy
+        assert attack_to_dict(attack)["kind"] == kind
+        assert attack_from_dict(attack_to_dict(attack)) == attack
+        assert CompositeBlockState(attack.blocks) == attack  # equality ignores the spec
+
     def test_explicit_attack_is_its_own_block_state(self):
         attack = asymmetric_bbm92_attack()
         assert eve_state(attack) is attack
