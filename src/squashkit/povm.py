@@ -57,7 +57,7 @@ SIDE_STATES = ("bit0", "bit1", "vacuum")
 VACUUM_STATE = SIDE_STATES.index("vacuum")
 
 # Weights of a fine outcome over the side states: one state, or either bit
-# with probability 1/2 (a coincidence, or a vacuum that draws a random bit).
+# with probability 1/2 (a coincidence).
 _ONE_STATE = np.eye(len(SIDE_STATES))
 _EITHER_BIT = np.array([0.5, 0.5, 0.0])
 
@@ -84,7 +84,7 @@ def classify_click(b: int, n_photons: int) -> ClickClass:
     return ClickClass.COINCIDENCE
 
 
-def validate_density(rho: np.ndarray, *, atol_trace: float = 1e-10) -> np.ndarray:
+def validate_density(rho: np.ndarray) -> np.ndarray:
     """A complex copy of a density operator, checked Hermitian, unit-trace and PSD.
 
     A 1-D state vector a stands for the pure state |a><a| and is returned
@@ -95,7 +95,7 @@ def validate_density(rho: np.ndarray, *, atol_trace: float = 1e-10) -> np.ndarra
     rho = np.array(rho, dtype=complex)
     if rho.ndim == 1:
         trace_dev = abs(np.vdot(rho, rho).real - 1.0)  # NaN for any inf entry
-        if not trace_dev <= atol_trace:
+        if not trace_dev <= 1e-10:
             raise ValueError(f"density operator trace deviates by {trace_dev:.3e}")
         return rho
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -105,7 +105,7 @@ def validate_density(rho: np.ndarray, *, atol_trace: float = 1e-10) -> np.ndarra
     if not herm_dev <= 1e-12:
         raise ValueError(f"density operator not Hermitian (deviation {herm_dev:.3e})")
     trace_dev = abs(np.trace(rho).real - 1.0)
-    if not trace_dev <= atol_trace:
+    if not trace_dev <= 1e-10:
         raise ValueError(f"density operator trace deviates by {trace_dev:.3e}")
     min_eig = float(np.linalg.eigvalsh(rho)[0])
     if not min_eig >= -1e-10:
@@ -132,7 +132,7 @@ def _detector_effects(mod: np.ndarray, flip: int, out: np.ndarray | None = None)
     return np.matmul(mod.conj().T * weights.T[:, None, :], mod, out=out)
 
 
-def side_state_effects(n_photons: int, mode: str, vacuum_random_bit: bool = False) -> np.ndarray:
+def side_state_effects(n_photons: int, mode: str) -> np.ndarray:
     """Effects of the side states of an N-photon block in both bases.
 
     One (6, N+1, N+1) stack: the z-basis side states (bit 0, bit 1,
@@ -148,28 +148,26 @@ def side_state_effects(n_photons: int, mode: str, vacuum_random_bit: bool = Fals
 
     Both bases come from one squash channel and at most one lift of the
     modulation.  An x-basis bit is the complement of the detector label.
-    A zero-photon block reports vacuum, or either bit with probability 1/2
-    under ``vacuum_random_bit``.  At N = 1 every mode is the projective
-    qubit measurement of each basis (``actual`` exactly, the squash modes
-    to rounding).
+    A zero-photon block reports vacuum in every mode and basis.  At N = 1
+    every mode is the projective qubit measurement of each basis
+    (``actual`` exactly, the squash modes to rounding).
     """
+    if mode not in ("actual", "edp1", "edp2"):
+        raise ValueError(f"mode must be 'actual', 'edp1' or 'edp2', got {mode!r}")
     n = n_photons
     states = len(SIDE_STATES)
     out = np.zeros((2 * states, n + 1, n + 1), dtype=complex)
     if n == 0:
-        row = _EITHER_BIT if vacuum_random_bit else _ONE_STATE[VACUUM_STATE]
-        out[:, 0, 0] = np.tile(row, 2)
+        out[VACUUM_STATE::states] = 1.0  # the vacuum effect of each basis
     elif mode == "actual":
         for x, mod in enumerate((np.eye(n + 1, dtype=complex), lift_gate(X_MODULATION, n))):
             _detector_effects(mod, x, out=out[x * states : (x + 1) * states])
-    elif mode in ("edp1", "edp2"):
+    else:
         bits = _pulled_back_bits(build_squash(n))
         if mode == "edp1":  # the unmodulated projectors, after the lifted modulation
             mod = lift_gate(X_MODULATION, n)
             bits[2:] = mod.conj().T @ bits[:2] @ mod
         out[[0, 1, states + 1, states]] = bits  # x bit 0 is detector label 1
-    else:
-        raise ValueError(f"mode must be 'actual', 'edp1' or 'edp2', got {mode!r}")
     return out
 
 

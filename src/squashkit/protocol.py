@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
 from functools import cache
 from math import floor, lgamma, log, log1p, log2, pi, sqrt
@@ -105,7 +106,10 @@ def _complex_to_json(arr: np.ndarray) -> np.ndarray:
 
 
 def _complex_from_json(pair: list, name: str) -> complex:
-    re, im = pair
+    try:
+        re, im = pair
+    except (TypeError, ValueError):  # not a pair; a pair costs no extra check
+        raise ValueError(f"{name} must be a pair [re, im], got {reprlib.repr(pair)}") from None
     return complex(_number(re, name), _number(im, name))
 
 
@@ -118,9 +122,15 @@ def _complex_array(value, key: str) -> np.ndarray:
         return np.ascontiguousarray(value, dtype=np.float64).view(complex).squeeze(-1)
     name = f"an '{key}' entry" if key == "amps" else f"a '{key}' entry"
     first = value[0] if type(value) is list and value else None
-    if type(first) is list and first and type(first[0]) is list:  # rows of pairs
-        return np.array([[_complex_from_json(z, name) for z in row] for row in value])
-    return np.array([_complex_from_json(z, name) for z in value])
+    if not (type(first) is list and first and type(first[0]) is list):
+        return np.array([_complex_from_json(z, name) for z in value])
+    try:  # rows of pairs
+        rows = [[_complex_from_json(z, name) for z in row] for row in value]
+    except TypeError:  # a row that is not a list
+        raise ValueError(f"a '{key}' row must be a list of [re, im] pairs") from None
+    if len({*map(len, rows)}) > 1:
+        raise ValueError(f"'{key}' rows must all have the same length")
+    return np.array(rows)
 
 
 def attack_to_dict(attack: AttackSpec) -> dict:
@@ -355,9 +365,7 @@ def _born(a_effects: np.ndarray, b_effects: np.ndarray, rho: np.ndarray) -> np.n
     return (a @ rho_t @ b.T).real
 
 
-def _table(
-    attack: AttackSpec, protocol: str, mode: str, vacuum_random_bit: bool
-) -> tuple[list, np.ndarray]:
+def _table(attack: AttackSpec, protocol: str, mode: str) -> tuple[list, np.ndarray]:
     """Exact per-round law over (basis pair, block, sender state, receiver state).
 
     Returns ``(block_keys, cells)``, the checked category table of one
@@ -380,10 +388,7 @@ def _table(
     state = eve_state(attack)
     sender_mode = "actual" if protocol == "bb84" else mode
 
-    @cache  # per build: no process-wide cache
-    def effects(n, side_mode):  # z-basis side states, then x-basis ones
-        return side_state_effects(n, side_mode, vacuum_random_bit)
-
+    effects = cache(side_state_effects)  # per build: no process-wide cache
     states = len(SIDE_STATES)
     cells = np.zeros((len(_PAIRS), len(state.blocks), states, states))
     for k_i, ((m, n), (w, rho)) in enumerate(state.blocks.items()):
@@ -400,18 +405,16 @@ def exact_sifted_distribution(
     attack: AttackSpec,
     protocol: str = "bb84",
     mode: str = "actual",
-    *,
-    vacuum_random_bit: bool = False,
 ) -> dict:
     """Exact per-round outcome law, no sampling.
 
     Returns a dict with keys ``"vacuum"``, ``"mismatch"`` and
     ``(basis, bit_a, bit_b)`` for basis in {"z", "x"}; values sum to 1.
-    A round is vacuum when either receiver's block carries zero photons
-    (unless vacuum draws a random bit instead).  The law is the marginal
+    A round is vacuum when either receiver's block carries zero photons:
+    vacuum reports vacuum, never a bit.  The law is the marginal
     of the category table the Monte Carlo engine samples from.
     """
-    _, cells = _table(attack, protocol, mode, vacuum_random_bit)
+    _, cells = _table(attack, protocol, mode)
     vacuum, mismatch, sifted, _ = _marginals(cells)
     law = {"vacuum": float(vacuum), "mismatch": float(mismatch)}
     for b_i, basis in enumerate("zx"):
@@ -611,7 +614,6 @@ def run_simulation(
     seed: int,
     *,
     threads: Optional[int] = None,
-    vacuum_random_bit: bool = False,
 ) -> SimResult:
     """Run a Monte Carlo simulation and return its tallies and rates.
 
@@ -632,7 +634,7 @@ def run_simulation(
         raise ValueError(f"trials must be in [1, 2**63) to fit the int64 tallies, got {trials}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    block_keys, table = _table(attack, protocol, mode, vacuum_random_bit)
+    block_keys, table = _table(attack, protocol, mode)
     counts = _multinomial(trials, table, Random(seed))
     vacuum, mismatched, cells, per_block = _marginals(counts.reshape(table.shape))
     sifted_z, sifted_x = (int(c.sum()) for c in cells)

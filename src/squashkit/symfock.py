@@ -160,8 +160,6 @@ def lift_gate(gate: np.ndarray, n_photons: int) -> np.ndarray:
     if n_photons < 0:
         raise ValueError(f"n_photons must be >= 0, got {n_photons}")
     n = n_photons
-    if n == 0:
-        return np.ones(u.shape[:-2] + (1, 1), dtype=complex)
     if n == 1:
         return u.copy()
     # the 2x2 determinant in closed form: no LAPACK LU
@@ -206,9 +204,6 @@ def lift_gate_oracle(gate: np.ndarray, n_photons: int) -> np.ndarray:
             "(full space dimension 2**N)"
         )
     n = n_photons
-    lead = u.shape[:-2]
-    if n == 0:
-        return np.ones(lead + (1, 1), dtype=complex)
     dim = 2**n
     iso = np.zeros((dim, n + 1))
     for idx in range(dim):
@@ -222,7 +217,7 @@ def lift_gate_oracle(gate: np.ndarray, n_photons: int) -> np.ndarray:
             # tensor factor k is axis 2 of the (slice, 2^k, 2, rest) view
             cols = gates[s] @ cols.reshape(-1, 2**k, 2, dim // 2 ** (k + 1) * (n + 1))
         out[s] = iso.T @ cols.reshape(-1, dim, n + 1)
-    return out.reshape(lead + (n + 1, n + 1))
+    return out.reshape(u.shape[:-2] + (n + 1, n + 1))
 
 
 def basis_change_matrix(n_photons: int, from_basis: Basis, to_basis: Basis) -> np.ndarray:
@@ -232,8 +227,6 @@ def basis_change_matrix(n_photons: int, from_basis: Basis, to_basis: Basis) -> n
     U @ (components in `from_basis`) = (components in `to_basis`), and is
     the symmetric lift of the single-qubit frame change.
     """
-    if n_photons < 0:
-        raise ValueError(f"n_photons must be >= 0, got {n_photons}")
     q = _FRAMES[to_basis].conj().T @ _FRAMES[from_basis]
     return lift_gate(q, n_photons)
 

@@ -1,7 +1,9 @@
 """Tests for the command-line interface and its output contracts."""
 
+import copy
 import dataclasses
 import json
+import math
 import random
 import sys
 import tracemalloc
@@ -10,6 +12,8 @@ import warnings
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squashkit.cli import main
 from squashkit.protocol import SimResult
@@ -423,13 +427,19 @@ class TestSimulate:
         (CUSTOM % "[[true,0],[0,0]]", "an 'amps' entry must be a number, got True"),
         (CUSTOM % '[["1",0],[0,0]]', "an 'amps' entry must be a number, got '1'"),
         (CUSTOM % "[[%s,0],[0,0]]" % HUGE, "an 'amps' entry is too large for a float"),
-        (CUSTOM % "[[1,0,0],[0,0]]", "too many values to unpack (expected 2)"),
-        (CUSTOM % "[[1],[0,0]]", "not enough values to unpack (expected 2, got 1)"),
+        (CUSTOM % "[[1,0,0],[0,0]]", "an 'amps' entry must be a pair [re, im], got [1, 0, 0]"),
+        (CUSTOM % "[[1],[0,0]]", "an 'amps' entry must be a pair [re, im], got [1]"),
+        (CUSTOM % "[5]", "an 'amps' entry must be a pair [re, im], got 5"),
+        (CUSTOM % "[null]", "an 'amps' entry must be a pair [re, im], got None"),
+        (CUSTOM % "[{}]", "an 'amps' entry must be a pair [re, im], got {}"),
+        (CUSTOM % "[[1,0],5]", "an 'amps' entry must be a pair [re, im], got 5"),
         (FIXED % "[[[true,0],[0,0]],[[0,0],[0,0]]]", "a 'rho' entry must be a number, got True"),
         (FIXED % '[[["1",0],[0,0]],[[0,0],[0,0]]]', "a 'rho' entry must be a number, got '1'"),
         (FIXED % "[[[1,%s],[0,0]],[[0,0],[0,0]]]" % HUGE, "a 'rho' entry is too large for a float"),
-        (FIXED % "[[[1,0,0],[0,0]],[[0,0],[0,0]]]", "too many values to unpack (expected 2)"),
-        (FIXED % "[[[0.5,0],[0,0]],[[0.5,0]]]", "setting an array element with a sequence"),
+        (FIXED % "[[[1,0,0],[0,0]],[[0,0],[0,0]]]",
+         "a 'rho' entry must be a pair [re, im], got [1, 0, 0]"),
+        (FIXED % "[[[0.5,0],[0,0]],[[0.5,0]]]", "'rho' rows must all have the same length"),
+        (FIXED % "[[[1,0],[0,0]],5]", "a 'rho' row must be a list of [re, im] pairs"),
         ('{"kind":"custom","blocks":[%s,%s]}' % ((
             '{"m":0,"n":1,"weight":0.5,"amps":[[1,0],[0,0]]}',) * 2),
          "duplicate block (0, 1) in custom attack"),
@@ -440,12 +450,14 @@ class TestSimulate:
         (CUSTOM % "[[[1,0],[0,0]],[[0,0],[0,0]]]",
          "block (0, 1) 'amps' must be 1-D, got shape (2, 2)"),
     ], ids=["amps-bool", "amps-string", "amps-huge", "amps-long-pair", "amps-short-pair",
+            "amps-int-entry", "amps-null-entry", "amps-object-entry", "amps-int-after-pair",
             "rho-bool", "rho-string", "rho-huge", "rho-long-pair", "rho-ragged-rows",
-            "custom-duplicate", "fixed-block-duplicate", "rho-vector", "amps-matrix"])
+            "rho-int-row", "custom-duplicate", "fixed-block-duplicate", "rho-vector",
+            "amps-matrix"])
     def test_malformed_block_numbers_keep_their_message(self, runner, tmp_path, source,
                                                         attack, message):
         # a block's numbers are decoded to an array as the block is read, and
-        # each malformed entry is still a usage error with the same message
+        # each malformed entry is a usage error whose message names it
         if source == "--attack-file":
             (tmp_path / "attack.json").write_text(attack, encoding="utf-8")
             attack = str(tmp_path / "attack.json")
@@ -661,6 +673,70 @@ class TestSimulate:
         ])
         assert result.exit_code == 2
         assert "single qubit" in result.output
+
+
+#: Valid attacks of the tests above, as the objects their JSON decodes to.
+VALID_ATTACKS = [
+    {"kind": "depolarize", "p": 0.17},
+    {"kind": "intercept_resend"},
+    {"kind": "coincidence_injection", "n_photons": 2, "c": 1},
+    json.loads(CUSTOM % "[[1,0],[0,0]]"),
+    json.loads(FIXED % "[[[0.5,0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]]"),
+]
+ATTACK_FIELDS = ["kind", "p", "n_photons", "c", "blocks", "m", "n", "weight", "amps", "rho", "x"]
+# photon numbers stay at most 12, so that no mutation allocates, except the
+# 400-digit integer
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 12), st.floats(-2.0, 2.0), st.text(max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf, int(HUGE), [], {}, [[0, 0]]]),
+)
+
+
+def json_paths(obj, path=()):
+    """The key path of `obj` and of every value nested in it."""
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from json_paths(value, path + (key,))
+
+
+@st.composite
+def mutated_attacks(draw):
+    """A valid attack's JSON with one value dropped, added to, retyped, nested
+    one level deeper or unwrapped by one level."""
+    box = [copy.deepcopy(draw(st.sampled_from(VALID_ATTACKS)))]
+    *parents, key = (0, *draw(st.sampled_from(list(json_paths(box[0])))))
+    parent = box
+    for k in parents:
+        parent = parent[k]
+    value = parent[key]
+    mutation = draw(st.sampled_from(["drop", "add", "retype", "nest", "unnest"]))
+    if mutation == "drop" and parent is not box:
+        del parent[key]
+    elif mutation == "add" and isinstance(value, dict):
+        value[draw(st.sampled_from(ATTACK_FIELDS))] = draw(ODD_VALUES)
+    elif mutation == "add" and isinstance(value, list):
+        value.append(draw(ODD_VALUES))
+    elif mutation == "nest":
+        parent[key] = [value]
+    elif mutation == "unnest" and isinstance(value, (dict, list)) and value:
+        parent[key] = next(iter(value.values())) if isinstance(value, dict) else value[0]
+    else:
+        parent[key] = draw(ODD_VALUES)
+    return json.dumps(box[0])
+
+
+@given(attack=mutated_attacks(), protocol=st.sampled_from(["bb84", "bbm92"]))
+@settings(max_examples=150, deadline=None)
+def test_mutated_attack_spec_is_never_a_traceback(attack, protocol):
+    result = CliRunner().invoke(main, [
+        "simulate", "--protocol", protocol, "--attack", attack, "--trials", "100", "--seed", "1",
+    ])
+    assert result.exception is None or isinstance(result.exception, SystemExit), attack
+    assert result.exit_code in (0, 1, 2), attack
+    if result.exit_code == 1:
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("simulation failed: "), attack
 
 
 @pytest.mark.parametrize("command, module, work", [

@@ -6,8 +6,7 @@ in x; the diagonal of the modulated block is the joint law of the photon
 counts (c_a, c_b) on detector 1; and each side's count is classified as a
 threshold detector would (``classify_click``).  A single click reports its
 bit, complemented in x; a coincidence reports either bit with weight 1/2;
-vacuum reports vacuum, or either bit with weight 1/2 under
-``vacuum_random_bit``.  BB84's sender is the one-photon block.
+vacuum reports vacuum.  BB84's sender is the one-photon block.
 
 This law shares no code with the effect builder (``side_state_effects``)
 or the Born kernel of the category table, so its equality with the table's
@@ -46,12 +45,12 @@ SHIPPED_ATTACKS = [
 ]
 
 
-def side_weights(n, basis_is_x, vacuum_random_bit):
+def side_weights(n, basis_is_x):
     """(n+1, 3) weights of each count c on detector 1 over (bit 0, bit 1, vacuum)."""
     weights = np.zeros((n + 1, 3))
     for c in range(n + 1):
         click = classify_click(c, n)
-        if click is ClickClass.COINCIDENCE or (click is ClickClass.VACUUM and vacuum_random_bit):
+        if click is ClickClass.COINCIDENCE:
             weights[c, :2] = 0.5
         elif click is ClickClass.VACUUM:
             weights[c, 2] = 1.0
@@ -64,7 +63,7 @@ def modulation(n, basis_is_x):
     return lift_gate(X_MODULATION, n) if basis_is_x else np.eye(n + 1)
 
 
-def device_law(attack, vacuum_random_bit=False):
+def device_law(attack):
     """Exact per-round law of the device, keyed as ``exact_sifted_distribution``."""
     law = {"vacuum": 0.0, "mismatch": 0.0}
     law.update({(basis, a, b): 0.0 for basis in "zx" for a in (0, 1) for b in (0, 1)})
@@ -75,11 +74,7 @@ def device_law(attack, vacuum_random_bit=False):
             for b_x in (False, True):
                 gate = np.kron(modulation(m, a_x), modulation(n, b_x))
                 counts = np.diag(gate @ rho @ gate.conj().T).real.reshape(m + 1, n + 1)
-                cells = 0.25 * w * (
-                    side_weights(m, a_x, vacuum_random_bit).T
-                    @ counts
-                    @ side_weights(n, b_x, vacuum_random_bit)
-                )
+                cells = 0.25 * w * (side_weights(m, a_x).T @ counts @ side_weights(n, b_x))
                 law["vacuum"] += cells[2].sum() + cells[:2, 2].sum()
                 if a_x != b_x:
                     law["mismatch"] += cells[:2, :2].sum()
@@ -95,13 +90,10 @@ def max_deviation(law, reference):
     return max(abs(law[key] - reference[key]) for key in law)
 
 
-@pytest.mark.parametrize("vacuum_random_bit", [False, True])
 @pytest.mark.parametrize("protocol, attack", SHIPPED_ATTACKS)
-def test_device_law_equals_actual_table(protocol, attack, vacuum_random_bit):
-    actual = exact_sifted_distribution(
-        attack, protocol, "actual", vacuum_random_bit=vacuum_random_bit
-    )
-    assert max_deviation(device_law(attack, vacuum_random_bit), actual) <= 1e-12
+def test_device_law_equals_actual_table(protocol, attack):
+    actual = exact_sifted_distribution(attack, protocol, "actual")
+    assert max_deviation(device_law(attack), actual) <= 1e-12
 
 
 def test_coincidence_reports_either_bit_with_weight_half():
@@ -124,15 +116,12 @@ def pure_block_attacks(draw, protocol):
     })
 
 
-@pytest.mark.parametrize("vacuum_random_bit", [False, True])
 @pytest.mark.parametrize("protocol", ["bb84", "bbm92"])
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
-def test_device_law_equals_every_mode_for_every_source_state(protocol, vacuum_random_bit, data):
+def test_device_law_equals_every_mode_for_every_source_state(protocol, data):
     attack = data.draw(pure_block_attacks(protocol))
-    law = device_law(attack, vacuum_random_bit)
+    law = device_law(attack)
     for mode in ("actual", "edp1", "edp2"):
-        exact = exact_sifted_distribution(
-            attack, protocol, mode, vacuum_random_bit=vacuum_random_bit
-        )
+        exact = exact_sifted_distribution(attack, protocol, mode)
         assert max_deviation(law, exact) <= 1e-12, mode

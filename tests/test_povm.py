@@ -71,17 +71,18 @@ class TestVirtualPovm:
 
 
 class TestSideStateEffects:
-    @pytest.mark.parametrize("vacuum_random_bit", [False, True])
     @pytest.mark.parametrize("n", range(13))
     @pytest.mark.parametrize("basis_is_x", [False, True])
     @pytest.mark.parametrize("mode", ["actual", "edp1", "edp2"])
-    def test_stack_is_a_povm(self, mode, basis_is_x, n, vacuum_random_bit):
+    def test_stack_is_a_povm(self, mode, basis_is_x, n):
         x = 3 * basis_is_x
-        stack = side_state_effects(n, mode, vacuum_random_bit)[x : x + 3]
+        stack = side_state_effects(n, mode)[x : x + 3]
         assert stack.shape == (3, n + 1, n + 1)
         assert np.max(np.abs(stack.sum(axis=0) - np.eye(n + 1))) < 1e-10
         assert np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) < 1e-12
         assert np.min(np.linalg.eigvalsh(stack)) > -1e-12
+        if n == 0:  # vacuum reports vacuum, never a bit
+            assert np.array_equal(stack, [[[0]], [[0]], [[1]]])
         if n == 1:
             # one photon: the projective qubit measurement of the basis
             frame = qubit_frame(Basis.X if basis_is_x else Basis.Z)
@@ -92,8 +93,9 @@ class TestSideStateEffects:
                 assert np.max(np.abs(stack - qubit)) <= 1e-15
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            side_state_effects(2, "ideal")
+        for n in (0, 2):  # N = 0 too, whose vacuum stack is the same in every mode
+            with pytest.raises(ValueError, match="mode must be 'actual', 'edp1' or 'edp2'"):
+                side_state_effects(n, "ideal")
 
     def test_actual_effects_need_no_cubic_temporary(self):
         # besides the returned (6, N+1, N+1) stack, a few (N+1)^2 arrays (0.6 MB

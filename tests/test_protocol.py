@@ -578,7 +578,7 @@ class TestSampler:
     def test_run_is_one_multinomial_draw_from_its_seed(self):
         attack = asymmetric_bbm92_attack()
         result = run_simulation("bbm92", "edp1", attack, 10**9, 29)
-        _, table = _table(attack, "bbm92", "edp1", False)
+        _, table = _table(attack, "bbm92", "edp1")
         counts = _multinomial(10**9, table, random.Random(29)).reshape(table.shape)
         vacuum, mismatched, sifted, _ = _marginals(counts)
         assert (result.vacuum, result.mismatched) == (vacuum, mismatched)
@@ -632,7 +632,7 @@ class TestDistributionalEquivalence:
         assert result.vacuum > 0
 
 
-def reference_table(attack, protocol, mode, vacuum_random_bit):
+def reference_table(attack, protocol, mode):
     """The category table one (basis pair, block) cell at a time, with the
     Born rule Tr[(E x F) rho] written out as an einsum."""
     state = eve_state(attack)
@@ -641,8 +641,8 @@ def reference_table(attack, protocol, mode, vacuum_random_bit):
     cells = np.zeros((len(pairs), len(state.blocks), 3, 3))
     for p_i, (a_x, b_x) in enumerate(pairs):
         for k_i, ((m, n), (w, rho)) in enumerate(state.blocks.items()):
-            ea = side_state_effects(m, sender_mode, vacuum_random_bit)[3 * a_x : 3 * a_x + 3]
-            eb = side_state_effects(n, mode, vacuum_random_bit)[3 * b_x : 3 * b_x + 3]
+            ea = side_state_effects(m, sender_mode)[3 * a_x : 3 * a_x + 3]
+            eb = side_state_effects(n, mode)[3 * b_x : 3 * b_x + 3]
             if rho.ndim == 1:  # a pure block is stored as its state vector
                 rho = np.outer(rho, rho.conj())
             # rho[(j, l), (i, k)] pairs with E[i, j] F[k, l]
@@ -696,7 +696,7 @@ class TestVectorBorn:
         tracemalloc.start()
         try:
             attack = CompositeBlockState({(30, 30): (1.0, psi)})
-            _, cells = _table(attack, "bbm92", "actual", False)
+            _, cells = _table(attack, "bbm92", "actual")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -707,11 +707,10 @@ class TestVectorBorn:
 class TestTable:
     @pytest.mark.parametrize("protocol", ["bb84", "bbm92"])
     @pytest.mark.parametrize("mode", ["actual", "edp1", "edp2"])
-    @pytest.mark.parametrize("vacuum_random_bit", [False, True])
-    def test_matches_per_cell_reference(self, protocol, mode, vacuum_random_bit):
+    def test_matches_per_cell_reference(self, protocol, mode):
         attack = vacuum_and_zero_weight_attack(protocol)
-        keys, cells = _table(attack, protocol, mode, vacuum_random_bit)
-        ref_keys, ref_cells = reference_table(attack, protocol, mode, vacuum_random_bit)
+        keys, cells = _table(attack, protocol, mode)
+        ref_keys, ref_cells = reference_table(attack, protocol, mode)
         assert keys == ref_keys
         assert cells.shape == ref_cells.shape
         assert np.max(np.abs(cells - ref_cells)) < 1e-15
@@ -734,7 +733,7 @@ class TestTable:
 
         monkeypatch.setattr(povm, "build_squash", counting(built, povm.build_squash))
         monkeypatch.setattr(povm, "lift_gate", counting(lifted, povm.lift_gate))
-        _table(asymmetric_bbm92_attack(), "bbm92", mode, False)  # blocks (0, 2), (1, 1), (2, 3)
+        _table(asymmetric_bbm92_attack(), "bbm92", mode)  # blocks (0, 2), (1, 1), (2, 3)
         assert sorted(built) == [1, 2, 3]
         assert sorted(lifted) == [1, 2, 3] * lifts
 
@@ -787,21 +786,6 @@ class TestBbm92:
         attack = double_coincidence_attack()
         law = exact_sifted_distribution(attack, "bbm92", "actual")
         result = run_simulation("bbm92", "actual", attack, 100_000, 37)
-        assert law_chi_square_pvalue(result, law) > 0.001
-
-
-class TestVacuumRandomBit:
-    def test_vacuum_rounds_become_coin_flips(self):
-        attack = CompositeBlockState({(1, 0): (1.0, np.eye(2) / 2)})
-        result = run_simulation(
-            "bb84", "actual", attack, 50_000, 41, vacuum_random_bit=True
-        )
-        assert result.vacuum == 0
-        assert abs(result.e_bit - 0.5) < binomial_4sigma(0.5, result.sifted)
-        law = exact_sifted_distribution(
-            attack, "bb84", "actual", vacuum_random_bit=True
-        )
-        assert law["vacuum"] == 0.0
         assert law_chi_square_pvalue(result, law) > 0.001
 
 

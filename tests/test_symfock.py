@@ -163,6 +163,17 @@ class TestLiftGate:
     def test_negative_photon_number_rejected(self):
         with pytest.raises(ValueError):
             lift_gate(PAULI_X, -1)
+        with pytest.raises(ValueError, match="n_photons must be >= 0, got -1"):
+            basis_change_matrix(-1, Basis.Z, Basis.Y)
+
+    @pytest.mark.parametrize("lift", [lift_gate, lift_gate_oracle])
+    def test_zero_photons_lift_to_exactly_one(self, lift):
+        # the general path at N = 0, for one gate and a stack of them
+        rng = np.random.default_rng(5)
+        gates = np.stack([random_unitary(rng) for _ in range(50)]).reshape(5, 10, 2, 2)
+        assert np.array_equal(lift(gates[0, 0], 0), np.ones((1, 1)))
+        assert np.array_equal(lift(gates, 0), np.ones((5, 10, 1, 1)))
+        assert np.array_equal(lift(X_MODULATION, 0), np.ones((1, 1)))
 
     def test_standard_hadamard_differs_from_modulation(self):
         assert np.max(np.abs(HADAMARD - X_MODULATION)) > 0.5
