@@ -57,7 +57,7 @@ SIDE_STATES = ("bit0", "bit1", "vacuum")
 VACUUM_STATE = SIDE_STATES.index("vacuum")
 
 # Weights of a fine outcome over the side states: one state, or either bit
-# with probability 1/2 (a coincidence).
+# with probability 1/2 (a coincidence, or a vacuum that draws a random bit).
 _ONE_STATE = np.eye(len(SIDE_STATES))
 _EITHER_BIT = np.array([0.5, 0.5, 0.0])
 
@@ -132,7 +132,7 @@ def _detector_effects(mod: np.ndarray, flip: int, out: np.ndarray | None = None)
     return np.matmul(mod.conj().T * weights.T[:, None, :], mod, out=out)
 
 
-def side_state_effects(n_photons: int, mode: str) -> np.ndarray:
+def side_state_effects(n_photons: int, mode: str, vacuum_random_bit: bool = False) -> np.ndarray:
     """Effects of the side states of an N-photon block in both bases.
 
     One (6, N+1, N+1) stack: the z-basis side states (bit 0, bit 1,
@@ -148,9 +148,11 @@ def side_state_effects(n_photons: int, mode: str) -> np.ndarray:
 
     Both bases come from one squash channel and at most one lift of the
     modulation.  An x-basis bit is the complement of the detector label.
-    A zero-photon block reports vacuum in every mode and basis.  At N = 1
-    every mode is the projective qubit measurement of each basis
-    (``actual`` exactly, the squash modes to rounding).
+    A zero-photon block reports vacuum in every mode and basis, or either
+    bit with probability 1/2 under ``vacuum_random_bit``; the engine in
+    :mod:`squashkit.protocol` always uses the vacuum row.  At N = 1 every
+    mode is the projective qubit measurement of each basis (``actual``
+    exactly, the squash modes to rounding).
     """
     if mode not in ("actual", "edp1", "edp2"):
         raise ValueError(f"mode must be 'actual', 'edp1' or 'edp2', got {mode!r}")
@@ -158,7 +160,8 @@ def side_state_effects(n_photons: int, mode: str) -> np.ndarray:
     states = len(SIDE_STATES)
     out = np.zeros((2 * states, n + 1, n + 1), dtype=complex)
     if n == 0:
-        out[VACUUM_STATE::states] = 1.0  # the vacuum effect of each basis
+        row = _EITHER_BIT if vacuum_random_bit else _ONE_STATE[VACUUM_STATE]
+        out[:, 0, 0] = np.tile(row, 2)
     elif mode == "actual":
         for x, mod in enumerate((np.eye(n + 1, dtype=complex), lift_gate(X_MODULATION, n))):
             _detector_effects(mod, x, out=out[x * states : (x + 1) * states])

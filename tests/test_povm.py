@@ -71,18 +71,20 @@ class TestVirtualPovm:
 
 
 class TestSideStateEffects:
+    @pytest.mark.parametrize("vacuum_random_bit", [False, True])
     @pytest.mark.parametrize("n", range(13))
     @pytest.mark.parametrize("basis_is_x", [False, True])
     @pytest.mark.parametrize("mode", ["actual", "edp1", "edp2"])
-    def test_stack_is_a_povm(self, mode, basis_is_x, n):
+    def test_stack_is_a_povm(self, mode, basis_is_x, n, vacuum_random_bit):
         x = 3 * basis_is_x
-        stack = side_state_effects(n, mode)[x : x + 3]
+        stack = side_state_effects(n, mode, vacuum_random_bit)[x : x + 3]
         assert stack.shape == (3, n + 1, n + 1)
         assert np.max(np.abs(stack.sum(axis=0) - np.eye(n + 1))) < 1e-10
         assert np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) < 1e-12
         assert np.min(np.linalg.eigvalsh(stack)) > -1e-12
-        if n == 0:  # vacuum reports vacuum, never a bit
-            assert np.array_equal(stack, [[[0]], [[0]], [[1]]])
+        if n == 0:  # vacuum reports vacuum, or a random bit under the option
+            vacuum = [[[0.5]], [[0.5]], [[0]]] if vacuum_random_bit else [[[0]], [[0]], [[1]]]
+            assert np.array_equal(stack, vacuum)
         if n == 1:
             # one photon: the projective qubit measurement of the basis
             frame = qubit_frame(Basis.X if basis_is_x else Basis.Z)
