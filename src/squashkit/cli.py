@@ -17,6 +17,7 @@ import os
 import random
 import sys
 import time
+from contextlib import suppress
 from itertools import chain
 from typing import NoReturn
 
@@ -237,26 +238,20 @@ _SWEEP_ROWS_PER_PIECE = 1 << 10
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)  # a float's str is its repr
 
 
 def _decode_block(obj: dict) -> dict:
     """``object_hook`` of an attack spec: a block's ``amps`` or ``rho`` lists
     become a float64 (..., 2) array as soon as the block is decoded, so the
     attack's whole list tree never exists.  Lists that do not convert stay
-    lists, for :func:`attack_from_dict` to reject if it reads them."""
-    from .protocol import _complex_array, _complex_to_json
+    lists, for :func:`attack_from_dict` to name their first bad entry."""
+    from .protocol import _pairs
 
-    for key in ("amps", "rho"):
+    for key, depth in (("amps", 1), ("rho", 2)):
         if type(obj.get(key)) is list:
-            try:
-                obj[key] = _complex_to_json(_complex_array(obj[key], key))
-            except (ValueError, TypeError):
-                pass
+            with suppress(ValueError):
+                obj[key] = _pairs(obj[key], key, depth)
     return obj
 
 
@@ -303,12 +298,15 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
         else:  # the file's text and its parsed object are not kept for the run
             with open(attack_file, "r", encoding="utf-8") as fh:
                 attack = attack_from_dict(json.load(fh, object_hook=_decode_block))
-        if protocol == "bb84":  # a usage error, before the run
-            _require_bb84_blocks(attack)
     except (MemoryError, np.linalg.LinAlgError) as exc:  # the numerics of building the state
         _simulation_failed(exc)
     except (OSError, ValueError, KeyError, TypeError) as exc:  # decode errors are ValueErrors
         raise click.UsageError(f"malformed attack spec: {exc}")
+    if protocol == "bb84":  # a usage error, before the run
+        try:
+            _require_bb84_blocks(attack)
+        except ValueError as exc:  # a check of the state the fields built: it names the attack
+            raise click.UsageError(f"malformed attack spec: attack: {exc}")
     start = time.perf_counter()
     try:
         result = run_simulation(protocol, mode, attack, trials, seed)

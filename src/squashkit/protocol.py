@@ -37,9 +37,8 @@ state (:class:`squashkit.povm.CompositeBlockState`), which is itself the
 attack; the standard attack families are named constructors that return
 one, carrying the kind and parameters that its echo reports.
 The Monte Carlo engine, :func:`run_simulation`, samples counts, not
-rounds: a run is one multinomial draw of all its trials over the table,
-made as sequential binomial draws from the standard library's
-``random.Random(seed)``, and is reported as the count tallies of a
+rounds: a run is one multinomial draw of all its trials over the table
+(:mod:`squashkit.sampler`), reported as the count tallies of a
 :class:`SimResult`.  Runs are reproducible bit for bit from (config, seed)
 and cost time and memory independent of the number of trials.
 """
@@ -49,15 +48,18 @@ from __future__ import annotations
 import numbers
 import operator
 import reprlib
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import cache
-from math import floor, lgamma, log, log1p, log2, pi, sqrt
+from functools import cache, partial
+from itertools import chain
+from math import log2
 from random import Random
 from typing import Optional
 
 import numpy as np
 
 from .povm import SIDE_STATES, VACUUM_STATE, CompositeBlockState, side_state_effects
+from .sampler import _multinomial
 from .symfock import Basis, projector, qubit_frame, sym_basis_state
 
 __all__ = [
@@ -98,41 +100,6 @@ _PAIRS = ((False, False), (False, True), (True, False), (True, True))
 AttackSpec = CompositeBlockState
 
 
-def _complex_to_json(arr: np.ndarray) -> np.ndarray:
-    """Read-only float64 view of a complex array as its (..., 2) [real, imag] pairs: no copy."""
-    pairs = arr.view(np.float64).reshape(arr.shape + (2,))
-    pairs.flags.writeable = False
-    return pairs
-
-
-def _complex_from_json(pair: list, name: str) -> complex:
-    try:
-        re, im = pair
-    except (TypeError, ValueError):  # not a pair; a pair costs no extra check
-        raise ValueError(f"{name} must be a pair [re, im], got {reprlib.repr(pair)}") from None
-    return complex(_number(re, name), _number(im, name))
-
-
-def _complex_array(value, key: str) -> np.ndarray:
-    """The complex array of a block's 'amps' or 'rho', from its [re, im] number
-    pairs as nested lists (a vector or a matrix as the first entry nests), or
-    as a float64 (..., 2) array of them (as the CLI decodes and
-    :func:`attack_to_dict` echoes them: not re-checked)."""
-    if isinstance(value, np.ndarray):
-        return np.ascontiguousarray(value, dtype=np.float64).view(complex).squeeze(-1)
-    name = f"an '{key}' entry" if key == "amps" else f"a '{key}' entry"
-    first = value[0] if type(value) is list and value else None
-    if not (type(first) is list and first and type(first[0]) is list):
-        return np.array([_complex_from_json(z, name) for z in value])
-    try:  # rows of pairs
-        rows = [[_complex_from_json(z, name) for z in row] for row in value]
-    except TypeError:  # a row that is not a list
-        raise ValueError(f"a '{key}' row must be a list of [re, im] pairs") from None
-    if len({*map(len, rows)}) > 1:
-        raise ValueError(f"'{key}' rows must all have the same length")
-    return np.array(rows)
-
-
 def attack_to_dict(attack: AttackSpec) -> dict:
     """Description of an attack; inverse of :func:`attack_from_dict`.
 
@@ -140,8 +107,8 @@ def attack_to_dict(attack: AttackSpec) -> dict:
     explicit state echoes its blocks in (m, n) order: as ``custom`` with
     each ``amps`` vector when every block is a vector, otherwise as
     ``fixed_block`` with each block's ``rho`` density operator.  A block's
-    ``amps`` or ``rho`` is a read-only float64 (..., 2) view of the stored
-    array, not lists: ``json.dumps`` it with ``default=np.ndarray.tolist``.
+    ``amps`` or ``rho`` is a float64 (..., 2) view of its [re, im] pairs, not
+    lists (no copy; ``json.dumps`` it with ``default=np.ndarray.tolist``).
     """
     if attack.spec is not None:
         return {**attack.spec}
@@ -151,83 +118,85 @@ def attack_to_dict(attack: AttackSpec) -> dict:
         "kind": kind,
         "blocks": [
             {"m": m, "n": n, "weight": w,
-             field: _complex_to_json(rho if pure else attack.density((m, n)))}
+             field: (rho if pure else attack.density((m, n)))[..., None].view(np.float64)}
             for (m, n), (w, rho) in attack.blocks.items()
         ],
     }
 
 
-def _integer(value, name: str) -> int:
-    """`value`, which must be an integer: no bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _bad(path: str, expected: str, value) -> ValueError:
+    """The error of the JSON value at `path` (such as ``blocks[0].amps``)."""
+    return ValueError(f"{path}: expected {expected}, got {reprlib.repr(value)}")
+
+
+def _integer(value, path: str) -> int:
+    """A photon number: an integer in [0, 2**63), no bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 2**63:
+        raise _bad(path, "an integer in [0, 2**63)", value)
     return int(value)
 
 
-def _number(value, name: str) -> float:
-    """`value` as a float; it must be a real number (no bool or string) a float holds."""
-    if type(value) is float:  # most JSON entries: skip the slower ABC check
+def _number(value, path: str) -> float:
+    """A real number (no bool or string) that a float holds, as a float."""
+    with suppress(OverflowError):  # an integer too large for a float
+        if not isinstance(value, bool) and isinstance(value, numbers.Real):
+            return float(value)
+    raise _bad(path, "a number that fits a float", value)
+
+
+def _pairs(value, path: str, depth: int):
+    """A block's ``amps`` (depth 1) or ``rho`` (depth 2): [re, im] number
+    pairs nested `depth` lists deep, as a float64 (..., 2) array; at depth
+    0, one pair as a list.  An array of pairs, as :func:`attack_to_dict`
+    echoes them, is taken as it is."""
+    if depth == 0:
+        if type(value) is not list or len(value) != 2:
+            raise _bad(path, "a pair [re, im]", value)
+        return [_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")]
+    if type(value) is list:
+        leaves = chain.from_iterable(chain(*value) if depth == 2 else value)
+        with suppress(TypeError, ValueError, OverflowError):  # JSON numbers convert in bulk
+            if {*map(type, leaves)} <= {float, int}:
+                value = np.array(value, dtype=np.float64)
+    if type(value) is list:  # any other list is walked, to name its first bad entry
+        entries = [_pairs(entry, f"{path}[{i}]", depth - 1) for i, entry in enumerate(value)]
+        for i, entry in enumerate(entries):  # a row as long as the first
+            if len(entry) != len(entries[0]):
+                raise _bad(f"{path}[{i}]", "a row as long as the first", value[i])
+        value = np.array(entries, dtype=np.float64)
+    if isinstance(value, np.ndarray) and value.ndim == depth + 1 and value.shape[-1] == 2:
         return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} is too large for a float") from None
+    got = f"shape {value.shape}" if isinstance(value, np.ndarray) else reprlib.repr(value)
+    raise ValueError(f"{path}: expected a list of {'rows of ' * (depth - 1)}[re, im] pairs, "
+                     f"got {got}")  # an array of another shape is never read as another state
 
 
-def attack_from_dict(data: dict) -> AttackSpec:
-    """Parse an attack description (the CLI's ``--attack`` JSON payload).
+def _object(value, path: str, fields: dict) -> dict:
+    """A JSON object with exactly the fields of `fields`, each read at its
+    path by its reader there.  A reader (such as :func:`_integer`) returns
+    what it reads, or raises :func:`_bad`'s error."""
+    if type(value) is not dict:
+        raise _bad(path, "an object", value)
+    prefix = f"{path}." if path else ""
+    if value.keys() != fields.keys():  # the first field missing, else the first unknown
+        name = next(name for name in [*fields, *value] if (name in fields) != (name in value))
+        raise ValueError(f"{prefix}{name}: {'unknown' if name in value else 'missing'} field")
+    return {name: read(value[name], prefix + name) for name, read in fields.items()}
 
-    Photon numbers (``n_photons``, ``c``, ``m``, ``n``) must be integers,
-    and ``p``, ``weight`` and each ``amps`` or ``rho`` entry numbers that
-    fit a float; nothing is truncated or parsed from a string.  A named
-    kind is its constructor's state, built here.  A ``fixed_block`` or
-    ``custom`` attack is the :class:`squashkit.povm.CompositeBlockState` of
-    its list of block objects: each ``rho`` must be a matrix and each
-    ``amps`` a vector.  A missing field is named with the attack or block
-    that lacks it, and a block list, block or block array of the wrong
-    type with its path.
-    """
-    try:
-        kind = data["kind"]
-    except (TypeError, KeyError):
-        raise ValueError("attack spec must be an object with a 'kind' field")
-    owner = f"{kind} attack"
-    try:
-        if kind == "depolarize":
-            return Depolarize(_number(data["p"], "'p'"))
-        if kind == "intercept_resend":
-            return InterceptResend()
-        if kind == "coincidence_injection":
-            return CoincidenceInjection(data["n_photons"], data["c"])
-        if kind in ("fixed_block", "custom"):
-            field, axes = ("rho", 2) if kind == "fixed_block" else ("amps", 1)
-            items = data["blocks"]
-            if not isinstance(items, (list, tuple)):
-                raise ValueError("blocks must be a list")
-            blocks = {}
-            for i, item in enumerate(items):
-                owner = f"blocks[{i}]"
-                if not isinstance(item, dict):
-                    raise ValueError(f"{owner} must be an object")
-                m, n = _integer(item["m"], "'m'"), _integer(item["n"], "'n'")
-                if (m, n) in blocks:
-                    raise ValueError(f"duplicate block ({m}, {n}) in {kind} attack")
-                value = item[field]
-                if not isinstance(value, (list, tuple, np.ndarray)):
-                    rows = "rows of " if axes == 2 else ""
-                    raise ValueError(f"{owner} '{field}' must be a list of {rows}[re, im] pairs")
-                array = _complex_array(value, field)
-                if array.ndim != axes:  # a vector read as a matrix, or back, is another state
-                    raise ValueError(
-                        f"block ({m}, {n}) '{field}' must be {axes}-D, got shape {array.shape}"
-                    )
-                blocks[(m, n)] = (_number(item["weight"], "'weight'"), array)
-            return CompositeBlockState(blocks)
-    except KeyError as exc:  # the field the attack or its block lacks
-        raise ValueError(f"{owner} has no field {exc}") from None
-    raise ValueError(f"unknown attack kind {kind!r}")
+
+def _blocks(items, path: str, field: str, depth: int) -> dict:
+    """An explicit kind's list of block objects, each with photon numbers m
+    and n, a weight and its `field` pairs, as :class:`CompositeBlockState` blocks."""
+    if type(items) is not list:
+        raise _bad(path, "a list of block objects", items)
+    fields = {"m": _integer, "n": _integer, "weight": _number, field: partial(_pairs, depth=depth)}
+    blocks = {}
+    for i, item in enumerate(items):
+        m, n, weight, pairs = _object(item, f"{path}[{i}]", fields).values()
+        if (m, n) in blocks:
+            raise ValueError(f"{path}[{i}]: duplicate block ({m}, {n})")
+        blocks[(m, n)] = (weight, np.ascontiguousarray(pairs, np.float64).view(complex)[..., 0])
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +255,42 @@ def CoincidenceInjection(n_photons: int, c: int) -> CompositeBlockState:
     return CompositeBlockState({(1, n_photons): (1.0, rho)}, spec)
 
 
+#: The attack grammar: each kind's constructor, and its fields with their readers.
+_KINDS = {
+    "depolarize": (Depolarize, {"p": _number}),
+    "intercept_resend": (InterceptResend, {}),
+    "coincidence_injection": (CoincidenceInjection, {"n_photons": _integer, "c": _integer}),
+    "fixed_block": (CompositeBlockState, {"blocks": partial(_blocks, field="rho", depth=2)}),
+    "custom": (CompositeBlockState, {"blocks": partial(_blocks, field="amps", depth=1)}),
+}
+
+
+def attack_from_dict(data: dict) -> AttackSpec:
+    """Parse an attack description (the CLI's ``--attack`` JSON payload).
+
+    An attack is an object with a ``kind`` of :data:`_KINDS` and exactly
+    that kind's fields, each read by its reader: nothing is truncated or
+    parsed from a string.  A bad field raises a ValueError that names its
+    path, such as ``blocks[0].amps[3]: expected a pair [re, im], got 5``; a
+    check of the state the fields build (a constructor's, or the block
+    state's own) names the ``attack``.
+    """
+    if type(data) is not dict:
+        raise _bad("attack", "an object", data)
+    kind = data.get("kind")
+    if kind not in [*_KINDS]:  # a list: `kind` may be unhashable
+        raise (_bad("kind", f"one of {', '.join(_KINDS)}", kind) if "kind" in data
+               else ValueError("kind: missing field"))
+    make, fields = _KINDS[kind]
+    values = _object({name: v for name, v in data.items() if name != "kind"}, "", fields)
+    try:
+        return make(**values)
+    except np.linalg.LinAlgError:  # a ValueError, but the numerics' failure, not the attack's
+        raise
+    except ValueError as exc:
+        raise ValueError(f"attack: {exc}") from None
+
+
 def eve_state(attack: AttackSpec) -> CompositeBlockState:
     """Joint block-diagonal state the adversary hands to the two parties:
     the attack itself, which must be a :class:`CompositeBlockState`."""
@@ -318,26 +323,9 @@ def key_rate(e_bit: float, e_ph: float, single_photon_fraction: float = 1.0) -> 
         if not 0.0 <= e <= 0.5:
             raise ValueError(f"{name} must be in [0, 0.5], got {e}")
     if not 0.0 <= single_photon_fraction <= 1.0:
-        raise ValueError(
-            f"single_photon_fraction must be in [0, 1], got {single_photon_fraction}"
-        )
+        raise ValueError(f"single_photon_fraction must be in [0, 1], got {single_photon_fraction}")
     rate = 1.0 - binary_entropy(e_bit) - binary_entropy(e_ph)
     return single_photon_fraction * max(0.0, rate)
-
-
-# ---------------------------------------------------------------------------
-# argument checks
-# ---------------------------------------------------------------------------
-
-
-def _require_bb84_blocks(attack: AttackSpec) -> None:
-    """BB84's sender is one qubit, as in every named attack: an attack's
-    blocks must all have m = 1."""
-    bad = [key for key in attack.blocks if key[0] != 1]
-    if bad:
-        raise ValueError(
-            f"BB84 requires the sender side to be a single qubit; got blocks {bad}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +351,16 @@ def _born(a_effects: np.ndarray, b_effects: np.ndarray, rho: np.ndarray) -> np.n
     rho_t = rho.reshape(da, db, da, db).transpose(2, 0, 3, 1).reshape(da * da, db * db)
     a = a_effects.reshape(len(a_effects), -1)
     return (a @ rho_t @ b.T).real
+
+
+def _require_bb84_blocks(attack: AttackSpec) -> None:
+    """BB84's sender is one qubit, as in every named attack: an attack's
+    blocks must all have m = 1."""
+    bad = [key for key in attack.blocks if key[0] != 1]
+    if bad:  # a few of them, and the count of the rest
+        more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+        raise ValueError("BB84 requires the sender side to be a single qubit; "
+                         f"got blocks {bad[:3]}{more}")
 
 
 def _table(attack: AttackSpec, protocol: str, mode: str) -> tuple[list, np.ndarray]:
@@ -416,12 +414,9 @@ def exact_sifted_distribution(
     """
     _, cells = _table(attack, protocol, mode)
     vacuum, mismatch, sifted, _ = _marginals(cells)
-    law = {"vacuum": float(vacuum), "mismatch": float(mismatch)}
-    for b_i, basis in enumerate("zx"):
-        for a in (0, 1):
-            for b in (0, 1):
-                law[(basis, a, b)] = float(sifted[b_i, a, b])
-    return law
+    return {"vacuum": float(vacuum), "mismatch": float(mismatch), **{
+        (basis, a, b): float(sifted[b_i, a, b])
+        for b_i, basis in enumerate("zx") for a in (0, 1) for b in (0, 1)}}
 
 
 def exact_error_rates(attack: AttackSpec, protocol: str = "bb84") -> tuple[float, float]:
@@ -497,111 +492,6 @@ def _marginals(cells: np.ndarray) -> tuple:
     return vacuum, bits[[1, 2]].sum(), matched.sum(axis=1), per_block
 
 
-_HALF_LOG_2PI = 0.5 * log(2.0 * pi)
-
-
-def _stirling_tail(x: int) -> float:
-    """log(x!) minus Stirling's (x + 1/2) log x - x + log(2 pi)/2, for x >= 1."""
-    if x < 16:
-        return lgamma(x + 1) - (x + 0.5) * log(x) + x - _HALF_LOG_2PI
-    r2 = 1.0 / (x * x)
-    return (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0))) / x
-
-
-def _log_factorial_ratio(m: int, k: int) -> float:
-    """log(m! / k!) + (k - m) log m, for m >= 1 and k >= 0.
-
-    Written as Stirling differences around m, so nothing cancels at huge
-    m and k; ``lgamma(m + 1) - lgamma(k + 1)`` loses every digit once
-    lgamma(m) is far above 2**52.
-    """
-    if k == 0:
-        return lgamma(m + 1) - m * log(m)
-    d = k - m
-    log_k_m = log1p(d / m) if 2 * k > m else log(k / m)  # d / m can round to -1
-    return d - (k + 0.5) * log_k_m + _stirling_tail(m) - _stirling_tail(k)
-
-
-def _binomial(n: int, p: float, rng: Random) -> int:
-    """One Binomial(n, p) draw for an integer n >= 0 and 0 <= p <= 1.
-
-    Devroye's geometric method when n p < 10, otherwise Hoermann's BTRS
-    transformed rejection (J. Stat. Comput. Simul. 46, 101 (1993)), the
-    algorithm of CPython 3.12's ``random.binomialvariate``, with p > 1/2
-    reflected.  Unlike that port, the mode and the centre of the hat are
-    exact integers, the acceptance log-ratio is :func:`_log_factorial_ratio`,
-    the geometric gaps take ``log1p(-p)`` (``log(1 - p)`` rounds p to a
-    multiple of 2**-53, and to 0 below 2**-54), and no uniform that is
-    logged or divided by is ever 0, so the law holds for every n below 2**63.
-    """
-    if p > 0.5:
-        return n - _binomial(n, 1.0 - p, rng)
-    if p == 0.0:
-        return 0
-    if n * p < 10.0:  # the gaps between successes are geometric
-        c = log1p(-p)
-        x = y = 0
-        while True:
-            gap = log(1.0 - rng.random()) / c  # failures before the next success, unfloored
-            if gap >= n - y:
-                return x
-            y += floor(gap) + 1
-            x += 1
-    spq = sqrt(n * p * (1.0 - p))
-    b = 1.15 + 2.53 * spq
-    a = -0.0873 + 0.0248 * b + 0.01 * p
-    vr = 0.92 - 4.2 / b
-    alpha = (2.83 + 5.1 / b) * spq
-    num, den = p.as_integer_ratio()  # p is exactly num / den, and 1 - p (den - num) / den
-    m = (n + 1) * num // den  # the mode
-    c = (n * num - m * den) / den + 0.5  # n p + 1/2, less m
-    # log of (n - m) p / (m (1 - p)), from exact integers
-    log_ratio = log1p(((n - m) * num - m * (den - num)) / (m * (den - num)))
-    while True:
-        u = rng.random() - 0.5
-        us = 0.5 - abs(u)
-        if us == 0.0:  # random() gave 0, and 2a / us would divide by it
-            continue
-        k = m + floor((2.0 * a / us + b) * u + c)
-        if not 0 <= k <= n:
-            continue
-        v = 1.0 - rng.random()
-        if us >= 0.07 and v <= vr:
-            return k
-        v *= alpha / (a / (us * us) + b)
-        if log(v) <= ((k - m) * log_ratio + _log_factorial_ratio(m, k)
-                      + _log_factorial_ratio(n - m, n - k)):
-            return k
-
-
-def _multinomial(trials: int, weights: np.ndarray, rng: Random) -> np.ndarray:
-    """One multinomial draw of ``trials`` over the cells of ``weights``, a
-    law up to a positive factor, as int64 counts in the order of its ravel.
-
-    Each cell with positive weight in turn takes a binomial share of the
-    trials left, at its weight over that of itself and every later cell;
-    the last such cell takes the rest, so the counts sum to ``trials``
-    exactly and a cell of zero weight never gets a count.  A weight that is
-    NaN, infinite or negative raises ``ValueError``, as do all zero weights.
-    """
-    weights = np.ravel(weights)
-    tails = np.cumsum(weights[::-1])[::-1]  # each cell's weight and all after it
-    if not (weights.min() >= 0.0 and 0.0 < tails[0] < np.inf):
-        raise ValueError("cell weights must be finite, non-negative and not all zero")
-    *cells, last = np.flatnonzero(weights).tolist()
-    weights, tails = weights.tolist(), tails.tolist()
-    counts = [0] * len(weights)
-    left = trials
-    for i in cells:
-        if not left:
-            break
-        # at most 1: a tail, summed in order, is never below its first weight
-        counts[i] = k = _binomial(left, weights[i] / tails[i], rng)
-        left -= k
-    counts[last] = left
-    return np.array(counts, dtype=np.int64)
-
-
 def _clip_rate(e: float) -> float:
     return min(max(e, 0.0), 0.5)
 
@@ -645,10 +535,7 @@ def run_simulation(
     e_bit_z = errors_z / sifted_z if sifted_z else None
     e_bit_x = errors_x / sifted_x if sifted_x else None
     e_ph = e_bit_x if mode in ("edp1", "edp2") else None
-    if sifted_z and sifted_x:
-        rate = key_rate(_clip_rate(e_bit_z), _clip_rate(e_bit_x))
-    else:
-        rate = None
+    rate = key_rate(_clip_rate(e_bit_z), _clip_rate(e_bit_x)) if sifted_z and sifted_x else None
     tallies_by_key = {}
     for (m, n), (rounds, sifted_k, errors_k) in zip(block_keys, per_block.T.tolist()):
         key = str(n) if protocol == "bb84" else f"{m},{n}"

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import sys
 import tracemalloc
 import warnings
@@ -26,6 +27,7 @@ def runner():
 
 DEPOL = '{"kind":"depolarize","p":0.0}'
 HUGE = "1" + "0" * 400  # a JSON integer no float holds
+HUGE_SHOWN = "1" + "0" * 17 + "..." + "0" * 19  # as a message shows it
 CUSTOM = '{"kind":"custom","blocks":[{"m":0,"n":1,"weight":1,"amps":%s}]}'
 FIXED = '{"kind":"fixed_block","blocks":[{"m":1,"n":0,"weight":1,"rho":%s}]}'
 
@@ -424,40 +426,52 @@ class TestSimulate:
 
     @pytest.mark.parametrize("source", ["--attack", "--attack-file"])
     @pytest.mark.parametrize("attack, message", [
-        (CUSTOM % "[[true,0],[0,0]]", "an 'amps' entry must be a number, got True"),
-        (CUSTOM % '[["1",0],[0,0]]', "an 'amps' entry must be a number, got '1'"),
-        (CUSTOM % "[[%s,0],[0,0]]" % HUGE, "an 'amps' entry is too large for a float"),
-        (CUSTOM % "[[1,0,0],[0,0]]", "an 'amps' entry must be a pair [re, im], got [1, 0, 0]"),
-        (CUSTOM % "[[1],[0,0]]", "an 'amps' entry must be a pair [re, im], got [1]"),
-        (CUSTOM % "[5]", "an 'amps' entry must be a pair [re, im], got 5"),
-        (CUSTOM % "[null]", "an 'amps' entry must be a pair [re, im], got None"),
-        (CUSTOM % "[{}]", "an 'amps' entry must be a pair [re, im], got {}"),
-        (CUSTOM % "[[1,0],5]", "an 'amps' entry must be a pair [re, im], got 5"),
-        (FIXED % "[[[true,0],[0,0]],[[0,0],[0,0]]]", "a 'rho' entry must be a number, got True"),
-        (FIXED % '[[["1",0],[0,0]],[[0,0],[0,0]]]', "a 'rho' entry must be a number, got '1'"),
-        (FIXED % "[[[1,%s],[0,0]],[[0,0],[0,0]]]" % HUGE, "a 'rho' entry is too large for a float"),
+        (CUSTOM % "[[true,0],[0,0]]",
+         "blocks[0].amps[0][0]: expected a number that fits a float, got True"),
+        (CUSTOM % '[["1",0],[0,0]]',
+         "blocks[0].amps[0][0]: expected a number that fits a float, got '1'"),
+        (CUSTOM % "[[%s,0],[0,0]]" % HUGE,
+         "blocks[0].amps[0][0]: expected a number that fits a float, got " + HUGE_SHOWN),
+        (CUSTOM % "[[1,0,0],[0,0]]", "blocks[0].amps[0]: expected a pair [re, im], got [1, 0, 0]"),
+        (CUSTOM % "[[1],[0,0]]", "blocks[0].amps[0]: expected a pair [re, im], got [1]"),
+        (CUSTOM % "[5]", "blocks[0].amps[0]: expected a pair [re, im], got 5"),
+        (CUSTOM % "[null]", "blocks[0].amps[0]: expected a pair [re, im], got None"),
+        (CUSTOM % "[{}]", "blocks[0].amps[0]: expected a pair [re, im], got {}"),
+        (CUSTOM % "[[1,0],5]", "blocks[0].amps[1]: expected a pair [re, im], got 5"),
+        (FIXED % "[[[true,0],[0,0]],[[0,0],[0,0]]]",
+         "blocks[0].rho[0][0][0]: expected a number that fits a float, got True"),
+        (FIXED % '[[["1",0],[0,0]],[[0,0],[0,0]]]',
+         "blocks[0].rho[0][0][0]: expected a number that fits a float, got '1'"),
+        (FIXED % "[[[1,%s],[0,0]],[[0,0],[0,0]]]" % HUGE,
+         "blocks[0].rho[0][0][1]: expected a number that fits a float, got " + HUGE_SHOWN),
         (FIXED % "[[[1,0,0],[0,0]],[[0,0],[0,0]]]",
-         "a 'rho' entry must be a pair [re, im], got [1, 0, 0]"),
-        (FIXED % "[[[0.5,0],[0,0]],[[0.5,0]]]", "'rho' rows must all have the same length"),
-        (FIXED % "[[[1,0],[0,0]],5]", "a 'rho' row must be a list of [re, im] pairs"),
+         "blocks[0].rho[0][0]: expected a pair [re, im], got [1, 0, 0]"),
+        (FIXED % "[[[0.5,0],[0,0]],[[0.5,0]]]",
+         "blocks[0].rho[1]: expected a row as long as the first, got [[0.5, 0]]"),
+        (FIXED % "[[[1,0],[0,0]],5]", "blocks[0].rho[1]: expected a list of [re, im] pairs, got 5"),
         ('{"kind":"custom","blocks":[%s,%s]}' % ((
             '{"m":0,"n":1,"weight":0.5,"amps":[[1,0],[0,0]]}',) * 2),
-         "duplicate block (0, 1) in custom attack"),
+         "blocks[1]: duplicate block (0, 1)"),
         ('{"kind":"fixed_block","blocks":[%s,%s]}' % ((
             '{"m":0,"n":0,"weight":0.5,"rho":[[[1,0]]]}',) * 2),
-         "duplicate block (0, 0) in fixed_block attack"),
-        (FIXED % "[[1,0],[0,0]]", "block (1, 0) 'rho' must be 2-D, got shape (2,)"),
+         "blocks[1]: duplicate block (0, 0)"),
+        (FIXED % "[[1,0],[0,0]]", "blocks[0].rho[0][0]: expected a pair [re, im], got 1"),
         (CUSTOM % "[[[1,0],[0,0]],[[0,0],[0,0]]]",
-         "block (0, 1) 'amps' must be 1-D, got shape (2, 2)"),
+         "blocks[0].amps[0][0]: expected a number that fits a float, got [1, 0]"),
+        (CUSTOM % '["ab",[0,0]]', "blocks[0].amps[0]: expected a pair [re, im], got 'ab'"),
+        (CUSTOM % '[{"a":1,"b":2},[0,0]]',
+         "blocks[0].amps[0]: expected a pair [re, im], got {'a': 1, 'b': 2}"),
     ], ids=["amps-bool", "amps-string", "amps-huge", "amps-long-pair", "amps-short-pair",
             "amps-int-entry", "amps-null-entry", "amps-object-entry", "amps-int-after-pair",
             "rho-bool", "rho-string", "rho-huge", "rho-long-pair", "rho-ragged-rows",
             "rho-int-row", "custom-duplicate", "fixed-block-duplicate", "rho-vector",
-            "amps-matrix"])
+            "amps-matrix", "amps-string-pair", "amps-object-pair"])
     def test_malformed_block_numbers_keep_their_message(self, runner, tmp_path, source,
                                                         attack, message):
         # a block's numbers are decoded to an array as the block is read, and
-        # each malformed entry is a usage error whose message names it
+        # each malformed entry is a usage error whose message names its path;
+        # a list one level too deep or too shallow is named at its first entry
+        # of the wrong depth
         if source == "--attack-file":
             (tmp_path / "attack.json").write_text(attack, encoding="utf-8")
             attack = str(tmp_path / "attack.json")
@@ -465,26 +479,25 @@ class TestSimulate:
             "simulate", "--protocol", "bbm92", source, attack, "--trials", "100", "--seed", "1",
         ])
         assert result.exit_code == 2
-        assert f"malformed attack spec: {message}" in result.output
+        assert f"malformed attack spec: {message}\n" in result.output
 
     @pytest.mark.parametrize("attack, message", [
-        ('{"kind":"depolarize"}', "depolarize attack has no field 'p'"),
-        ('{"kind":"coincidence_injection","c":1}',
-         "coincidence_injection attack has no field 'n_photons'"),
-        ('{"kind":"coincidence_injection","n_photons":3}',
-         "coincidence_injection attack has no field 'c'"),
-        ('{"kind":"custom"}', "custom attack has no field 'blocks'"),
+        ('{"kind":"depolarize"}', "p: missing field"),
+        ('{"kind":"coincidence_injection","c":1}', "n_photons: missing field"),
+        ('{"kind":"coincidence_injection","n_photons":3}', "c: missing field"),
+        ('{"kind":"custom"}', "blocks: missing field"),
         ('{"kind":"custom","blocks":[{"n":1,"weight":1,"amps":[[1,0],[0,0]]}]}',
-         "blocks[0] has no field 'm'"),
+         "blocks[0].m: missing field"),
         ('{"kind":"custom","blocks":[{"m":0,"weight":1,"amps":[[1,0],[0,0]]}]}',
-         "blocks[0] has no field 'n'"),
+         "blocks[0].n: missing field"),
         ('{"kind":"custom","blocks":[{"m":0,"n":1,"amps":[[1,0],[0,0]]}]}',
-         "blocks[0] has no field 'weight'"),
+         "blocks[0].weight: missing field"),
         ('{"kind":"custom","blocks":[{"m":0,"n":0,"weight":0.5,"amps":[[1,0]]},'
-         '{"m":0,"n":1,"weight":0.5}]}', "blocks[1] has no field 'amps'"),
+         '{"m":0,"n":1,"weight":0.5}]}', "blocks[1].amps: missing field"),
         ('{"kind":"fixed_block","blocks":[{"m":0,"n":0,"weight":1,"amps":[[1,0]]}]}',
-         "blocks[0] has no field 'rho'"),
-    ], ids=["p", "n_photons", "c", "blocks", "m", "n", "weight", "amps", "rho"])
+         "blocks[0].rho: missing field"),
+        ('{"p":0.1}', "kind: missing field"),
+    ], ids=["p", "n_photons", "c", "blocks", "m", "n", "weight", "amps", "rho", "kind"])
     def test_missing_field_names_itself(self, runner, attack, message):
         # before, each was a bare KeyError: "malformed attack spec: 'p'"
         result = runner.invoke(main, [
@@ -495,16 +508,20 @@ class TestSimulate:
         assert f"malformed attack spec: {message}\n" in result.output
 
     @pytest.mark.parametrize("attack, message", [
-        ('{"kind":"custom","blocks":5}', "blocks must be a list"),
-        ('{"kind":"fixed_block","blocks":{"m":1}}', "blocks must be a list"),
-        ('{"kind":"custom","blocks":[null]}', "blocks[0] must be an object"),
+        ('{"kind":"custom","blocks":5}', "blocks: expected a list of block objects, got 5"),
+        ('{"kind":"fixed_block","blocks":{"m":1}}',
+         "blocks: expected a list of block objects, got {'m': 1}"),
+        ('{"kind":"custom","blocks":[null]}', "blocks[0]: expected an object, got None"),
         ('{"kind":"custom","blocks":[{"m":0,"n":0,"weight":1,"amps":[[1,0]]},5]}',
-         "blocks[1] must be an object"),
-        (CUSTOM % "5", "blocks[0] 'amps' must be a list of [re, im] pairs"),
-        (CUSTOM % "null", "blocks[0] 'amps' must be a list of [re, im] pairs"),
-        (FIXED % "5", "blocks[0] 'rho' must be a list of rows of [re, im] pairs"),
+         "blocks[1]: expected an object, got 5"),
+        (CUSTOM % "5", "blocks[0].amps: expected a list of [re, im] pairs, got 5"),
+        (CUSTOM % "null", "blocks[0].amps: expected a list of [re, im] pairs, got None"),
+        (FIXED % "5", "blocks[0].rho: expected a list of rows of [re, im] pairs, got 5"),
+        ("[1]", "attack: expected an object, got [1]"),
+        ('{"kind":"nope"}', "kind: expected one of depolarize, intercept_resend, "
+         "coincidence_injection, fixed_block, custom, got 'nope'"),
     ], ids=["blocks-int", "blocks-object", "block-null", "block-int", "amps-int", "amps-null",
-            "rho-int"])
+            "rho-int", "attack-list", "unknown-kind"])
     def test_mistyped_block_structure_names_its_path(self, runner, attack, message):
         # before, each was Python's own message, such as "'int' object is not iterable"
         result = runner.invoke(main, [
@@ -514,18 +531,45 @@ class TestSimulate:
         assert result.exit_code == 2
         assert f"malformed attack spec: {message}\n" in result.output
 
-    @pytest.mark.parametrize("source", ["--attack", "--attack-file"])
-    def test_numbers_the_attack_does_not_read_are_not_checked(self, runner, tmp_path, source):
-        # as before the decode hook: only a block's own kind of numbers is read
-        attack = ('{"kind":"custom","blocks":[{"m":0,"n":1,"weight":1,'
-                  '"amps":[[1,0],[0,0]],"rho":[[true]]}],"amps":["x"]}')
-        if source == "--attack-file":
-            (tmp_path / "attack.json").write_text(attack, encoding="utf-8")
-            attack = str(tmp_path / "attack.json")
+    @pytest.mark.parametrize("attack, message", [
+        ('{"kind":"coincidence_injection","n_photons":%s,"c":1}' % HUGE,
+         "n_photons: expected an integer in [0, 2**63), got " + HUGE_SHOWN),
+        ('{"kind":"custom","blocks":[{"m":%s,"n":1,"weight":1,"amps":[[1,0],[0,0]]}]}' % HUGE,
+         "blocks[0].m: expected an integer in [0, 2**63), got " + HUGE_SHOWN),
+        ('{"kind":"depolarize","p":%s}' % HUGE,
+         "p: expected a number that fits a float, got " + HUGE_SHOWN),
+    ], ids=["n_photons", "m", "p"])
+    def test_absurd_number_is_named_in_brief(self, runner, attack, message):
+        # before, a 400-digit n_photons read numpy's "Maximum allowed dimension
+        # exceeded", and a 400-digit m was printed whole
         result = runner.invoke(main, [
-            "simulate", "--protocol", "bbm92", source, attack, "--trials", "100", "--seed", "1",
+            "simulate", "--protocol", "bbm92", "--attack", attack,
+            "--trials", "100", "--seed", "1",
         ])
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 2
+        assert result.output.endswith(f"malformed attack spec: {message}\n")
+        assert len(HUGE_SHOWN) <= 40
+
+    @pytest.mark.parametrize("source", ["--attack", "--attack-file"])
+    def test_fields_the_attack_does_not_read_are_usage_errors(self, runner, tmp_path, source):
+        # before, each was ignored and the run exited 0
+        for attack, message in (
+            ('{"kind":"depolarize","p":0.1,"extra":1}', "extra: unknown field"),
+            ('{"kind":"intercept_resend","p":0.1}', "p: unknown field"),
+            (CUSTOM % '[[1,0],[0,0]],"x":1', "blocks[0].x: unknown field"),
+            (CUSTOM % '[[1,0],[0,0]],"rho":3', "blocks[0].rho: unknown field"),
+            ('{"kind":"custom","blocks":[{"m":0,"n":1,"weight":1,'
+             '"amps":[[1,0],[0,0]],"rho":[[true]]}],"amps":["x"]}', "amps: unknown field"),
+        ):
+            if source == "--attack-file":
+                (tmp_path / "attack.json").write_text(attack, encoding="utf-8")
+                attack = str(tmp_path / "attack.json")
+            result = runner.invoke(main, [
+                "simulate", "--protocol", "bbm92", source, attack, "--trials", "100",
+                "--seed", "1",
+            ])
+            assert result.exit_code == 2, attack
+            assert result.output.endswith(f"malformed attack spec: {message}\n"), attack
 
     def test_duplicate_fixed_block_is_usage_error(self, runner):
         # two (1, 1) blocks of weight 1: the second used to replace the first
@@ -672,7 +716,8 @@ class TestSimulate:
             "--trials", "10", "--seed", "1",
         ])
         assert result.exit_code == 2
-        assert "single qubit" in result.output
+        assert result.output.endswith("malformed attack spec: attack: BB84 requires the sender "
+                                      "side to be a single qubit; got blocks [(2, 1)]\n")
 
 
 #: Valid attacks of the tests above, as the objects their JSON decodes to.
@@ -698,6 +743,11 @@ def json_paths(obj, path=()):
     if isinstance(obj, (dict, list)):
         for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
             yield from json_paths(value, path + (key,))
+
+
+#: A usage error's message that names a path: a field, with its indices and
+#: subfields (``blocks[0].amps[3]``), or the ``attack`` itself.
+NAMES_A_PATH = re.compile(r"\nError: malformed attack spec: [a-z_]+(\[\d+\]|\.[a-z_]+)*: ")
 
 
 @st.composite
@@ -737,6 +787,8 @@ def test_mutated_attack_spec_is_never_a_traceback(attack, protocol):
     if result.exit_code == 1:
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("simulation failed: "), attack
+    if result.exit_code == 2:  # every message names the path of what it rejects
+        assert NAMES_A_PATH.search(result.output), (attack, result.output)
 
 
 @pytest.mark.parametrize("command, module, work", [

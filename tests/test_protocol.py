@@ -7,7 +7,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import binom, chi2
@@ -24,14 +24,13 @@ from squashkit.protocol import (
     eve_state,
     exact_error_rates,
     exact_sifted_distribution,
-    _binomial,
     _born,
     _marginals,
-    _multinomial,
     _table,
     key_rate,
     run_simulation,
 )
+from squashkit.sampler import _binomial, _multinomial
 from squashkit.symfock import projector, sym_basis_state
 
 
@@ -95,6 +94,29 @@ def to_pairs(array):
     return np.stack([array.real, array.imag], axis=-1)
 
 
+@st.composite
+def block_states(draw):
+    """A joint block state of 1-3 blocks with photon numbers up to 3, each a
+    normalized vector of drawn amplitudes or a density operator made from
+    one, with drawn weights."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         min_size=1, max_size=3, unique=True))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(keys), max_size=len(keys)))
+    blocks = {}
+    for key, weight in zip(keys, weights):
+        dim = (key[0] + 1) * (key[1] + 1)
+        amps = np.array(draw(st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False),
+                                      min_size=dim, max_size=dim)), dtype=complex)
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        amps /= norm
+        if draw(st.booleans()):  # a density operator: |a><a| mixed with white noise
+            p = draw(st.floats(0.0, 1.0))
+            amps = p * np.outer(amps, amps.conj()) + (1.0 - p) * np.eye(dim) / dim
+        blocks[key] = (weight / sum(weights), amps)
+    return CompositeBlockState(blocks)
+
+
 def law_chi_square_pvalue(result, law):
     """Goodness of fit of Monte Carlo tallies against an exact round law."""
     cells = [("vacuum", result.vacuum), ("mismatch", result.mismatched)]
@@ -156,7 +178,7 @@ class TestEveState:
 
     def test_custom_duplicate_block_rejected(self):
         block = {"m": 0, "n": 1, "weight": 0.5, "amps": [[1.0, 0.0], [0.0, 0.0]]}
-        with pytest.raises(ValueError, match=r"duplicate block \(0, 1\) in custom attack"):
+        with pytest.raises(ValueError, match=r"^blocks\[1\]: duplicate block \(0, 1\)$"):
             attack_from_dict({"kind": "custom", "blocks": [block, block]})
 
     def test_fixed_block_duplicate_block_rejected(self):
@@ -220,7 +242,7 @@ class TestEveState:
             "bool-c", "string-n"])
     def test_mistyped_attack_numbers_rejected_at_construction(self, make):
         # before, these were accepted here and failed later, in eve_state
-        with pytest.raises(ValueError, match="must be an? (integer|number)"):
+        with pytest.raises(ValueError, match="expected an? (integer|number)"):
             make()
 
     def test_attack_validation(self):
@@ -259,21 +281,35 @@ class TestEveState:
             assert all(rho.ndim == axes for _, rho in back.blocks.values())
 
     @pytest.mark.parametrize("kind, field, array, message, as_list", [
-        (kind, field, array, message, as_list)
-        for as_list in (False, True)
-        for kind, field, array, message in (
-            ("custom", "amps", np.eye(2) / 2, r"'amps' must be 1-D, got shape \(2, 2\)"),
-            ("fixed_block", "rho", np.array([0.6, 0.8]), r"'rho' must be 2-D, got shape \(2,\)"),
-        )
+        ("custom", "amps", np.eye(2) / 2,
+         r"amps: expected a list of \[re, im\] pairs, got shape \(2, 2, 2\)", False),
+        ("fixed_block", "rho", np.array([0.6, 0.8]),
+         r"rho: expected a list of rows of \[re, im\] pairs, got shape \(2, 2\)", False),
+        ("custom", "amps", np.eye(2) / 2,
+         r"amps\[0\]\[0\]: expected a number that fits a float, got \[0.5, 0.0\]", True),
+        ("fixed_block", "rho", np.array([0.6, 0.8]),
+         r"rho\[0\]\[0\]: expected a pair \[re, im\], got 0.6", True),
     ], ids=["custom-matrix", "fixed-block-vector", "custom-matrix-list", "fixed-block-vector-list"])
     def test_block_array_with_the_wrong_axes_rejected(self, kind, field, array, message,
                                                        as_list):
-        # a valid state of the other shape: never read as the other kind, and
-        # JSON lists get the message arrays get
+        # a valid state of the other shape is never read as the other kind:
+        # an array is named by its shape, a JSON list at its first entry of
+        # the wrong depth
         pairs = to_pairs(array).tolist() if as_list else to_pairs(array)
         block = {"m": 0, "n": 1, "weight": 1.0, field: pairs}
-        with pytest.raises(ValueError, match=r"block \(0, 1\) " + message):
+        with pytest.raises(ValueError, match=r"^blocks\[0\]\." + message + "$"):
             attack_from_dict({"kind": kind, "blocks": [block]})
+
+    @pytest.mark.parametrize("attack", SHIPPED_BB84_ATTACKS + [
+        double_coincidence_attack(), honest_bbm92_attack(), asymmetric_bbm92_attack()])
+    def test_every_attack_round_trips_through_json(self, attack):
+        assert attack_from_dict(json.loads(to_json(attack_to_dict(attack)))) == attack
+
+    @given(state=block_states())
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_block_states_round_trip_through_json(self, state):
+        # echoed as custom when every block is a vector, else as fixed_block
+        assert attack_from_dict(json.loads(to_json(attack_to_dict(state)))) == state
 
     def test_unsorted_custom_attack_echoes_in_block_order(self):
         rng = np.random.default_rng(1618)
@@ -447,6 +483,15 @@ class TestBb84MonteCarlo:
         with pytest.raises(ValueError, match=r"single qubit; got blocks \[\(2, 1\)\]"):
             run_simulation("bb84", "actual", attack, 100, 1)
         assert built == []
+
+    def test_bad_alice_side_message_lists_a_few_blocks_and_the_count(self):
+        # the ladder attack's 156 such blocks used to fill one 1417-byte line
+        attack = CompositeBlockState({
+            (m, n): (1 / 16, np.eye((m + 1) * (n + 1))[0]) for m in range(4) for n in range(4)})
+        with pytest.raises(ValueError) as info:
+            run_simulation("bb84", "actual", attack, 100, 1)
+        assert str(info.value) == ("BB84 requires the sender side to be a single qubit; "
+                                   "got blocks [(0, 0), (0, 1), (0, 2)] and 9 more")
 
     def test_photon_tallies_cover_all_trials(self):
         for protocol, attack, keys in (
