@@ -243,6 +243,8 @@ def CoincidenceInjection(n_photons: int, c: int) -> CompositeBlockState:
     detector and N-c on the other, which always fires both detectors.
     """
     n_photons, c = _integer(n_photons, "n_photons"), _integer(c, "c")
+    if n_photons >= 2**59 - 1:  # numpy cannot index N + 1 >= 2**59 complex amplitudes
+        raise _bad("n_photons", "an integer in [0, 2**59 - 1), a state numpy can index", n_photons)
     if n_photons < 2:
         raise ValueError("coincidence injection needs N >= 2")
     if not 1 <= c <= n_photons - 1:

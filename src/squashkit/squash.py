@@ -26,6 +26,7 @@ matrix units, exact for every input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
@@ -53,6 +54,9 @@ __all__ = [
 
 _ATOL = 1e-10
 
+#: Entries of J read per slice of the Hermiticity check.
+_SLICE_ENTRIES = 1 << 12
+
 #: Whether a residue r of b - b' (mod 4) makes (b, b') a squash pair.
 _IS_PAIR_RESIDUE = np.array([False, True, False, False])
 
@@ -68,12 +72,17 @@ class KrausChannel:
     choi : ndarray
         The Choi matrix J[i, j, m, l] = sum_k K_k[i, j] conj(K_k[m, l]) of
         the map's Kraus operators K_k, as the (out*out, in*in) matrix
-        C[(i, m), (j, l)]; a read-only copy of the array passed in.
+        C[(i, m), (j, l)], read-only.  A complex array that is read-only
+        and owns its data (as :func:`build_squash` hands over) is kept as
+        it is; any other input is copied, so the caller's array stays its
+        own.
 
     Construction checks complete positivity (J as the matrix
     [(i, j), (m, l)] is Hermitian positive semidefinite) and trace
-    preservation.  Applying the channel and pulling an operator back are
-    each one matrix product with C, O(output_dim^2 input_dim^2).
+    preservation, holding one regrouped copy of J; Hermiticity is read a
+    few rows at a time (2^12 entries, or one row where a row is longer).
+    Applying the channel and pulling an operator back are each one matrix
+    product with C, O(output_dim^2 input_dim^2).
 
     Channels compare by identity, and their repr leaves out the matrix.
     """
@@ -84,15 +93,22 @@ class KrausChannel:
 
     def __post_init__(self) -> None:
         out, inp = self.output_dim, self.input_dim
-        choi = np.array(self.choi, dtype=complex)
+        choi = self.choi
+        if not (type(choi) is np.ndarray and choi.dtype == complex
+                and choi.flags.owndata and not choi.flags.writeable):
+            choi = np.array(choi, dtype=complex)
+            choi.setflags(write=False)
         if choi.shape != (out * out, inp * inp):
             raise ValueError(f"Choi matrix shape {choi.shape} != {(out * out, inp * inp)}")
-        choi.setflags(write=False)
         object.__setattr__(self, "choi", choi)
-        # eigvalsh reads one triangle only, so Hermiticity is checked too
         j = choi.reshape(out, out, inp, inp).swapaxes(1, 2).reshape(out * inp, -1)
-        herm_dev = np.max(np.abs(j - j.conj().T))
+        # eigvalsh reads one triangle only, so Hermiticity is checked too,
+        # a bounded slice of rows at a time against the matching columns
+        rows = max(1, _SLICE_ENTRIES // len(j))
+        herm_dev = np.max([np.max(np.abs(j[r:r + rows] - j[:, r:r + rows].T.conj()))
+                           for r in range(0, len(j), rows)])
         min_eig = np.linalg.eigvalsh(j)[0]
+        del j
         if not (herm_dev <= _ATOL and min_eig >= -_ATOL):
             raise ValueError(f"channel is not completely positive (Choi "
                              f"eigenvalue {min_eig:.3e}, non-Hermiticity {herm_dev:.3e})")
@@ -152,10 +168,17 @@ def squash_index_pairs(n_photons: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(_IS_PAIR_RESIDUE[(k[:, None] - k) % 4])
 
 
+@lru_cache(maxsize=1)
 def _y_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """to_y and w: F[b,b'] has rows w[b] <S^y_b'| and w[b'] <S^y_b| in y."""
+    """to_y and w: F[b,b'] has rows w[b] <S^y_b'| and w[b'] <S^y_b| in y.
+
+    The last N's pair is kept, read-only, so that a build and the checks
+    of its channel lift the z -> y change once.
+    """
     to_y = basis_change_matrix(n, Basis.Z, Basis.Y)  # input z-coords -> y-coords
     w = 2.0 ** (-(n - 1) / 2.0) * np.array([sqrt(comb(n, k)) for k in range(n + 1)])
+    to_y.setflags(write=False)
+    w.setflags(write=False)
     return to_y, w
 
 
@@ -183,15 +206,18 @@ def build_squash(n_photons: int) -> KrausChannel:
     to_y, w = _y_terms(n)
     k = np.arange(n + 1)
     by_residue = np.array([np.sum(w[r::4] ** 2) for r in range(4)])
-    diag = [(to_y.T * by_residue[(k + d) % 4]) @ to_y.conj() for d in (1, -1)]
+    blocks = np.empty((4, n + 1, n + 1), dtype=complex)  # block[p, q] is blocks[2p + q]
+    for d, p in ((1, 0), (-1, 3)):
+        np.matmul(to_y.T * by_residue[(k + d) % 4], to_y.conj(), out=blocks[p])
     b, bp = squash_index_pairs(n)
     cross_y = np.zeros((n + 1, n + 1))
     cross_y[bp, b] = w[bp] * w[b]
-    cross = to_y.T @ cross_y @ to_y.conj()
-    blocks = [diag[0], cross, cross.conj().T, diag[1]]
+    np.matmul(to_y.T @ cross_y, to_y.conj(), out=blocks[1])
+    np.conjugate(blocks[1].T, out=blocks[2])
     # C[(i, m), (j, l)] = sum_{p,q} frame_y[i, p] conj(frame_y[m, q]) block[p, q][j, l]
-    choi = np.kron(frame_y, frame_y.conj()) @ np.reshape(blocks, (4, -1))
-    del diag, cross, blocks, to_y  # the channel copies choi
+    choi = np.kron(frame_y, frame_y.conj()) @ blocks.reshape(4, -1)
+    del blocks, cross_y
+    choi.setflags(write=False)  # read-only and its own data: the channel keeps it uncopied
     return KrausChannel(input_dim=n + 1, output_dim=2, choi=choi)
 
 

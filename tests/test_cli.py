@@ -183,6 +183,23 @@ class TestVerify:
         assert json.loads(result.output)["passed"] is True
         assert built == [1, 2, 3, 4, 5]
 
+    def test_one_lift_to_y_per_photon_number(self, runner, monkeypatch):
+        # the build and the covariance check share the z -> y change
+        import squashkit.squash as squash
+
+        real, lifted = squash.basis_change_matrix, []
+
+        def counting(n, from_basis, to_basis):
+            lifted.append(n)
+            return real(n, from_basis, to_basis)
+
+        monkeypatch.setattr(squash, "basis_change_matrix", counting)
+        squash._y_terms.cache_clear()  # no N kept from an earlier test
+        result = runner.invoke(main, ["verify", "--nmax", "5", "--format", "json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["passed"] is True
+        assert lifted == [1, 2, 3, 4, 5]
+
     def test_failed_build_fails_each_check_at_its_n(self, runner, monkeypatch):
         import squashkit.cli as cli
 
@@ -619,6 +636,32 @@ class TestSimulate:
         ])
         assert result.exit_code == 1
         assert result.output == "simulation failed: MemoryError: Unable to allocate 1.5 PiB\n"
+
+    @pytest.mark.parametrize("n_photons, code, message", [
+        (2**62, 2, "malformed attack spec: attack: n_photons: expected an integer in "
+                   "[0, 2**59 - 1), a state numpy can index, got 4611686018427387904\n"),
+        (4 * 10**9, 1, "simulation failed: MemoryError: Unable to allocate "),
+    ], ids=["too-large-to-index", "too-large-to-allocate"])
+    def test_photon_number_numpy_cannot_index_is_usage_error(self, n_photons, code, message):
+        # before, N = 2**62 read numpy's "array is too big" at exit 2; the
+        # child's address space is capped at 1 GiB, so that N = 4e9 fails to
+        # allocate whatever the machine's memory
+        import resource
+        import subprocess
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        attack = '{"kind":"coincidence_injection","n_photons":%d,"c":1}' % n_photons
+        proc = subprocess.run(
+            [sys.executable, "-m", "squashkit", "simulate", "--protocol", "bb84",
+             "--attack", attack, "--trials", "10", "--seed", "1"],
+            capture_output=True, text=True, env=child_env(), preexec_fn=cap_address_space,
+            timeout=60,
+        )
+        assert proc.returncode == code
+        assert message in proc.stderr
+        assert "array is too big" not in proc.stderr
 
     @pytest.mark.parametrize("protocol, attack", [
         ("bb84", '{"kind":"coincidence_injection","n_photons":4,"c":1}'),

@@ -154,16 +154,42 @@ class TestBuildSquash:
         with pytest.raises(ValueError):
             channel.choi[0, 0] = 0.0
 
+    def test_read_only_view_is_copied(self):
+        # read-only, but the array it views can still change
+        base = build_squash(3).choi.copy()
+        view = base.view()
+        view.setflags(write=False)
+        channel = KrausChannel(4, 2, view)
+        base[0, 0] += 1.0
+        assert np.array_equal(channel.choi, build_squash(3).choi)
+
+    def test_read_only_array_owning_its_data_is_kept(self):
+        a = build_squash(3).choi.copy()
+        a.setflags(write=False)
+        assert KrausChannel(4, 2, a).choi is a
+
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_built_choi_is_read_only_and_owns_its_data(self, n):
+        choi = build_squash(n).choi
+        assert not choi.flags.writeable
+        assert choi.flags.owndata
+
     def test_build_memory_is_bounded(self):
-        # the closed form holds a few (N+1)^2 arrays; summing J from the
-        # gathered Kraus stack peaked at 131 MB at N = 200
+        # the blocks are written into one array, the Choi matrix is handed
+        # over uncopied and the check holds one regrouped copy: under three
+        # Choi matrices (2.6 MB each at N = 200), where a copy for the
+        # channel and whole-matrix Hermiticity temporaries read 5.2
+        import squashkit.squash as squash
+
+        n = 200
+        squash._y_terms.cache_clear()  # the lift's own peak is counted too
         tracemalloc.start()
         try:
-            build_squash(200)
+            build_squash(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 2.75 * (2 * (n + 1)) ** 2 * 16
 
     def test_equality_is_identity_and_repr_is_short(self):
         # pytest prints a failing case's channel, so its repr must not
@@ -176,6 +202,39 @@ class TestBuildSquash:
         text = repr(channel)
         assert time.perf_counter() - start < 1.0
         assert len(text) < 200
+
+
+class TestPositivityCheck:
+    """KrausChannel's complete-positivity check at its bound: J's smallest
+    eigenvalue may reach -1e-10, and J - J^dagger may not pass 1e-10."""
+
+    @staticmethod
+    def with_smallest_eigenvalue(n, value):
+        """The squash Choi matrix with the smallest eigenvalue of J moved to `value`."""
+        dim = n + 1
+        j = build_squash(n).choi.reshape(2, 2, dim, dim).swapaxes(1, 2).reshape(2 * dim, -1)
+        lam, vecs = np.linalg.eigh(j)
+        j = j + (value - lam[0]) * np.outer(vecs[:, 0], vecs[:, 0].conj())
+        return j.reshape(2, dim, 2, dim).swapaxes(1, 2).reshape(4, -1)
+
+    @pytest.mark.parametrize("n", [3, 40, 200])
+    def test_eigenvalue_inside_the_bound_passes(self, n):
+        KrausChannel(n + 1, 2, self.with_smallest_eigenvalue(n, -5e-11))
+
+    @pytest.mark.parametrize("n", [3, 40, 200])
+    def test_eigenvalue_past_the_bound_fails_and_is_named(self, n):
+        with pytest.raises(ValueError, match=r"completely positive \(Choi eigenvalue -2\.000e-10,"):
+            KrausChannel(n + 1, 2, self.with_smallest_eigenvalue(n, -2e-10))
+
+    def test_non_hermitian_defect_in_the_last_row_slice_fails(self):
+        # C[-1, -1] is J's last diagonal entry, (i, j) = (m, l) = (1, N):
+        # only the last slice of rows reads it, and eigvalsh takes the real
+        # part of the diagonal, so only the Hermiticity check can see it
+        n = 200
+        choi = build_squash(n).choi.copy()
+        choi[-1, -1] += 1e-10j  # J - J^dagger is 2e-10j there
+        with pytest.raises(ValueError, match=r"completely positive .* non-Hermiticity 2\.000e-10\)"):
+            KrausChannel(n + 1, 2, choi)
 
 
 class TestApplyChannel:
