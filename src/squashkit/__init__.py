@@ -89,7 +89,6 @@ __all__ = [
     "Depolarize",
     "InterceptResend",
     "CoincidenceInjection",
-    "AttackSpec",
     "attack_from_dict",
     "attack_to_dict",
     "SimResult",

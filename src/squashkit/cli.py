@@ -137,14 +137,24 @@ def _write(pieces, out: str | None) -> None:
         raise click.UsageError(f"cannot write --out {out}: {exc.strerror or exc}")
 
 
+def _haar_gates(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` Haar-random U(2) gates e^{i phi} [[a, -b*], [b, a*]], shape (count, 2, 2).
+
+    Six normals per gate from ``rng``, the standard library's generator:
+    (a, b) is four of them scaled to the unit sphere of C^2, e^{i phi} the
+    other two scaled to unit modulus, with one square root per gate.  A
+    closed form, so no QR.
+    """
+    normals = [rng.gauss(0.0, 1.0) for _ in range(count * 6)]
+    g = np.reshape(normals, (count, 3, 2))
+    a, b, phase = (g[..., 0] + 1j * g[..., 1]).T
+    squares = np.sum(g ** 2, axis=2)  # |a|^2, |b|^2, |phase|^2
+    scale = phase / np.sqrt((squares[:, 0] + squares[:, 1]) * squares[:, 2])
+    return scale[:, None, None] * np.moveaxis([[a, -b.conj()], [b, a.conj()]], -1, 0)
+
+
 def _lift_oracle_row(n: int, rng: random.Random) -> dict:
-    # Haar-random gates; each takes its real, then its imaginary part from
-    # rng, the standard library's generator
-    normals = [rng.gauss(0.0, 1.0) for _ in range(_ORACLE_TRIALS * 8)]
-    x = np.reshape(normals, (_ORACLE_TRIALS, 2, 2, 2))
-    q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    u = q * (d / np.abs(d))[:, None, :]
+    u = _haar_gates(rng, _ORACLE_TRIALS)
     diff = lift_gate(u, n) - lift_gate_oracle(u, n)
     return {"max_deviation": float(np.max(np.abs(diff)))}
 

@@ -66,7 +66,6 @@ __all__ = [
     "Depolarize",
     "InterceptResend",
     "CoincidenceInjection",
-    "AttackSpec",
     "attack_from_dict",
     "attack_to_dict",
     "SimResult",
@@ -96,11 +95,7 @@ _PAIRS = ((False, False), (False, True), (True, False), (True, True))
 # ---------------------------------------------------------------------------
 
 
-#: An attack: an explicit joint block state, or one a named constructor returns.
-AttackSpec = CompositeBlockState
-
-
-def attack_to_dict(attack: AttackSpec) -> dict:
+def attack_to_dict(attack: CompositeBlockState) -> dict:
     """Description of an attack; inverse of :func:`attack_from_dict`.
 
     A named attack echoes its ``spec``: its kind and parameters.  An
@@ -267,7 +262,7 @@ _KINDS = {
 }
 
 
-def attack_from_dict(data: dict) -> AttackSpec:
+def attack_from_dict(data: dict) -> CompositeBlockState:
     """Parse an attack description (the CLI's ``--attack`` JSON payload).
 
     An attack is an object with a ``kind`` of :data:`_KINDS` and exactly
@@ -293,7 +288,7 @@ def attack_from_dict(data: dict) -> AttackSpec:
         raise ValueError(f"attack: {exc}") from None
 
 
-def eve_state(attack: AttackSpec) -> CompositeBlockState:
+def eve_state(attack: CompositeBlockState) -> CompositeBlockState:
     """Joint block-diagonal state the adversary hands to the two parties:
     the attack itself, which must be a :class:`CompositeBlockState`."""
     if not isinstance(attack, CompositeBlockState):
@@ -355,7 +350,7 @@ def _born(a_effects: np.ndarray, b_effects: np.ndarray, rho: np.ndarray) -> np.n
     return (a @ rho_t @ b.T).real
 
 
-def _require_bb84_blocks(attack: AttackSpec) -> None:
+def _require_bb84_blocks(attack: CompositeBlockState) -> None:
     """BB84's sender is one qubit, as in every named attack: an attack's
     blocks must all have m = 1."""
     bad = [key for key in attack.blocks if key[0] != 1]
@@ -365,7 +360,7 @@ def _require_bb84_blocks(attack: AttackSpec) -> None:
                          f"got blocks {bad[:3]}{more}")
 
 
-def _table(attack: AttackSpec, protocol: str, mode: str) -> tuple[list, np.ndarray]:
+def _table(attack: CompositeBlockState, protocol: str, mode: str) -> tuple[list, np.ndarray]:
     """Exact per-round law over (basis pair, block, sender state, receiver state).
 
     Returns ``(block_keys, cells)``, the checked category table of one
@@ -402,7 +397,7 @@ def _table(attack: AttackSpec, protocol: str, mode: str) -> tuple[list, np.ndarr
 
 
 def exact_sifted_distribution(
-    attack: AttackSpec,
+    attack: CompositeBlockState,
     protocol: str = "bb84",
     mode: str = "actual",
 ) -> dict:
@@ -421,7 +416,7 @@ def exact_sifted_distribution(
         for b_i, basis in enumerate("zx") for a in (0, 1) for b in (0, 1)}}
 
 
-def exact_error_rates(attack: AttackSpec, protocol: str = "bb84") -> tuple[float, float]:
+def exact_error_rates(attack: CompositeBlockState, protocol: str = "bb84") -> tuple[float, float]:
     """Exact bit and phase error rates of the squashed qubit pair.
 
     The z-z and x-x disagreement probabilities of the sifted rounds of the
@@ -501,7 +496,7 @@ def _clip_rate(e: float) -> float:
 def run_simulation(
     protocol: str,
     mode: str,
-    attack: AttackSpec,
+    attack: CompositeBlockState,
     trials: int,
     seed: int,
     *,

@@ -229,6 +229,52 @@ class TestVerify:
         assert all(c["max_deviation"] < 1e-10 for c in report["checks"] if c not in failed)
 
 
+def haar_defects(u) -> list:
+    """The checks of the Haar law on U(2) that a (count, 2, 2) stack fails."""
+    from scipy import stats
+
+    defects = []
+    if not np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(2))) <= 1e-15:
+        defects.append("unitary")
+    if not stats.kstest(np.abs(u[:, 0, 0]) ** 2, "uniform").pvalue > 1e-4:
+        defects.append("|u00|^2")
+    det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
+    if not stats.kstest(np.angle(det), stats.uniform(-np.pi, 2 * np.pi).cdf).pvalue > 1e-4:
+        defects.append("arg det u")
+    if not abs(np.mean(np.abs(u[:, 0, 0] + u[:, 1, 1]) ** 2) - 1.0) <= 0.05:
+        defects.append("|tr u|^2")
+    return defects
+
+
+class TestHaarGates:
+    # The lift_oracle rows' gates, 4000 at a time through the same function:
+    # under Haar measure |u00|^2 is uniform on [0, 1], det u uniform on the
+    # unit circle, and E|tr u|^2 = 1.
+    def test_closed_form_draw_is_haar(self):
+        from squashkit.cli import _haar_gates
+
+        u = _haar_gates(random.Random(1), 4000)
+        assert u.shape == (4000, 2, 2)
+        assert haar_defects(u) == []
+
+    @pytest.mark.parametrize("mutation, defects", [
+        (("scale = phase /", "scale = np.abs(phase) /"), ["arg det u"]),  # an SU(2)-only draw
+        (("(squares[:, 0] + squares[:, 1]) * ", ""), ["unitary", "|u00|^2", "|tr u|^2"]),
+    ])
+    def test_checks_catch_a_mutated_sampler(self, mutation, defects):
+        # the sampler's own source with the phase dropped, or with (a, b) left
+        # unnormalised
+        import inspect
+
+        from squashkit import cli
+
+        source = inspect.getsource(cli._haar_gates)
+        assert mutation[0] in source
+        namespace = dict(vars(cli))
+        exec(source.replace(*mutation), namespace)
+        assert haar_defects(namespace["_haar_gates"](random.Random(1), 4000)) == defects
+
+
 class TestSimulate:
     def test_csv_row_shape(self, runner):
         result = runner.invoke(main, [
@@ -916,12 +962,17 @@ def test_broken_stdout_pipe_is_not_an_out_error(tmp_path, command, head):
 def test_verify_never_imports_numpy_random():
     # verify and simulate draw from the stdlib's random; numpy.random and
     # its extension modules would cost about 6 MB of peak RSS.  verify does
-    # not load squashkit.protocol either.
+    # not load squashkit.protocol either, and draws its Haar gates in closed
+    # form: a call of numpy.linalg.qr would turn a row into a FAIL.
     import subprocess
     import sys
 
     code = (
         "import sys\n"
+        "import numpy.linalg\n"
+        "def no_qr(*args, **kwargs):\n"
+        "    raise AssertionError('numpy.linalg.qr called')\n"
+        "numpy.linalg.qr = no_qr\n"
         "from squashkit.cli import main\n"
         "for fmt in ('text', 'json'):\n"
         "    main(['verify', '--nmax', '8', '--format', fmt], standalone_mode=False)\n"
