@@ -52,41 +52,33 @@ def _json_scalar(obj) -> str | None:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _float_rows(rows, level: int) -> str | None:
-    """JSON text of equal-length rows of Python floats (an ``amps`` table,
-    a ``rho`` row), one ``%.17g`` template per row; None for any other list."""
-    if not {*map(type, rows)} <= {list, tuple} or len({*map(len, rows)}) != 1:
-        return None
-    if {*map(type, chain.from_iterable(rows))} != {float}:  # bool, int, np.float64: general path
-        return None
-    inner, cell = "  " * (level + 1), "  " * (level + 2) + "%.17g"
-    template = inner + "[\n" + ",\n".join([cell] * len(rows[0])) + "\n" + inner + "]"
-    return "[\n" + ",\n".join(map(template.__mod__, map(tuple, rows))) + "\n" + "  " * level + "]"
-
-
 def _json_pieces(obj, level: int = 0):
     """JSON text of ``obj`` in pieces, floats at 17 significant digits
-    (exact round trip); no report is ever joined into one string."""
-    if isinstance(obj, np.ndarray):  # an attack block's numbers: its lists, one block at a time
-        obj = obj.tolist()
+    (exact round trip); no report is ever joined into one string.
+
+    A 2-D float array (an attack block's ``amps`` table, or one row of its
+    ``rho``) is one piece, written with one ``%.17g`` template per row; a
+    3-D ``rho`` is a list of those.  Any other float goes through
+    :func:`_json_scalar`.
+    """
     text = _json_scalar(obj)
     if text is not None:
         yield text
+        return
+    if isinstance(obj, np.ndarray) and obj.ndim == 2:
+        inner, cell = "  " * (level + 1), "  " * (level + 2) + "%.17g"
+        template = inner + "[\n" + ",\n".join([cell] * obj.shape[1]) + "\n" + inner + "]"
+        yield "[\n" + ",\n".join(map(template.__mod__, map(tuple, obj.tolist()))) + "\n" + "  " * level + "]"
         return
     if isinstance(obj, dict):
         items = ((json.dumps(str(k)) + ": ", v) for k, v in obj.items())
         opener, closer = "{\n", "}"
     else:
-        text = _float_rows(obj, level)
-        if text is not None:
-            yield text
-            return
         items = (("", v) for v in obj)
         opener, closer = "[\n", "]"
     sep, inner = opener, "  " * (level + 1)
     for key, v in items:
-        # floats inline: no call per number in long float lists
-        text = "%.17g" % v if type(v) is float else _json_scalar(v)
+        text = _json_scalar(v)
         if text is None:
             yield sep + inner + key
             yield from _json_pieces(v, level + 1)
@@ -310,7 +302,8 @@ def simulate(protocol, mode, attack_json, attack_file, trials, seed, fmt, out):
                 attack = attack_from_dict(json.load(fh, object_hook=_decode_block))
     except (MemoryError, np.linalg.LinAlgError) as exc:  # the numerics of building the state
         _simulation_failed(exc)
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # decode errors are ValueErrors
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        # decode errors are ValueErrors; nesting past the parser's depth, a RecursionError
         raise click.UsageError(f"malformed attack spec: {exc}")
     if protocol == "bb84":  # a usage error, before the run
         try:

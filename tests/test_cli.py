@@ -880,6 +880,27 @@ def test_mutated_attack_spec_is_never_a_traceback(attack, protocol):
         assert NAMES_A_PATH.search(result.output), (attack, result.output)
 
 
+@pytest.mark.parametrize("source", ["inline", "file"])
+def test_too_deeply_nested_attack_is_usage_error(runner, tmp_path, source):
+    # past the JSON parser's nesting depth (about 1000), json.loads raises
+    # RecursionError, which was a traceback at exit 1
+    if source == "inline":
+        attack = ["--attack", "[" * 3000 + "]" * 3000]
+    else:
+        amps = "[" * 5000 + "]" * 5000
+        path = tmp_path / "deep.json"
+        path.write_text('{"kind": "custom", "blocks": [{"m": 1, "n": 1, "weight": 1, '
+                        f'"amps": {amps}}}]}}', encoding="utf-8")
+        attack = ["--attack-file", str(path)]
+    result = runner.invoke(main, ["simulate", "--protocol", "bb84", *attack,
+                                  "--trials", "10", "--seed", "1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    lines = [line for line in result.output.splitlines() if "malformed attack spec" in line]
+    assert len(lines) == 1 and lines[0].startswith("Error: malformed attack spec: ")
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("command, module, work", [
     (["verify", "--nmax", "200"], "cli", "build_squash"),
     (["simulate", "--protocol", "bb84", "--attack", DEPOL, "--trials", "10", "--seed", "1"],
@@ -1126,9 +1147,23 @@ class TestJsonSerializer:
         for value in ([], {}, 0.25, np.float64(0.25), [0.25], [[0.25, True]]):
             assert dumps(value) == reference_json_dumps(value)
 
+    def test_float_arrays_match_reference_writer(self):
+        # an attack block's amps (k, 2) and rho (d, d, 2), read-only as
+        # attack_to_dict echoes them, take the one-template-per-row path
+        special = [-0.0, 2.0 ** -1074, 1e300, float("inf"), -float("inf"), 0.1]
+        amps = np.resize(special, (7, 2))
+        rho = np.resize(special[::-1], (3, 3, 2))
+        for array in (amps, rho):
+            array.flags.writeable = False
+            lists = array.tolist()
+            for value, written in ((array, lists), ({"amps": array}, {"amps": lists}),
+                                   ([array, 7], [lists, 7])):
+                assert dumps(value) == reference_json_dumps(written)
+        assert dumps(np.zeros((0, 2))) == "[]"
+
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_equal_length_float_rows_match_reference_writer(self, width):
-        # the rows take the one-template-per-row path
+        # lists of Python floats, written one value per call as any other list
         special = [-0.0, 2.0 ** -1074, 1e300, float("inf"), -float("inf"), 0.1]
         rows = [[special[(i + j) % len(special)] for j in range(width)] for i in range(7)]
         for value in (rows, {"amps": rows}, [{"rho": [rows, rows]}], [rows[:1]]):
