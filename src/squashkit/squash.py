@@ -172,11 +172,12 @@ def squash_index_pairs(n_photons: int) -> tuple[np.ndarray, np.ndarray]:
 def _y_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
     """to_y and w: F[b,b'] has rows w[b] <S^y_b'| and w[b'] <S^y_b| in y.
 
-    The last N's pair is kept, read-only, so that a build and the checks
-    of its channel lift the z -> y change once.
+    w[k] = sqrt(C(N, k) / 2^(N-1)), the integer ratio correctly rounded at
+    any N.  The last N's pair is kept, read-only, so that a build and the
+    checks of its channel lift the z -> y change once.
     """
     to_y = basis_change_matrix(n, Basis.Z, Basis.Y)  # input z-coords -> y-coords
-    w = 2.0 ** (-(n - 1) / 2.0) * np.array([sqrt(comb(n, k)) for k in range(n + 1)])
+    w = np.array([sqrt(comb(n, k) / 2 ** (n - 1)) for k in range(n + 1)])
     to_y.setflags(write=False)
     w.setflags(write=False)
     return to_y, w
@@ -261,17 +262,15 @@ def verify_completeness(channel: KrausChannel) -> CompletenessReport:
 
         f[b,b] = 2^(-(N-1)) * sum_{c : b-c = +-1 (mod 4)} C(N, c),
 
-    every element of which must equal 1.
+    every element of which must equal 1.  c = b -+ 1 (mod 4) has the other
+    parity than b, so the sums of C(N, c) over odd and over even c are checked
+    against 2^(N-1) in integers; the deviation is |sum - 2^(N-1)| / 2^(N-1).
     """
     n = channel.input_dim - 1
     dev = float(np.max(np.abs(channel.completeness_sum() - np.eye(n + 1))))
-    # b - c = +-1 (mod 4) means c = b -+ 1: sum the binomials by c mod 4 once
-    residue_sums = [sum(comb(n, c) for c in range(r, n + 1, 4)) for r in range(4)]
-    diag_dev = 0.0
-    for b in range(n + 1):
-        total = residue_sums[(b - 1) % 4] + residue_sums[(b + 1) % 4]
-        diag_dev = max(diag_dev, abs(2.0 ** (-(n - 1)) * total - 1.0))
-    return CompletenessReport(dev, float(diag_dev))
+    half = 2 ** (n - 1)
+    diag_dev = max(abs(sum(comb(n, c) for c in range(r, n + 1, 2)) - half) for r in (0, 1))
+    return CompletenessReport(dev, diag_dev / half)
 
 
 def verify_hadamard_invariance(channel: KrausChannel) -> HadamardReport:
@@ -280,7 +279,8 @@ def verify_hadamard_invariance(channel: KrausChannel) -> HadamardReport:
     Operator level, N = input_dim - 1: F[b,b'] D(H) = OMEGA^(2b-N-1) H F[b,b'] for
     every pair, output in y coordinates: there H = diag(OMEGA^-1, OMEGA), so
     rows b' and b of to_y D(H) must be OMEGA^(2r-N) times those of to_y,
-    r = b-1 resp. b (mod 4), one product per N.  Channel level: the Choi
+    r = b-1 resp. b (mod 4), the row's own residue: row k's phase is one of the
+    eight roots, OMEGA^((2k-N) mod 8), all rows in one pass.  Channel level: the Choi
     identity D^dagger Phi*(O) D = Phi*(H^dagger O H) on the qubit matrix
     units O (Phi* the pull-back), exact for every input, and one fixed
     full-rank state sent through :func:`apply_channel` on both sides.
@@ -288,11 +288,10 @@ def verify_hadamard_invariance(channel: KrausChannel) -> HadamardReport:
     n = channel.input_dim - 1
     to_y, w = _y_terms(n)
     lifted_h = lift_gate(X_MODULATION, n)
-    g = to_y @ lifted_h
-    # dev[r, k] = max_j |(to_y D(H))[k, j] - OMEGA^(2r-N) to_y[k, j]|
-    dev = np.array([np.max(np.abs(g - OMEGA ** (2 * r - n) * to_y), axis=1) for r in range(4)])
+    phase = np.array([OMEGA ** m for m in range(8)])[(2 * np.arange(n + 1) - n) % 8]
+    dev = np.max(np.abs(to_y @ lifted_h - phase[:, None] * to_y), axis=1)
     b, bp = squash_index_pairs(n)
-    kraus_dev = float(max(np.max(w[b] * dev[(b - 1) % 4, bp]), np.max(w[bp] * dev[b % 4, b])))
+    kraus_dev = float(max(np.max(w[b] * dev[bp]), np.max(w[bp] * dev[b])))
     # one fixed full-rank state, diagonal in neither z nor y: D diag(p) D^dagger,
     # p proportional to (N+1, N, ..., 1)
     p = np.arange(n + 1, 0, -1) / ((n + 1) * (n + 2) / 2)

@@ -3,6 +3,7 @@
 import time
 import tracemalloc
 from math import comb, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -365,7 +366,7 @@ class TestCompleteness:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 47, 200])
     def test_diagonal_formula_matches_per_entry_binomial_sum(self, n):
-        # the residue sums give the same exact integers as summing C(N, c)
+        # the two parity sums give the same exact integers as summing C(N, c)
         # over every qualifying c, for each diagonal entry b
         diag_dev = 0.0
         for b in range(n + 1):
@@ -378,6 +379,35 @@ class TestCompleteness:
         report = verify_completeness(build_squash(n))
         assert report.max_deviation < 1e-10
         assert report.diag_formula_deviation < 1e-12
+
+    @staticmethod
+    def identity_sum_channel(n):
+        # the closed form alone: a channel whose operator sum is exactly I
+        return SimpleNamespace(input_dim=n + 1, completeness_sum=lambda: np.eye(n + 1))
+
+    @pytest.mark.parametrize("n", [1024, 1025, 1030, 1100])
+    def test_diagonal_formula_is_exact_past_the_float_range(self, n):
+        # from N = 1025 the binomial sums reach 2^1024, past every float
+        report = verify_completeness(self.identity_sum_channel(n))
+        assert report.diag_formula_deviation == 0.0
+        assert report.max_deviation == 0.0
+
+    def test_diagonal_formula_detects_a_wrong_binomial(self, monkeypatch):
+        import squashkit.squash as squash
+
+        monkeypatch.setattr(squash, "comb", lambda n, c: comb(n, c) + (c == 0))
+        report = verify_completeness(self.identity_sum_channel(5))
+        assert report.diag_formula_deviation == 1 / 2**4
+
+    def test_weights_past_the_float_range(self):
+        import squashkit.squash as squash
+
+        try:
+            _, w = squash._y_terms(1030)  # C(1030, 515) > 2^1024
+        finally:
+            squash._y_terms.cache_clear()  # the memory tests count the lift's own peak
+        assert np.all(np.isfinite(w))
+        assert abs(np.sum(w**2) - 2.0) < 1e-12
 
 
 class TestHadamardInvariance:
