@@ -35,7 +35,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .squash import KrausChannel, build_squash
-from .symfock import X_MODULATION, lift_gate
+from .symfock import X_MODULATION, _modulation_lift
 
 __all__ = [
     "ClickClass",
@@ -120,15 +120,18 @@ def _pulled_back_bits(channel: KrausChannel) -> np.ndarray:
     return np.array([channel.pull_back(p) for p in projectors])
 
 
-def _detector_effects(mod: np.ndarray, flip: int, out: np.ndarray | None = None) -> np.ndarray:
+def _detector_effects(flip: int, out: np.ndarray, mod: np.ndarray | None = None) -> np.ndarray:
     """Side-state effects of threshold detection after the gate `mod`, bits swapped by `flip`.
 
-    sum_c weights[c, s] mod^dagger |c><c| mod, c photons on detector 1; complex even
-    for the identity, as a first real BLAS product adds 0.25 MB of RSS.
+    sum_c weights[c, s] mod^dagger |c><c| mod, c photons on detector 1, for the first
+    len(out) side states s, written into `out`; with no gate, onto its zeroed diagonal.
     """
-    n = len(mod) - 1
+    n = out.shape[-1] - 1
     weights = np.tile(_EITHER_BIT, (n + 1, 1))
     weights[0], weights[n] = _ONE_STATE[flip], _ONE_STATE[1 ^ flip]
+    if mod is None:
+        out.reshape(len(out), -1)[:, :: n + 2] = weights.T[: len(out)]
+        return out
     return np.matmul(mod.conj().T * weights.T[:, None, :], mod, out=out)
 
 
@@ -146,11 +149,11 @@ def side_state_effects(n_photons: int, mode: str) -> np.ndarray:
     * ``edp2``: the squash channel, the modulation as a qubit gate, the
       qubit z measurement.
 
-    Both bases come from one squash channel and at most one lift of the
-    modulation.  An x-basis bit is the complement of the detector label.
-    A zero-photon block reports vacuum in every mode and basis.  At N = 1
-    every mode is the projective qubit measurement of each basis
-    (``actual`` exactly, the squash modes to rounding).
+    Both bases come from at most one squash channel and symfock's one
+    cached lift of the modulation.  An x-basis bit is the complement of
+    the detector label.  A zero-photon block reports vacuum in every mode
+    and basis.  At N = 1 every mode is the projective qubit measurement of
+    each basis (``actual`` exactly, the squash modes to rounding).
     """
     if mode not in ("actual", "edp1", "edp2"):
         raise ValueError(f"mode must be 'actual', 'edp1' or 'edp2', got {mode!r}")
@@ -160,12 +163,12 @@ def side_state_effects(n_photons: int, mode: str) -> np.ndarray:
     if n == 0:
         out[:, 0, 0] = np.tile(_ONE_STATE[VACUUM_STATE], 2)
     elif mode == "actual":
-        for x, mod in enumerate((np.eye(n + 1, dtype=complex), lift_gate(X_MODULATION, n))):
-            _detector_effects(mod, x, out=out[x * states : (x + 1) * states])
+        _detector_effects(0, out[:states])
+        _detector_effects(1, out[states:], _modulation_lift(n))
     else:
         bits = _pulled_back_bits(build_squash(n))
         if mode == "edp1":  # the unmodulated projectors, after the lifted modulation
-            mod = lift_gate(X_MODULATION, n)
+            mod = _modulation_lift(n)
             bits[2:] = mod.conj().T @ bits[:2] @ mod
         out[[0, 1, states + 1, states]] = bits  # x bit 0 is detector label 1
     return out
@@ -182,7 +185,8 @@ def actual_povm(n_photons: int) -> np.ndarray:
         raise ValueError(f"actual_povm requires N >= 1, got {n_photons}")
     # the z-basis branch alone: from N = 36 the (6, N+1, N+1) stack crosses glibc's
     # 128 KiB mmap threshold, and freeing it raises the threshold and the resident heap
-    return _detector_effects(np.eye(n_photons + 1, dtype=complex), 0)[:VACUUM_STATE]
+    dim = n_photons + 1
+    return _detector_effects(0, np.zeros((VACUUM_STATE, dim, dim), dtype=complex))
 
 
 def virtual_povm(channel: KrausChannel) -> np.ndarray:

@@ -60,7 +60,7 @@ import numpy as np
 
 from .povm import SIDE_STATES, VACUUM_STATE, CompositeBlockState, side_state_effects
 from .sampler import _multinomial
-from .symfock import Basis, projector, qubit_frame, sym_basis_state
+from .symfock import Basis, qubit_frame
 
 __all__ = [
     "Depolarize",
@@ -238,16 +238,15 @@ def CoincidenceInjection(n_photons: int, c: int) -> CompositeBlockState:
     detector and N-c on the other, which always fires both detectors.
     """
     n_photons, c = _integer(n_photons, "n_photons"), _integer(c, "c")
-    if n_photons >= 2**59 - 1:  # numpy cannot index N + 1 >= 2**59 complex amplitudes
-        raise _bad("n_photons", "an integer in [0, 2**59 - 1), a state numpy can index", n_photons)
+    if n_photons > 379_625_061:  # the (2N + 2)^2 complex entries within numpy's 2**63 - 1 bytes
+        raise _bad("n_photons", "an integer in [0, 379625061], a block numpy can index", n_photons)
     if n_photons < 2:
         raise ValueError("coincidence injection needs N >= 2")
     if not 1 <= c <= n_photons - 1:
         raise ValueError(f"c must lie strictly between 0 and N = {n_photons}, got {c}")
-    bob = projector(sym_basis_state(n_photons, c))
     d = n_photons + 1
     rho = np.zeros((2 * d, 2 * d), dtype=complex)
-    rho[:d, :d] = rho[d:, d:] = bob / 2.0  # maximally mixed reference qubit
+    rho[c, c] = rho[d + c, d + c] = 0.5  # beside a maximally mixed reference qubit
     spec = {"kind": "coincidence_injection", "n_photons": n_photons, "c": c}
     return CompositeBlockState({(1, n_photons): (1.0, rho)}, spec)
 

@@ -26,19 +26,11 @@ matrix units, exact for every input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
 
-from .symfock import (
-    OMEGA,
-    X_MODULATION,
-    Basis,
-    basis_change_matrix,
-    lift_gate,
-    qubit_frame,
-)
+from .symfock import OMEGA, X_MODULATION, Basis, _modulation_lift, qubit_frame
 
 __all__ = [
     "KrausChannel",
@@ -168,19 +160,15 @@ def squash_index_pairs(n_photons: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(_IS_PAIR_RESIDUE[(k[:, None] - k) % 4])
 
 
-@lru_cache(maxsize=1)
-def _y_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """to_y and w: F[b,b'] has rows w[b] <S^y_b'| and w[b'] <S^y_b| in y.
+def _y_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lift, ph and w: F[b,b'] has rows w[b] <S^y_b'| and w[b'] <S^y_b| in y.
 
-    w[k] = sqrt(C(N, k) / 2^(N-1)), the integer ratio correctly rounded at
-    any N.  The last N's pair is kept, read-only, so that a build and the
-    checks of its channel lift the z -> y change once.
+    The z -> y change is lift * ph, the cached lift of the x modulation with
+    column b times ph[b] = i^b (F_Y^dagger = X_MODULATION diag(1, i)); callers
+    fold ph into their products.  w[k] = sqrt(C(N, k) / 2^(N-1)) is correctly rounded.
     """
-    to_y = basis_change_matrix(n, Basis.Z, Basis.Y)  # input z-coords -> y-coords
     w = np.array([sqrt(comb(n, k) / 2 ** (n - 1)) for k in range(n + 1)])
-    to_y.setflags(write=False)
-    w.setflags(write=False)
-    return to_y, w
+    return _modulation_lift(n), np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4], w
 
 
 def build_squash(n_photons: int) -> KrausChannel:
@@ -191,7 +179,8 @@ def build_squash(n_photons: int) -> KrausChannel:
     entry j the sum of w[b]^2 over b = j + 1 resp. b = j - 1 (mod 4); the
     (0_y, 1_y) block holds w[b'] w[b] at (b', b) for every pair, and
     (1_y, 0_y) its transpose.  Since F = frame_y F_y to_y, one congruence
-    by frame_y x to_y^T gives J in the canonical Z basis on both sides.
+    by frame_y x to_y^T gives J in the canonical Z basis on both sides; with
+    to_y = lift diag(ph) each block is ph ph^dagger o (lift^T B conj(lift)).
     Output space is the qubit.
 
     Raises
@@ -204,20 +193,21 @@ def build_squash(n_photons: int) -> KrausChannel:
         raise ValueError(f"squash requires N >= 1, got {n_photons}")
     n = n_photons
     frame_y = qubit_frame(Basis.Y)  # qubit y-coords -> z-coords
-    to_y, w = _y_terms(n)
+    lifted, ph, w = _y_terms(n)
     k = np.arange(n + 1)
     by_residue = np.array([np.sum(w[r::4] ** 2) for r in range(4)])
     blocks = np.empty((4, n + 1, n + 1), dtype=complex)  # block[p, q] is blocks[2p + q]
     for d, p in ((1, 0), (-1, 3)):
-        np.matmul(to_y.T * by_residue[(k + d) % 4], to_y.conj(), out=blocks[p])
+        np.matmul(lifted.T * by_residue[(k + d) % 4], lifted.conj(), out=blocks[p])
     b, bp = squash_index_pairs(n)
     cross_y = np.zeros((n + 1, n + 1))
     cross_y[bp, b] = w[bp] * w[b]
-    np.matmul(to_y.T @ cross_y, to_y.conj(), out=blocks[1])
+    np.matmul(lifted.T @ cross_y, lifted.conj(), out=blocks[1])
     np.conjugate(blocks[1].T, out=blocks[2])
     # C[(i, m), (j, l)] = sum_{p,q} frame_y[i, p] conj(frame_y[m, q]) block[p, q][j, l]
     choi = np.kron(frame_y, frame_y.conj()) @ blocks.reshape(4, -1)
     del blocks, cross_y
+    choi.reshape(4, n + 1, n + 1)[:] *= np.outer(ph, ph.conj())  # exact: +-1 or +-i
     choi.setflags(write=False)  # read-only and its own data: the channel keeps it uncopied
     return KrausChannel(input_dim=n + 1, output_dim=2, choi=choi)
 
@@ -286,10 +276,9 @@ def verify_hadamard_invariance(channel: KrausChannel) -> HadamardReport:
     full-rank state sent through :func:`apply_channel` on both sides.
     """
     n = channel.input_dim - 1
-    to_y, w = _y_terms(n)
-    lifted_h = lift_gate(X_MODULATION, n)
+    lifted_h, ph, w = _y_terms(n)  # the build's lift D(H); to_y is D(H) * ph
     phase = np.array([OMEGA ** m for m in range(8)])[(2 * np.arange(n + 1) - n) % 8]
-    dev = np.max(np.abs(to_y @ lifted_h - phase[:, None] * to_y), axis=1)
+    dev = np.max(np.abs((lifted_h * ph) @ lifted_h - phase[:, None] * lifted_h * ph), axis=1)
     b, bp = squash_index_pairs(n)
     kraus_dev = float(max(np.max(w[b] * dev[bp]), np.max(w[bp] * dev[b])))
     # one fixed full-rank state, diagonal in neither z nor y: D diag(p) D^dagger,
@@ -303,6 +292,4 @@ def verify_hadamard_invariance(channel: KrausChannel) -> HadamardReport:
         lhs = lifted_h.conj().T @ channel.pull_back(unit) @ lifted_h
         rhs = channel.pull_back(X_MODULATION.conj().T @ unit @ X_MODULATION)
         chan_dev = max(chan_dev, float(np.max(np.abs(lhs - rhs))))
-    return HadamardReport(
-        max(kraus_dev, chan_dev), kraus_dev, chan_dev, kraus_dev < _ATOL
-    )
+    return HadamardReport(max(kraus_dev, chan_dev), kraus_dev, chan_dev, kraus_dev < _ATOL)

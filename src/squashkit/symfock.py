@@ -12,7 +12,8 @@ The lift exponentiates the gate's su(2) generator in the spin-N/2
 representation, where it is a tridiagonal Hermitian matrix; one
 Hermitian eigendecomposition gives the lifted gate, unitary to rounding at
 every N (exact diagonalization as in Feng, Wang, Yang & Jin, Phys. Rev. E
-92, 043307 (2015), for Wigner's d-matrix).
+92, 043307 (2015), for Wigner's d-matrix).  The package reads one lift of the
+x modulation per N, whose column b times i^b is the z -> y change.
 
 The canonical storage convention everywhere in this package is the
 Z-labelled symmetric basis, component b holding the coefficient of the
@@ -22,6 +23,7 @@ basis vector with b photons in the "1" mode.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
@@ -182,6 +184,14 @@ def lift_gate(gate: np.ndarray, n_photons: int) -> np.ndarray:
     lam, w = np.linalg.eigh(gen)
     phase = np.exp(1j * (lam + n * phi[..., None]))
     return (w * phase[..., None, :]) @ w.conj().swapaxes(-1, -2)
+
+
+@lru_cache(maxsize=1)
+def _modulation_lift(n_photons: int) -> np.ndarray:
+    """``lift_gate(X_MODULATION, N)``, read-only, kept for the last N: one eigensolve per N."""
+    lifted = lift_gate(X_MODULATION, n_photons)
+    lifted.setflags(write=False)
+    return lifted
 
 
 def lift_gate_oracle(gate: np.ndarray, n_photons: int) -> np.ndarray:

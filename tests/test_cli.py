@@ -184,21 +184,50 @@ class TestVerify:
         assert built == [1, 2, 3, 4, 5]
 
     def test_one_lift_to_y_per_photon_number(self, runner, monkeypatch):
-        # the build and the covariance check share the z -> y change
-        import squashkit.squash as squash
+        # the build and the covariance check share the lift of the modulation,
+        # of which the z -> y change is a column rephasing
+        import squashkit.symfock as symfock
 
-        real, lifted = squash.basis_change_matrix, []
+        real, lifted = symfock.lift_gate, []
 
-        def counting(n, from_basis, to_basis):
+        def counting(gate, n):
             lifted.append(n)
-            return real(n, from_basis, to_basis)
+            return real(gate, n)
 
-        monkeypatch.setattr(squash, "basis_change_matrix", counting)
-        squash._y_terms.cache_clear()  # no N kept from an earlier test
+        monkeypatch.setattr(symfock, "lift_gate", counting)
+        symfock._modulation_lift.cache_clear()  # no N kept from an earlier test
         result = runner.invoke(main, ["verify", "--nmax", "5", "--format", "json"])
         assert result.exit_code == 0
         assert json.loads(result.output)["passed"] is True
         assert lifted == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("mutation", ["transposed", "last-column-negated"])
+    def test_wrong_shared_lift_fails_a_check(self, runner, monkeypatch, mutation):
+        # the build and the covariance check read one cached lift, so one
+        # wrong lift on both sides of the covariance identity must still show
+        import squashkit.symfock as symfock
+
+        real = symfock.lift_gate
+
+        def wrong(gate, n):
+            if mutation == "transposed":
+                return real(gate.T, n)
+            lifted = real(gate, n)
+            lifted[:, -1] *= -1
+            return lifted
+
+        monkeypatch.setattr(symfock, "lift_gate", wrong)
+        symfock._modulation_lift.cache_clear()
+        try:
+            result = runner.invoke(main, ["verify", "--nmax", "5", "--format", "json"])
+        finally:
+            symfock._modulation_lift.cache_clear()  # no wrong lift is kept
+        assert result.exit_code == 1
+        rows = json.loads(result.output)["checks"]
+        for n in (2, 3, 5):
+            worst = max(row["max_deviation"] for row in rows
+                        if row["n"] == n and row["check"] != "lift_oracle")
+            assert worst >= 0.4
 
     def test_failed_build_fails_each_check_at_its_n(self, runner, monkeypatch):
         import squashkit.cli as cli
@@ -667,14 +696,16 @@ class TestSimulate:
     @pytest.mark.parametrize("error", [MemoryError, type("_ArrayMemoryError", (MemoryError,), {})])
     def test_attack_too_large_for_memory_exits_one(self, runner, monkeypatch, error):
         # building the named state, while the attack is parsed, is where a
-        # huge attack's allocation fails (here its first array); numpy
+        # huge attack's allocation fails (here its one block); numpy
         # raises a private subclass, reported by its public name
-        import squashkit.protocol as protocol
+        real = np.zeros
 
-        def failing(n_photons, b):
-            raise error("Unable to allocate 1.5 PiB")
+        def failing(shape, *args, **kwargs):
+            if shape == (2 * 10**7 + 2, 2 * 10**7 + 2):
+                raise error("Unable to allocate 1.5 PiB")
+            return real(shape, *args, **kwargs)
 
-        monkeypatch.setattr(protocol, "sym_basis_state", failing)
+        monkeypatch.setattr(np, "zeros", failing)
         result = runner.invoke(main, [
             "simulate", "--protocol", "bb84",
             "--attack", '{"kind":"coincidence_injection","n_photons":10000000,"c":1}',
@@ -684,14 +715,15 @@ class TestSimulate:
         assert result.output == "simulation failed: MemoryError: Unable to allocate 1.5 PiB\n"
 
     @pytest.mark.parametrize("n_photons, code, message", [
-        (2**62, 2, "malformed attack spec: attack: n_photons: expected an integer in "
-                   "[0, 2**59 - 1), a state numpy can index, got 4611686018427387904\n"),
-        (4 * 10**9, 1, "simulation failed: MemoryError: Unable to allocate "),
-    ], ids=["too-large-to-index", "too-large-to-allocate"])
+        (379_625_062, 2, "malformed attack spec: attack: n_photons: expected an integer in "
+                         "[0, 379625061], a block numpy can index, got 379625062\n"),
+        (10**5, 1, "simulation failed: MemoryError: Unable to allocate "),
+        (379_625_061, 1, "simulation failed: MemoryError: Unable to allocate "),
+    ], ids=["too-large-to-index", "too-large-to-allocate", "largest-to-index"])
     def test_photon_number_numpy_cannot_index_is_usage_error(self, n_photons, code, message):
-        # before, N = 2**62 read numpy's "array is too big" at exit 2; the
-        # child's address space is capped at 1 GiB, so that N = 4e9 fails to
-        # allocate whatever the machine's memory
+        # numpy cannot index the (2N + 2)-square complex block past N = 379625061,
+        # so a larger N is a usage error; the child's address space is capped
+        # at 1 GiB, so that N = 1e5 fails to allocate whatever the machine's memory
         import resource
         import subprocess
 

@@ -78,7 +78,7 @@ class TestSideStateEffects:
     def test_stack_is_a_povm(self, mode, basis_is_x, n, rebuilt):
         x = 3 * basis_is_x
         stack = side_state_effects(n, mode)[x : x + 3]
-        if rebuilt:  # squash._y_terms holds one N: a build at N + 1 evicts it, and N comes back
+        if rebuilt:  # symfock's lift cache holds one N: a build at N + 1 evicts it, and N comes back
             side_state_effects(n + 1, mode)
             assert np.array_equal(side_state_effects(n, mode)[x : x + 3], stack)
         assert stack.shape == (3, n + 1, n + 1)

@@ -763,12 +763,14 @@ class TestTable:
         assert not cells[:, keys.index(zero)].any()
 
 
-    @pytest.mark.parametrize("mode, lifts", [("edp1", 1), ("edp2", 0)])
-    def test_one_squash_build_per_photon_number(self, mode, lifts, monkeypatch):
-        # both bases of each side come from one channel and at most one lift
+    @pytest.mark.parametrize("mode, reads", [("edp1", 1), ("edp2", 0), ("actual", 1)])
+    def test_one_squash_build_per_photon_number(self, mode, reads, monkeypatch):
+        # both bases of each side come from at most one channel and one lift:
+        # the effects read the lift the channel's build made
         import squashkit.povm as povm
+        import squashkit.symfock as symfock
 
-        built, lifted = [], []
+        built, lifted, read = [], [], []
 
         def counting(calls, real):
             def count(*args):
@@ -777,10 +779,13 @@ class TestTable:
             return count
 
         monkeypatch.setattr(povm, "build_squash", counting(built, povm.build_squash))
-        monkeypatch.setattr(povm, "lift_gate", counting(lifted, povm.lift_gate))
+        monkeypatch.setattr(symfock, "lift_gate", counting(lifted, symfock.lift_gate))
+        monkeypatch.setattr(povm, "_modulation_lift", counting(read, povm._modulation_lift))
+        symfock._modulation_lift.cache_clear()  # no N kept from an earlier test
         _table(asymmetric_bbm92_attack(), "bbm92", mode)  # blocks (0, 2), (1, 1), (2, 3)
-        assert sorted(built) == [1, 2, 3]
-        assert sorted(lifted) == [1, 2, 3] * lifts
+        assert sorted(built) == ([] if mode == "actual" else [1, 2, 3])
+        assert sorted(lifted) == [1, 2, 3]
+        assert sorted(read) == [1, 2, 3] * reads
 
 
 class TestBbm92:

@@ -180,10 +180,10 @@ class TestBuildSquash:
         # over uncopied and the check holds one regrouped copy: under three
         # Choi matrices (2.6 MB each at N = 200), where a copy for the
         # channel and whole-matrix Hermiticity temporaries read 5.2
-        import squashkit.squash as squash
+        import squashkit.symfock as symfock
 
         n = 200
-        squash._y_terms.cache_clear()  # the lift's own peak is counted too
+        symfock._modulation_lift.cache_clear()  # the lift's own peak is counted too
         tracemalloc.start()
         try:
             build_squash(n)
@@ -401,11 +401,12 @@ class TestCompleteness:
 
     def test_weights_past_the_float_range(self):
         import squashkit.squash as squash
+        import squashkit.symfock as symfock
 
         try:
-            _, w = squash._y_terms(1030)  # C(1030, 515) > 2^1024
+            _, _, w = squash._y_terms(1030)  # C(1030, 515) > 2^1024
         finally:
-            squash._y_terms.cache_clear()  # the memory tests count the lift's own peak
+            symfock._modulation_lift.cache_clear()  # the memory tests count the lift's own peak
         assert np.all(np.isfinite(w))
         assert abs(np.sum(w**2) - 2.0) < 1e-12
 
