@@ -115,15 +115,14 @@ def validate_density(rho: np.ndarray) -> np.ndarray:
 
 def _pulled_back_bits(channel: KrausChannel) -> np.ndarray:
     """The qubit z projectors pulled back through `channel`, then those after the x modulation."""
-    gates = (np.eye(2, dtype=complex), X_MODULATION)  # complex, as in "actual"
-    projectors = [g.conj().T @ np.diag(e) @ g for g in gates for e in np.eye(2)]
+    projectors = [g.T @ np.diag(e) @ g for g in (np.eye(2), X_MODULATION) for e in np.eye(2)]
     return np.array([channel.pull_back(p) for p in projectors])
 
 
 def _detector_effects(flip: int, out: np.ndarray, mod: np.ndarray | None = None) -> np.ndarray:
     """Side-state effects of threshold detection after the gate `mod`, bits swapped by `flip`.
 
-    sum_c weights[c, s] mod^dagger |c><c| mod, c photons on detector 1, for the first
+    sum_c weights[c, s] mod^T |c><c| mod, c photons on detector 1, for the first
     len(out) side states s, written into `out`; with no gate, onto its zeroed diagonal.
     """
     n = out.shape[-1] - 1
@@ -132,13 +131,13 @@ def _detector_effects(flip: int, out: np.ndarray, mod: np.ndarray | None = None)
     if mod is None:
         out.reshape(len(out), -1)[:, :: n + 2] = weights.T[: len(out)]
         return out
-    return np.matmul(mod.conj().T * weights.T[:, None, :], mod, out=out)
+    return np.matmul(mod.T * weights.T[:, None, :], mod, out=out)
 
 
 def side_state_effects(n_photons: int, mode: str) -> np.ndarray:
     """Effects of the side states of an N-photon block in both bases.
 
-    One (6, N+1, N+1) stack: the z-basis side states (bit 0, bit 1,
+    One real (6, N+1, N+1) stack: the z-basis side states (bit 0, bit 1,
     vacuum), then the x-basis ones in the same order.  Per mode:
 
     * ``actual``: the lifted x modulation (x basis only), then threshold
@@ -150,16 +149,17 @@ def side_state_effects(n_photons: int, mode: str) -> np.ndarray:
       qubit z measurement.
 
     Both bases come from at most one squash channel and symfock's one
-    cached lift of the modulation.  An x-basis bit is the complement of
-    the detector label.  A zero-photon block reports vacuum in every mode
-    and basis.  At N = 1 every mode is the projective qubit measurement of
-    each basis (``actual`` exactly, the squash modes to rounding).
+    cached real lift K (the lifted modulation is K diag((-1)^b)).  An
+    x-basis bit is the complement of the detector label.  A zero-photon
+    block reports vacuum in every mode and basis.  At N = 1 every mode is
+    the projective qubit measurement of each basis (``actual`` exactly, the
+    squash modes to rounding).
     """
     if mode not in ("actual", "edp1", "edp2"):
         raise ValueError(f"mode must be 'actual', 'edp1' or 'edp2', got {mode!r}")
     n = n_photons
     states = len(SIDE_STATES)
-    out = np.zeros((2 * states, n + 1, n + 1), dtype=complex)
+    out = np.zeros((2 * states, n + 1, n + 1))
     if n == 0:
         out[:, 0, 0] = np.tile(_ONE_STATE[VACUUM_STATE], 2)
     elif mode == "actual":
@@ -169,7 +169,7 @@ def side_state_effects(n_photons: int, mode: str) -> np.ndarray:
         bits = _pulled_back_bits(build_squash(n))
         if mode == "edp1":  # the unmodulated projectors, after the lifted modulation
             mod = _modulation_lift(n)
-            bits[2:] = mod.conj().T @ bits[:2] @ mod
+            bits[2:] = mod.T @ bits[:2] @ mod
         out[[0, 1, states + 1, states]] = bits  # x bit 0 is detector label 1
     return out
 
@@ -186,7 +186,7 @@ def actual_povm(n_photons: int) -> np.ndarray:
     # the z-basis branch alone: from N = 36 the (6, N+1, N+1) stack crosses glibc's
     # 128 KiB mmap threshold, and freeing it raises the threshold and the resident heap
     dim = n_photons + 1
-    return _detector_effects(0, np.zeros((VACUUM_STATE, dim, dim), dtype=complex))
+    return _detector_effects(0, np.zeros((VACUUM_STATE, dim, dim)))
 
 
 def virtual_povm(channel: KrausChannel) -> np.ndarray:

@@ -330,23 +330,24 @@ def key_rate(e_bit: float, e_ph: float, single_photon_fraction: float = 1.0) -> 
 
 
 def _born(a_effects: np.ndarray, b_effects: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr[(E_p tensor F_q) rho] for every pair of stacked effects E_p, F_q.
+    """Tr[(E_p tensor F_q) rho] for every pair of stacked real symmetric effects E_p, F_q.
 
     ``rho`` is a density operator on the (da*db)-dimensional product, or a
-    state vector psi standing for |psi><psi|.  A vector is never expanded:
-    with Psi = psi reshaped to (da, db), M_p = Psi^dagger E_p Psi and the
-    law is sum_kl M_p[k, l] F_q[k, l], so memory stays O(da*db).
+    state vector psi standing for |psi><psi|.  Such effects read only the
+    real part of the state, exactly, so every product is real.  A vector is
+    never expanded: with Psi = psi reshaped to (da, db), M_p = Re Psi^dagger
+    E_p Psi and the law is sum_kl M_p[k, l] F_q[k, l], so memory stays O(da*db).
     """
     da, db = a_effects.shape[1], b_effects.shape[1]
     b = b_effects.reshape(len(b_effects), -1)
     if rho.ndim == 1:
         psi = rho.reshape(da, db)
-        a_pulled = psi.conj().T @ a_effects @ psi  # (P, db, db)
-        return (a_pulled.reshape(len(a_effects), -1) @ b.T).real
-    # rho[(j, l), (i, k)] regrouped as [(i, j), (k, l)], matching E[i, j] F[k, l]
-    rho_t = rho.reshape(da, db, da, db).transpose(2, 0, 3, 1).reshape(da * da, db * db)
-    a = a_effects.reshape(len(a_effects), -1)
-    return (a @ rho_t @ b.T).real
+        a_pulled = psi.real.T @ a_effects @ psi.real  # (P, db, db), plus the imaginary part's
+        a_pulled += psi.imag.T @ a_effects @ psi.imag
+        return a_pulled.reshape(len(a_effects), -1) @ b.T
+    # Re rho[(j, l), (i, k)] regrouped as [(i, j), (k, l)], matching E[i, j] F[k, l]
+    rho_t = rho.real.reshape(da, db, da, db).transpose(2, 0, 3, 1).reshape(da * da, db * db)
+    return a_effects.reshape(len(a_effects), -1) @ rho_t @ b.T
 
 
 def _require_bb84_blocks(attack: CompositeBlockState) -> None:

@@ -30,7 +30,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .symfock import OMEGA, X_MODULATION, Basis, _modulation_lift, qubit_frame
+from .symfock import X_MODULATION, _hadamard_lift, _modulation_lift
 
 __all__ = [
     "KrausChannel",
@@ -52,6 +52,12 @@ _SLICE_ENTRIES = 1 << 12
 #: Whether a residue r of b - b' (mod 4) makes (b, b') a squash pair.
 _IS_PAIR_RESIDUE = np.array([False, True, False, False])
 
+#: Re (-i)^r / 2 and Re i (-i)^r / 2, r = j - l (mod 4): the signs of J's output blocks.
+_SIGNS = np.array([[0.5, 0.0, -0.5, 0.0], [0.0, 0.5, 0.0, -0.5]])
+
+#: The eighth roots OMEGA^m, m = 0..7: 1, r + ri, i, -r + ri, ... with r = sqrt(1/2).
+_EIGHTH_ROOTS = np.tile([1, sqrt(0.5)], 4) * [1, 1 + 1j, 1j, -1 + 1j, -1, -1 - 1j, -1j, 1 - 1j]
+
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
@@ -64,10 +70,10 @@ class KrausChannel:
     choi : ndarray
         The Choi matrix J[i, j, m, l] = sum_k K_k[i, j] conj(K_k[m, l]) of
         the map's Kraus operators K_k, as the (out*out, in*in) matrix
-        C[(i, m), (j, l)], read-only.  A complex array that is read-only
-        and owns its data (as :func:`build_squash` hands over) is kept as
-        it is; any other input is copied, so the caller's array stays its
-        own.
+        C[(i, m), (j, l)], read-only, float64 or complex as given.  An
+        array of that dtype that is read-only and owns its data (as
+        :func:`build_squash` hands over) is kept as it is; any other input
+        is copied, so the caller's array stays its own.
 
     Construction checks complete positivity (J as the matrix
     [(i, j), (m, l)] is Hermitian positive semidefinite) and trace
@@ -86,9 +92,9 @@ class KrausChannel:
     def __post_init__(self) -> None:
         out, inp = self.output_dim, self.input_dim
         choi = self.choi
-        if not (type(choi) is np.ndarray and choi.dtype == complex
+        if not (type(choi) is np.ndarray and choi.dtype in (np.float64, np.complex128)
                 and choi.flags.owndata and not choi.flags.writeable):
-            choi = np.array(choi, dtype=complex)
+            choi = np.array(choi, dtype=complex if np.iscomplexobj(choi) else float)
             choi.setflags(write=False)
         if choi.shape != (out * out, inp * inp):
             raise ValueError(f"Choi matrix shape {choi.shape} != {(out * out, inp * inp)}")
@@ -160,28 +166,23 @@ def squash_index_pairs(n_photons: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(_IS_PAIR_RESIDUE[(k[:, None] - k) % 4])
 
 
-def _y_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lift, ph and w: F[b,b'] has rows w[b] <S^y_b'| and w[b'] <S^y_b| in y.
-
-    The z -> y change is lift * ph, the cached lift of the x modulation with
-    column b times ph[b] = i^b (F_Y^dagger = X_MODULATION diag(1, i)); callers
-    fold ph into their products.  w[k] = sqrt(C(N, k) / 2^(N-1)) is correctly rounded.
-    """
-    w = np.array([sqrt(comb(n, k) / 2 ** (n - 1)) for k in range(n + 1)])
-    return _modulation_lift(n), np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4], w
+def _weights(n: int) -> np.ndarray:
+    """The squash weights w[k] = sqrt(C(N, k) / 2^(N-1)), each correctly rounded."""
+    return np.array([sqrt(comb(n, k) / 2 ** (n - 1)) for k in range(n + 1)])
 
 
 def build_squash(n_photons: int) -> KrausChannel:
     """Construct the squash channel for N incoming photons.
 
-    Summed over the pairs b - b' = 1 (mod 4), the Choi matrix's output
-    blocks in y coordinates are diagonal for (0_y, 0_y) and (1_y, 1_y),
-    entry j the sum of w[b]^2 over b = j + 1 resp. b = j - 1 (mod 4); the
-    (0_y, 1_y) block holds w[b'] w[b] at (b', b) for every pair, and
-    (1_y, 0_y) its transpose.  Since F = frame_y F_y to_y, one congruence
-    by frame_y x to_y^T gives J in the canonical Z basis on both sides; with
-    to_y = lift diag(ph) each block is ph ph^dagger o (lift^T B conj(lift)).
-    Output space is the qubit.
+    F[b,b'] has rows w[b] <S^y_b'| and w[b'] <S^y_b| in y, so summed over the
+    pairs the Choi matrix's output blocks B in y coordinates are real:
+    diagonal for (0_y, 0_y) and (1_y, 1_y), entry j the sum of w[b]^2 over
+    b = j + 1 resp. j - 1 (mod 4), and w[b'] w[b] at (b', b) in (0_y, 1_y).
+    With to_y = K diag((-i)^b), K the cached real lift of H, a block is
+    (-i)^(j-l) A[j, l] in z coordinates, A = K^T B K, and the output frame
+    change leaves J real: J_00, J_11 = s (A_00 + A_11 +- (A_01 + A_01^T)),
+    J_10 = J_01^T = c (A_00 - A_11 + A_01 - A_01^T), with s and c the
+    _SIGNS at j - l (mod 4).  Output space is the qubit.
 
     Raises
     ------
@@ -192,34 +193,32 @@ def build_squash(n_photons: int) -> KrausChannel:
     if n_photons < 1:
         raise ValueError(f"squash requires N >= 1, got {n_photons}")
     n = n_photons
-    frame_y = qubit_frame(Basis.Y)  # qubit y-coords -> z-coords
-    lifted, ph, w = _y_terms(n)
-    k = np.arange(n + 1)
+    k, w, idx = _hadamard_lift(n), _weights(n), np.arange(n + 1)
     by_residue = np.array([np.sum(w[r::4] ** 2) for r in range(4)])
-    blocks = np.empty((4, n + 1, n + 1), dtype=complex)  # block[p, q] is blocks[2p + q]
-    for d, p in ((1, 0), (-1, 3)):
-        np.matmul(lifted.T * by_residue[(k + d) % 4], lifted.conj(), out=blocks[p])
+    a00, a11 = ((k.T * by_residue[(idx + d) % 4]) @ k for d in (1, -1))
     b, bp = squash_index_pairs(n)
     cross_y = np.zeros((n + 1, n + 1))
     cross_y[bp, b] = w[bp] * w[b]
-    np.matmul(lifted.T @ cross_y, lifted.conj(), out=blocks[1])
-    np.conjugate(blocks[1].T, out=blocks[2])
-    # C[(i, m), (j, l)] = sum_{p,q} frame_y[i, p] conj(frame_y[m, q]) block[p, q][j, l]
-    choi = np.kron(frame_y, frame_y.conj()) @ blocks.reshape(4, -1)
-    del blocks, cross_y
-    choi.reshape(4, n + 1, n + 1)[:] *= np.outer(ph, ph.conj())  # exact: +-1 or +-i
+    a01 = k.T @ cross_y @ k
+    plus, minus, sym, anti = a00 + a11, a00 - a11, a01 + a01.T, a01 - a01.T
+    del a00, a11, a01, cross_y
+    diag_signs, cross_signs = _SIGNS[:, (idx[:, None] - idx) % 4]
+    choi = np.empty((4, (n + 1) ** 2))
+    blocks = choi.reshape(4, n + 1, n + 1)  # J[(i, m), (j, l)] is blocks[2i + m][j, l]
+    np.multiply(diag_signs, plus + sym, out=blocks[0])
+    np.multiply(diag_signs, plus - sym, out=blocks[3])
+    np.multiply(cross_signs, minus + anti, out=blocks[2])
+    blocks[1] = blocks[2].T
+    del blocks, plus, minus, sym, anti, diag_signs, cross_signs
     choi.setflags(write=False)  # read-only and its own data: the channel keeps it uncopied
     return KrausChannel(input_dim=n + 1, output_dim=2, choi=choi)
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Apply a Kraus channel to an input_dim x input_dim density operator."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.input_dim, channel.input_dim):
-        raise ValueError(
-            f"state dimension {rho.shape} does not match channel input "
-            f"dimension {channel.input_dim}"
-        )
+    if np.shape(rho) != (channel.input_dim, channel.input_dim):
+        raise ValueError(f"state dimension {np.shape(rho)} does not match channel input "
+                         f"dimension {channel.input_dim}")
     return apply_channel_on_bob(channel, rho)
 
 
@@ -230,13 +229,11 @@ def apply_channel_on_bob(channel: KrausChannel, rho_ab: np.ndarray) -> np.ndarra
     right factor (Bob's) being the channel input; one product with the
     Choi matrix gives the alice_dim * output_dim square result.
     """
-    rho_ab = np.asarray(rho_ab, dtype=complex)
+    rho_ab = np.asarray(rho_ab)
     total, inp = rho_ab.shape[-1], channel.input_dim
     if rho_ab.shape != (total, total) or total % inp != 0:
-        raise ValueError(
-            f"joint dimension {rho_ab.shape} is not divisible into "
-            f"(alice, bob) factors with bob's dimension the channel input {inp}"
-        )
+        raise ValueError(f"joint dimension {rho_ab.shape} is not divisible into (alice, bob) "
+                         f"factors with bob's dimension the channel input {inp}")
     alice_dim, out = total // inp, channel.output_dim
     # out[a, i, b, m] = sum_{j,l} J[i, j, m, l] rho_ab[a, j, b, l]
     rho = rho_ab.reshape(alice_dim, inp, alice_dim, inp).transpose(1, 3, 0, 2)
@@ -267,29 +264,31 @@ def verify_hadamard_invariance(channel: KrausChannel) -> HadamardReport:
     """Check covariance of the squash channel under the x-basis modulation.
 
     Operator level, N = input_dim - 1: F[b,b'] D(H) = OMEGA^(2b-N-1) H F[b,b'] for
-    every pair, output in y coordinates: there H = diag(OMEGA^-1, OMEGA), so
-    rows b' and b of to_y D(H) must be OMEGA^(2r-N) times those of to_y,
-    r = b-1 resp. b (mod 4), the row's own residue: row k's phase is one of the
-    eight roots, OMEGA^((2k-N) mod 8), all rows in one pass.  Channel level: the Choi
-    identity D^dagger Phi*(O) D = Phi*(H^dagger O H) on the qubit matrix
-    units O (Phi* the pull-back), exact for every input, and one fixed
-    full-rank state sent through :func:`apply_channel` on both sides.
+    every pair, output in y coordinates: there H = diag(OMEGA^-1, OMEGA), so row k
+    of to_y D(H) must be OMEGA^((2k-N) mod 8) times that of to_y, all rows in one
+    pass: with to_y = K diag((-i)^b) and D(H) = K diag((-1)^b), that is
+    (K diag((-i)^b) K)[k, l] = OMEGA^(2k+2l-N) K[k, l].  Channel level: the Choi
+    identity D^dagger Phi*(O) D = Phi*(H^dagger O H) on the qubit matrix units O
+    (Phi* the pull-back), exact for every input, and one fixed full-rank state
+    sent through :func:`apply_channel` on both sides.
     """
     n = channel.input_dim - 1
-    lifted_h, ph, w = _y_terms(n)  # the build's lift D(H); to_y is D(H) * ph
-    phase = np.array([OMEGA ** m for m in range(8)])[(2 * np.arange(n + 1) - n) % 8]
-    dev = np.max(np.abs((lifted_h * ph) @ lifted_h - phase[:, None] * lifted_h * ph), axis=1)
+    k, w, idx = _hadamard_lift(n), _weights(n), np.arange(n + 1)
+    ph_re, ph_im = (np.array(t)[idx % 4] for t in ((1, 0, -1, 0), (0, -1, 0, 1)))
+    roots = (2 * (idx[:, None] + idx) - n) % 8
+    dev = np.max(np.hypot((k * ph_re) @ k - k * _EIGHTH_ROOTS.real[roots],
+                          (k * ph_im) @ k - k * _EIGHTH_ROOTS.imag[roots]), axis=1)
     b, bp = squash_index_pairs(n)
     kraus_dev = float(max(np.max(w[b] * dev[bp]), np.max(w[bp] * dev[b])))
-    # one fixed full-rank state, diagonal in neither z nor y: D diag(p) D^dagger,
-    # p proportional to (N+1, N, ..., 1)
+    # one fixed full-rank state, diagonal in neither z nor y: K diag(p) K^T, p ~ (N+1, ..., 1)
+    lifted_h = _modulation_lift(n)
     p = np.arange(n + 1, 0, -1) / ((n + 1) * (n + 2) / 2)
-    rho = (lifted_h * p) @ lifted_h.conj().T
-    lhs = X_MODULATION @ apply_channel(channel, rho) @ X_MODULATION.conj().T
-    rhs = apply_channel(channel, lifted_h @ rho @ lifted_h.conj().T)
+    rho = (k * p) @ k.T
+    lhs = X_MODULATION @ apply_channel(channel, rho) @ X_MODULATION.T
+    rhs = apply_channel(channel, lifted_h @ rho @ lifted_h.T)
     chan_dev = float(np.max(np.abs(lhs - rhs)))
     for unit in np.eye(4).reshape(4, 2, 2):
-        lhs = lifted_h.conj().T @ channel.pull_back(unit) @ lifted_h
-        rhs = channel.pull_back(X_MODULATION.conj().T @ unit @ X_MODULATION)
+        lhs = lifted_h.T @ channel.pull_back(unit) @ lifted_h
+        rhs = channel.pull_back(X_MODULATION.T @ unit @ X_MODULATION)
         chan_dev = max(chan_dev, float(np.max(np.abs(lhs - rhs))))
     return HadamardReport(max(kraus_dev, chan_dev), kraus_dev, chan_dev, kraus_dev < _ATOL)

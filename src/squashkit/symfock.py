@@ -8,12 +8,11 @@ those lifted operators, the basis-change matrices between the z-, x- and
 y-labelled symmetric bases, and a brute-force symmetrization oracle used to
 cross-check the fast construction.
 
-The lift exponentiates the gate's su(2) generator in the spin-N/2
-representation, where it is a tridiagonal Hermitian matrix; one
-Hermitian eigendecomposition gives the lifted gate, unitary to rounding at
-every N (exact diagonalization as in Feng, Wang, Yang & Jin, Phys. Rev. E
-92, 043307 (2015), for Wigner's d-matrix).  The package reads one lift of the
-x modulation per N, whose column b times i^b is the z -> y change.
+Every lift is one real matrix per N between diagonal lifts: K_N, the lift
+of H = (X + Z)/sqrt(2), a real symmetric involution from one real
+eigendecomposition of the tridiagonal dGamma(X + Z) (exact diagonalization as in
+Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307 (2015), for Wigner's d-matrix).
+The x modulation H Z lifts to K diag((-1)^b), the z -> y change to K diag((-i)^b).
 
 The canonical storage convention everywhere in this package is the
 Z-labelled symmetric basis, component b holding the coefficient of the
@@ -53,10 +52,12 @@ class Basis(Enum):
 #: Eighth root of unity, eigenvalue unit of the quarter-turn below.
 OMEGA = np.exp(1j * np.pi / 4)
 
-#: The quarter-turn about the y axis used as the x-basis phase modulation.
+# The self-inverse Hadamard (X + Z)/sqrt(2), whose lift K every lift reads.
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+#: The quarter-turn about the y axis used as the x-basis phase modulation, H Z.
 #: Not the self-inverse Hadamard: it maps |0_z> -> |0_x>, |1_z> -> -|1_x>,
 #: and has eigenvectors |0_y>, |1_y> with eigenvalues OMEGA**-1, OMEGA**+1.
-X_MODULATION = np.array([[1, -1], [1, 1]], dtype=complex) / np.sqrt(2.0)
+X_MODULATION = _HADAMARD * [1.0, -1.0]
 
 # Columns are the basis kets |0_b>, |1_b> in z coordinates.
 _FRAMES = {
@@ -77,7 +78,7 @@ _UNITARY_ATOL = 1e-12
 # (2**13 raised the peak RSS of verify --nmax 40 by up to 0.3 MB).
 _STACK_ENTRIES = 2**10
 
-for _m in (X_MODULATION, *_FRAMES.values()):
+for _m in (_HADAMARD, X_MODULATION, *_FRAMES.values()):
     _m.setflags(write=False)
 
 
@@ -110,7 +111,9 @@ def sym_basis_state(n_photons: int, b: int) -> np.ndarray:
     return amps
 
 
-def _require_unitary(gate: np.ndarray) -> np.ndarray:
+def _require_unitary(gate: np.ndarray, n_photons: int) -> np.ndarray:
+    if n_photons < 0:
+        raise ValueError(f"n_photons must be >= 0, got {n_photons}")
     gate = np.asarray(gate, dtype=complex)
     if gate.shape[-2:] != (2, 2):
         raise ValueError(f"gate must be 2x2 or a stack of 2x2, got shape {gate.shape}")
@@ -134,64 +137,64 @@ def _stack_slices(count: int, entries: int):
 def lift_gate(gate: np.ndarray, n_photons: int) -> np.ndarray:
     """Lift a single-qubit unitary to the symmetric N-photon subspace.
 
-    Returns the (N+1)x(N+1) unitary acting as the restriction of the
-    N-fold tensor power of `gate` to the symmetric subspace, in the
-    Z-labelled symmetric basis.  The gate is written as e^{i phi} exp(iG)
-    with G traceless Hermitian, the SU(2) part's sign chosen so that its
-    rotation angle is at most pi/2.  The lift is then
-    e^{i N phi} exp(i dGamma(G)), where the one-photon generator
-
-        dGamma(G) = sum_ij g_ij a_i^dagger a_j
-
-    is tridiagonal: diagonal (N-b) g00 + b g11, sub-diagonal
-    g10 sqrt((b+1)(N-b)).  One Hermitian eigendecomposition exponentiates
-    it (the exact-diagonalization route to Wigner's d-matrix), so the
-    result is unitary to rounding for every N, at O(N^3) cost.
-
-    Parameters
-    ----------
-    gate : ndarray
-        2x2 unitary (z coordinates), or a stack of them with shape
-        (..., 2, 2); each gate of a stack is lifted exactly as it would
-        be alone, and the result has shape (..., N+1, N+1).
-    n_photons : int
-        Photon number N >= 0; N = 0 returns the 1x1 identity and N = 1
-        a copy of `gate`.
+    Returns the (N+1)x(N+1) restriction of the N-fold tensor power of `gate`
+    to the symmetric subspace, in the Z-labelled symmetric basis.  The gate is
+    diag(1, x) H diag(1, q) H diag(y0, y1), its phases read off its entries with
+    alpha = |u00| + i |u01| and q = alpha^2 (a zero entry leaves its phase at 1),
+    so its lift is diag(x^b) (I + K diag(q^b - 1) K) diag(y0^(N-b) y1^b): two real
+    products with the cached K per gate, and exact for a diagonal gate (q = 1).
+    `gate` is one 2x2 unitary in z coordinates or a (..., 2, 2) stack of them,
+    worked through in bounded slices (one gate as a stack of one); the result has
+    shape (..., N+1, N+1).  N = 0 gives the 1x1 identity.
     """
-    u = _require_unitary(gate)
-    if n_photons < 0:
-        raise ValueError(f"n_photons must be >= 0, got {n_photons}")
-    n = n_photons
-    if n == 1:
-        return u.copy()
-    # the 2x2 determinant in closed form: no LAPACK LU
-    phi = np.angle(u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]) / 2.0
-    v = u * np.exp(-1j * phi)[..., None, None]
-    flip = np.trace(v, axis1=-2, axis2=-1).real < 0
-    v = np.where(flip[..., None, None], -v, v)
-    phi = np.where(flip, phi + np.pi, phi)
-    # v = cos(theta) I + i sin(theta) n.sigma, so h = sin(theta) n.sigma
-    # and g = theta n.sigma; sinc keeps theta -> 0 exact.
-    h = (v - v.conj().swapaxes(-1, -2)) / 2j
-    sin_t = np.sqrt(np.sum(np.abs(h) ** 2, axis=(-2, -1)) / 2.0)
-    theta = np.arctan2(sin_t, np.trace(v, axis1=-2, axis2=-1).real / 2.0)
-    g = h / np.sinc(theta / np.pi)[..., None, None]
-    b = np.arange(n + 1)
-    gen = np.zeros(u.shape[:-2] + (n + 1, n + 1), dtype=complex)
-    gen[..., b, b] = (n - b) * g[..., 0, 0, None].real + b * g[..., 1, 1, None].real
-    # eigh reads only the lower triangle.
-    gen[..., b[1:], b[:-1]] = g[..., 1, 0, None] * np.sqrt(b[1:] * (n - b[:-1]))
-    lam, w = np.linalg.eigh(gen)
-    phase = np.exp(1j * (lam + n * phi[..., None]))
-    return (w * phase[..., None, :]) @ w.conj().swapaxes(-1, -2)
+    u = _require_unitary(gate, n_photons)
+    u00, u01, u10, u11 = u.reshape(-1, 4).T
+    k, b = _hadamard_lift(n_photons), np.arange(n_photons + 1)
+
+    def ratio(num, den):  # num / den, and 1 where den is 0: a phase a zero entry leaves free
+        return np.divide(num, den, out=np.ones_like(num), where=den != 0)
+
+    def powers(z):  # z^b for b = 0..N, one product at a time: exact for +-1 and +-i
+        return np.cumprod(np.where(b, z[:, None], 1), axis=1)
+
+    c, s = np.abs(u00), np.abs(u01)
+    alpha = (c + 1j * s) / np.hypot(c, s)
+    y0, y1 = ratio(u00, c * alpha), ratio(1j * u01, s * alpha)
+    x = np.where(c >= s, ratio(u11, c * alpha * y1), ratio(1j * u10, s * alpha * y0))
+    out = np.empty((len(u00),) + k.shape, dtype=complex)
+    for sl in _stack_slices(len(u00), k.size):
+        q_minus_one, part = powers(alpha[sl] ** 2) - 1, out[sl]
+        part.real = (k * q_minus_one.real[:, None, :]) @ k
+        part.imag = (k * q_minus_one.imag[:, None, :]) @ k
+        part.real[:, b, b] += 1.0
+        part *= powers(x[sl])[:, :, None] * (powers(y0[sl])[:, ::-1] * powers(y1[sl]))[:, None, :]
+    return out.reshape(u.shape[:-2] + k.shape)
 
 
 @lru_cache(maxsize=1)
-def _modulation_lift(n_photons: int) -> np.ndarray:
-    """``lift_gate(X_MODULATION, N)``, read-only, kept for the last N: one eigensolve per N."""
-    lifted = lift_gate(X_MODULATION, n_photons)
+def _hadamard_lift(n_photons: int) -> np.ndarray:
+    """K_N = lift(H), real and read-only, kept for the last N: one real eigensolve per N.
+
+    dGamma(X + Z) = sqrt(2) dGamma(H) is tridiagonal, diagonal N - 2b and sub-diagonal
+    sqrt((b+1)(N-b)), with eigenvalues sqrt(2) (N - 2k), on which H^(xN) is (-1)^k:
+    eigh lists them ascending, so K = U diag((-1)^(N-i)) U^T, whatever the signs of
+    U's columns.  N = 0 and N = 1 are exact: [[1]] and H.
+    """
+    n, b = n_photons, np.arange(n_photons + 1)
+    if n == 1:
+        return _HADAMARD
+    gen = np.diag(n - 2.0 * b)
+    gen[b[1:], b[:-1]] = np.sqrt(b[1:] * (n - b[:-1]))  # eigh reads the lower triangle
+    vecs = np.linalg.eigh(gen)[1]
+    del gen
+    lifted = (vecs * (1 - 2 * ((n - b) % 2))) @ vecs.T
     lifted.setflags(write=False)
     return lifted
+
+
+def _modulation_lift(n_photons: int) -> np.ndarray:
+    """lift(X_MODULATION) = K diag((-1)^b), X_MODULATION being H Z: a new real array."""
+    return _hadamard_lift(n_photons) * (1 - 2 * (np.arange(n_photons + 1) % 2))
 
 
 def lift_gate_oracle(gate: np.ndarray, n_photons: int) -> np.ndarray:
@@ -205,14 +208,10 @@ def lift_gate_oracle(gate: np.ndarray, n_photons: int) -> np.ndarray:
     that the (slice, 2^N, N+1) working array stays bounded.  Exponential
     in N, so refuses above :data:`ORACLE_PHOTON_CAP`.
     """
-    u = _require_unitary(gate)
-    if n_photons < 0:
-        raise ValueError(f"n_photons must be >= 0, got {n_photons}")
+    u = _require_unitary(gate, n_photons)
     if n_photons > ORACLE_PHOTON_CAP:
-        raise ValueError(
-            f"oracle refuses N = {n_photons} > cap {ORACLE_PHOTON_CAP} "
-            "(full space dimension 2**N)"
-        )
+        raise ValueError(f"oracle refuses N = {n_photons} > cap {ORACLE_PHOTON_CAP} "
+                         "(full space dimension 2**N)")
     n = n_photons
     dim = 2**n
     iso = np.zeros((dim, n + 1))

@@ -184,44 +184,45 @@ class TestVerify:
         assert built == [1, 2, 3, 4, 5]
 
     def test_one_lift_to_y_per_photon_number(self, runner, monkeypatch):
-        # the build and the covariance check share the lift of the modulation,
-        # of which the z -> y change is a column rephasing
+        # the build, the covariance check, the x-basis effects and the
+        # lift_oracle row share symfock's cached K: one per N, each from one
+        # real eigensolve (N = 1 is exact, with none)
         import squashkit.symfock as symfock
 
-        real, lifted = symfock.lift_gate, []
+        real, solved = np.linalg.eigh, []
 
-        def counting(gate, n):
-            lifted.append(n)
-            return real(gate, n)
+        def counting(a):
+            solved.append((len(a) - 1, a.dtype))
+            return real(a)
 
-        monkeypatch.setattr(symfock, "lift_gate", counting)
-        symfock._modulation_lift.cache_clear()  # no N kept from an earlier test
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        symfock._hadamard_lift.cache_clear()  # no N kept from an earlier test
         result = runner.invoke(main, ["verify", "--nmax", "5", "--format", "json"])
         assert result.exit_code == 0
         assert json.loads(result.output)["passed"] is True
-        assert lifted == [1, 2, 3, 4, 5]
+        assert symfock._hadamard_lift.cache_info().misses == 5
+        assert solved == [(n, np.float64) for n in (2, 3, 4, 5)]
 
-    @pytest.mark.parametrize("mutation", ["transposed", "last-column-negated"])
+    @pytest.mark.parametrize("mutation", ["negated-sub-diagonal", "last-column-negated"])
     def test_wrong_shared_lift_fails_a_check(self, runner, monkeypatch, mutation):
         # the build and the covariance check read one cached lift, so one
         # wrong lift on both sides of the covariance identity must still show
+        import squashkit.squash as squash
         import squashkit.symfock as symfock
 
-        real = symfock.lift_gate
+        real = symfock._hadamard_lift
 
-        def wrong(gate, n):
-            if mutation == "transposed":
-                return real(gate.T, n)
-            lifted = real(gate, n)
+        def wrong(n):
+            lifted = real(n).copy()
+            if mutation == "negated-sub-diagonal":  # the lift of Z H Z: (-1)^(j+l) K
+                signs = 1 - 2 * (np.arange(n + 1) % 2)
+                return lifted * signs * signs[:, None]
             lifted[:, -1] *= -1
             return lifted
 
-        monkeypatch.setattr(symfock, "lift_gate", wrong)
-        symfock._modulation_lift.cache_clear()
-        try:
-            result = runner.invoke(main, ["verify", "--nmax", "5", "--format", "json"])
-        finally:
-            symfock._modulation_lift.cache_clear()  # no wrong lift is kept
+        for module in (symfock, squash):
+            monkeypatch.setattr(module, "_hadamard_lift", wrong)
+        result = runner.invoke(main, ["verify", "--nmax", "5", "--format", "json"])
         assert result.exit_code == 1
         rows = json.loads(result.output)["checks"]
         for n in (2, 3, 5):
@@ -1048,6 +1049,31 @@ def test_verify_never_imports_numpy_random():
     assert simulate.count("protocol,mode,attack") == 2
     assert simulate.count('"sifted_counts"') == 2
     assert proc.stderr.split("\n") == ["False False", "False", ""]
+
+
+def test_verify_runs_no_complex_eigensolver():
+    # every matrix the squash, its checks and the effects read is real: K
+    # comes from one real eigh, and the positivity check's eigvalsh reads a real J
+    import subprocess
+    import sys
+
+    code = (
+        "import numpy as np\n"
+        "def real_only(solver):\n"
+        "    def solve(a, *args, **kwargs):\n"
+        "        if np.iscomplexobj(a):\n"
+        "            raise AssertionError(f'complex argument to {solver.__name__}')\n"
+        "        return solver(a, *args, **kwargs)\n"
+        "    return solve\n"
+        "np.linalg.eigh = real_only(np.linalg.eigh)\n"
+        "np.linalg.eigvalsh = real_only(np.linalg.eigvalsh)\n"
+        "from squashkit.cli import main\n"
+        "main(['verify', '--nmax', '12'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASS: 42 checks" in proc.stdout
 
 
 class TestKeyrate:

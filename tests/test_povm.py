@@ -71,6 +71,11 @@ class TestVirtualPovm:
 
 
 class TestSideStateEffects:
+    @pytest.mark.parametrize("n", [0, 1, 2, 40])
+    @pytest.mark.parametrize("mode", ["actual", "edp1", "edp2"])
+    def test_stack_is_real(self, mode, n):
+        assert side_state_effects(n, mode).dtype == np.float64
+
     @pytest.mark.parametrize("rebuilt", [False, True])
     @pytest.mark.parametrize("n", range(13))
     @pytest.mark.parametrize("basis_is_x", [False, True])
@@ -78,7 +83,7 @@ class TestSideStateEffects:
     def test_stack_is_a_povm(self, mode, basis_is_x, n, rebuilt):
         x = 3 * basis_is_x
         stack = side_state_effects(n, mode)[x : x + 3]
-        if rebuilt:  # symfock's lift cache holds one N: a build at N + 1 evicts it, and N comes back
+        if rebuilt:  # symfock's cache holds one K: a build at N + 1 evicts it, and N comes back
             side_state_effects(n + 1, mode)
             assert np.array_equal(side_state_effects(n, mode)[x : x + 3], stack)
         assert stack.shape == (3, n + 1, n + 1)

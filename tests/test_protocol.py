@@ -765,12 +765,12 @@ class TestTable:
 
     @pytest.mark.parametrize("mode, reads", [("edp1", 1), ("edp2", 0), ("actual", 1)])
     def test_one_squash_build_per_photon_number(self, mode, reads, monkeypatch):
-        # both bases of each side come from at most one channel and one lift:
-        # the effects read the lift the channel's build made
+        # both bases of each side come from at most one channel and one K:
+        # the effects read the K the channel's build made
         import squashkit.povm as povm
         import squashkit.symfock as symfock
 
-        built, lifted, read = [], [], []
+        built, solved, read = [], [], []
 
         def counting(calls, real):
             def count(*args):
@@ -778,13 +778,19 @@ class TestTable:
                 return real(*args)
             return count
 
+        def solving(a):
+            solved.append(len(a) - 1)
+            return real_eigh(a)
+
+        real_eigh = np.linalg.eigh
         monkeypatch.setattr(povm, "build_squash", counting(built, povm.build_squash))
-        monkeypatch.setattr(symfock, "lift_gate", counting(lifted, symfock.lift_gate))
+        monkeypatch.setattr(np.linalg, "eigh", solving)
         monkeypatch.setattr(povm, "_modulation_lift", counting(read, povm._modulation_lift))
-        symfock._modulation_lift.cache_clear()  # no N kept from an earlier test
+        symfock._hadamard_lift.cache_clear()  # no N kept from an earlier test
         _table(asymmetric_bbm92_attack(), "bbm92", mode)  # blocks (0, 2), (1, 1), (2, 3)
         assert sorted(built) == ([] if mode == "actual" else [1, 2, 3])
-        assert sorted(lifted) == [1, 2, 3]
+        assert symfock._hadamard_lift.cache_info().misses == 3  # K at N = 1, 2, 3
+        assert sorted(solved) == [2, 3]  # K_1 is exact
         assert sorted(read) == [1, 2, 3] * reads
 
 

@@ -30,6 +30,8 @@ from squashkit.symfock import (
     sym_basis_state,
 )
 
+from test_symfock import exact_hadamard_lift
+
 
 def random_density(dim, rng):
     """A full-rank random density operator (a normalized Wishart draw)."""
@@ -50,10 +52,11 @@ def squash_kraus(n):
 
     F[b,b'] = 2^(-(N-1)/2) (sqrt(C(N,b')) |1_y><S^y_b| + sqrt(C(N,b)) |0_y><S^y_b'|),
     with |j_y> a column of the qubit y frame and <S^y_b| row b of the
-    z -> y basis change, so each operator acts on z coordinates.
+    z -> y basis change K diag((-i)^b), K the lift of the Hadamard from its
+    exact Krawtchouk entries, so each operator acts on z coordinates.
     """
     y0, y1 = qubit_frame(Basis.Y).T
-    to_y = basis_change_matrix(n, Basis.Z, Basis.Y)
+    to_y = exact_hadamard_lift(n) * np.array([1, -1j, -1, 1j])[np.arange(n + 1) % 4]
     scale = 2.0 ** (-(n - 1) / 2)
     return {
         (b, bp): scale * (
@@ -169,21 +172,32 @@ class TestBuildSquash:
         a.setflags(write=False)
         assert KrausChannel(4, 2, a).choi is a
 
+    @pytest.mark.parametrize("dtype", [float, complex, np.float32, int])
+    def test_copy_is_float64_unless_complex(self, dtype):
+        # a nested list too: its kind, not numpy's default, picks the dtype
+        choi = KrausChannel(2, 2, np.eye(4, dtype=dtype).tolist()).choi
+        assert choi.dtype == (np.complex128 if dtype is complex else np.float64)
+
     @pytest.mark.parametrize("n", [1, 3, 40])
     def test_built_choi_is_read_only_and_owns_its_data(self, n):
         choi = build_squash(n).choi
         assert not choi.flags.writeable
         assert choi.flags.owndata
 
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_built_choi_is_real(self, n):
+        assert build_squash(n).choi.dtype == np.float64
+
     def test_build_memory_is_bounded(self):
         # the blocks are written into one array, the Choi matrix is handed
         # over uncopied and the check holds one regrouped copy: under three
-        # Choi matrices (2.6 MB each at N = 200), where a copy for the
-        # channel and whole-matrix Hermiticity temporaries read 5.2
+        # complex Choi matrices (2.6 MB each at N = 200), where a copy for the
+        # channel and whole-matrix Hermiticity temporaries read 5.2; the real
+        # build, its lift included, reads 4.1
         import squashkit.symfock as symfock
 
         n = 200
-        symfock._modulation_lift.cache_clear()  # the lift's own peak is counted too
+        symfock._hadamard_lift.cache_clear()  # the lift's own peak is counted too
         tracemalloc.start()
         try:
             build_squash(n)
@@ -232,7 +246,7 @@ class TestPositivityCheck:
         # only the last slice of rows reads it, and eigvalsh takes the real
         # part of the diagonal, so only the Hermiticity check can see it
         n = 200
-        choi = build_squash(n).choi.copy()
+        choi = build_squash(n).choi.astype(complex)
         choi[-1, -1] += 1e-10j  # J - J^dagger is 2e-10j there
         with pytest.raises(ValueError, match=r"completely positive .* non-Hermiticity 2\.000e-10\)"):
             KrausChannel(n + 1, 2, choi)
@@ -300,8 +314,8 @@ class TestChoiRoute:
 
     For the squash channel the operators come from the paper's formula
     (:func:`squash_kraus`), so the closed-form J of :func:`build_squash` is
-    checked against an explicit sum over them; the two share only the
-    lifted basis change to the y basis.  From N of about
+    checked against an explicit sum over them; the two share no code, the
+    sum's basis change to the y basis being exact to rounding.  From N of about
     100 the squash channel is invariant to rounding under transposing its
     input (the pull-back of sigma_y decays exponentially in N), and its two
     diagonal y blocks agree to rounding, so a swap of the two input axes of
@@ -401,12 +415,8 @@ class TestCompleteness:
 
     def test_weights_past_the_float_range(self):
         import squashkit.squash as squash
-        import squashkit.symfock as symfock
 
-        try:
-            _, _, w = squash._y_terms(1030)  # C(1030, 515) > 2^1024
-        finally:
-            symfock._modulation_lift.cache_clear()  # the memory tests count the lift's own peak
+        w = squash._weights(1030)  # C(1030, 515) > 2^1024; no lift is built or cached
         assert np.all(np.isfinite(w))
         assert abs(np.sum(w**2) - 2.0) < 1e-12
 
@@ -443,8 +453,8 @@ class TestHadamardInvariance:
     def test_wrong_phase_fails_the_operator_check(self, n, monkeypatch):
         import squashkit.squash as squash
 
-        # OMEGA * 1j = OMEGA^3, so every phase OMEGA^e becomes OMEGA^(3e)
-        monkeypatch.setattr(squash, "OMEGA", OMEGA * 1j)
+        # each root mapped to its cube: every phase OMEGA^e becomes OMEGA^(3e)
+        monkeypatch.setattr(squash, "_EIGHTH_ROOTS", squash._EIGHTH_ROOTS[3 * np.arange(8) % 8])
         report = verify_hadamard_invariance(build_squash(n))
         assert not report.kraus_phase_ok
         assert report.kraus_max_deviation > 0.1

@@ -1,6 +1,6 @@
 """Tests for the symmetric-subspace linear algebra."""
 
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from squashkit.symfock import (
     OMEGA,
     X_MODULATION,
     Basis,
+    _hadamard_lift,
     basis_change_matrix,
     lift_gate,
     lift_gate_oracle,
@@ -40,6 +41,26 @@ def kron_oracle(gate, n):
     for _ in range(n):
         big = np.kron(big, gate)
     return iso.T @ big @ iso
+
+
+def exact_hadamard_lift(n):
+    """K_N = lift((X + Z)/sqrt(2)) from exact integers, sharing no code with symfock.
+
+    K[j, k] = S(j, k) sqrt(C(N, k) / (2^N C(N, j))), with the Krawtchouk
+    integers S(0, k) = 1, S(1, k) = N - 2k and
+    (j+1) S(j+1, k) = (N - 2k) S(j, k) - (N - j + 1) S(j-1, k).  Each entry is
+    the square root of S^2 C(N, k) / (2^N C(N, j)), a correctly rounded ratio
+    of integers, so no float leaves the range at any N.
+    """
+    binom = [comb(n, k) for k in range(n + 1)]
+    out = np.empty((n + 1, n + 1))
+    prev, row = [0] * (n + 1), [1] * (n + 1)
+    for j in range(n + 1):
+        den = 2**n * binom[j]
+        out[j] = [(-1 if s < 0 else 1) * sqrt(s * s * ck / den) for s, ck in zip(row, binom)]
+        prev, row = row, [((n - 2 * k) * s - (n - j + 1) * p) // (j + 1)
+                          for k, (s, p) in enumerate(zip(row, prev))]
+    return out
 
 
 class TestSymBasisState:
@@ -177,6 +198,50 @@ class TestLiftGate:
 
     def test_standard_hadamard_differs_from_modulation(self):
         assert np.max(np.abs(HADAMARD - X_MODULATION)) > 0.5
+
+
+class TestHadamardLift:
+    """symfock's cached K_N = lift(H), H = (X + Z)/sqrt(2), against its exact entries."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_exact_entries_match_the_kron_oracle(self, n):
+        assert np.max(np.abs(exact_hadamard_lift(n) - kron_oracle(HADAMARD, n))) < 1e-14
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 47, 68, 100, 200])
+    def test_cached_lift_matches_exact_entries(self, n):
+        k = _hadamard_lift(n)
+        assert k.dtype == np.float64 and not k.flags.writeable
+        assert np.max(np.abs(k - exact_hadamard_lift(n))) < 2e-14
+        assert np.max(np.abs(k - k.T)) < 1e-14
+        assert np.max(np.abs(k @ k - np.eye(n + 1))) < 1e-14
+
+    def test_zero_and_one_photon_are_exact(self):
+        assert np.array_equal(_hadamard_lift(0), np.ones((1, 1)))
+        assert np.array_equal(_hadamard_lift(1), HADAMARD.real)
+
+    @pytest.mark.parametrize("mutation", ["negated-sub-diagonal", "column-sign-flipped"])
+    def test_mutated_lift_fails(self, mutation, monkeypatch):
+        n = 200
+        if mutation == "negated-sub-diagonal":  # the generator of Z H Z in place of H's
+            real_eigh = np.linalg.eigh
+            monkeypatch.setattr(np.linalg, "eigh", lambda a: real_eigh(2 * np.diag(np.diag(a)) - a))
+            _hadamard_lift.cache_clear()
+            try:
+                k = _hadamard_lift(n)
+            finally:
+                _hadamard_lift.cache_clear()  # no wrong lift is kept
+        else:
+            k = _hadamard_lift(n).copy()
+            k[:, 57] *= -1
+        assert np.max(np.abs(k - exact_hadamard_lift(n))) > 0.1
+
+    @pytest.mark.parametrize("n", [2, 7, 200])
+    def test_diagonal_gate_lifts_to_a_diagonal(self, n):
+        d0, d1 = np.exp(0.3j), np.exp(-1.1j)
+        lifted = lift_gate(np.diag([d0, d1]), n)
+        b = np.arange(n + 1)
+        assert not (lifted - np.diag(np.diag(lifted))).any()
+        assert np.max(np.abs(np.diag(lifted) - d0 ** (n - b) * d1**b)) < 1e-13
 
 
 class TestLiftOracle:
