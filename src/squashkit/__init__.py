@@ -3,7 +3,7 @@
 The package has four layers:
 
 * :mod:`squashkit.symfock` - exact linear algebra on the symmetric
-  N-photon subspace (basis states, basis changes, lifted gates, oracle);
+  N-photon subspace (lifted gates, oracle);
 * :mod:`squashkit.squash` - the squash channel as its closed-form Choi
   matrix, channel application, and its completeness /
   modulation-covariance checks;
@@ -21,16 +21,7 @@ The ``squashkit`` console script exposes ``verify``, ``simulate`` and
 ``keyrate`` subcommands.
 """
 
-from .symfock import (
-    Basis,
-    OMEGA,
-    X_MODULATION,
-    sym_basis_state,
-    basis_change_matrix,
-    lift_gate,
-    lift_gate_oracle,
-    projector,
-)
+from .symfock import X_MODULATION, lift_gate, lift_gate_oracle
 from .squash import (
     KrausChannel,
     CompletenessReport,
@@ -64,14 +55,9 @@ def __getattr__(name: str):
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis",
-    "OMEGA",
     "X_MODULATION",
-    "sym_basis_state",
-    "basis_change_matrix",
     "lift_gate",
     "lift_gate_oracle",
-    "projector",
     "KrausChannel",
     "CompletenessReport",
     "HadamardReport",

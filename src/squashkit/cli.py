@@ -30,6 +30,8 @@ from .squash import build_squash, verify_completeness, verify_hadamard_invarianc
 from .symfock import lift_gate, lift_gate_oracle
 from .povm import verify_povm_equivalence
 
+__all__ = ["main"]
+
 _ORACLE_TRIALS = 100
 
 

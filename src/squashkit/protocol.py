@@ -60,7 +60,7 @@ import numpy as np
 
 from .povm import SIDE_STATES, VACUUM_STATE, CompositeBlockState, side_state_effects
 from .sampler import _multinomial
-from .symfock import Basis, qubit_frame
+from .symfock import _HADAMARD
 
 __all__ = [
     "Depolarize",
@@ -224,10 +224,9 @@ def Depolarize(p: float) -> CompositeBlockState:
 def InterceptResend() -> CompositeBlockState:
     """Eve measures the flying qubit in a random z/x basis and resends."""
     rho = np.zeros((4, 4), dtype=complex)
-    for basis in (Basis.Z, Basis.X):
-        for v in qubit_frame(basis).T:
-            vv = np.outer(v, v).ravel()  # |v>|v>
-            rho += 0.25 * np.outer(vv, vv.conj())
+    for v in (*np.eye(2), *_HADAMARD):  # the z kets, then the x kets
+        vv = np.outer(v, v).ravel()  # |v>|v>
+        rho += 0.25 * np.outer(vv, vv)
     return CompositeBlockState({(1, 1): (1.0, rho)}, {"kind": "intercept_resend"})
 
 

@@ -11,7 +11,7 @@ preserving, reproduces the threshold-detector sifted-bit statistics
 exactly (see :mod:`squashkit.povm`), and commutes with the x-basis phase
 modulation up to a per-operator phase:
 
-    F[b,b'] D(H) = OMEGA^(2b - N - 1) H F[b,b'],
+    F[b,b'] D(H) = OMEGA^(2b - N - 1) H F[b,b'],   OMEGA = e^(i pi/4),
 
 which makes the channel invariant under conjugation by that modulation.
 

@@ -4,8 +4,7 @@ An N-photon state in a single spatial-temporal mode lives in the
 (N+1)-dimensional bosonic symmetric subspace, spanned by the states with
 N-b photons in one polarization/path mode and b in the other.  Single-qubit
 gates act on such states as the spin-N/2 representation; this module builds
-those lifted operators, the basis-change matrices between the z-, x- and
-y-labelled symmetric bases, and a brute-force symmetrization oracle used to
+those lifted operators and a brute-force symmetrization oracle used to
 cross-check the fast construction.
 
 Every lift is one real matrix per N between diagonal lifts: K_N, the lift
@@ -21,50 +20,24 @@ basis vector with b photons in the "1" mode.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
 
 __all__ = [
-    "Basis",
-    "OMEGA",
     "X_MODULATION",
-    "qubit_frame",
-    "sym_basis_state",
-    "basis_change_matrix",
     "lift_gate",
     "lift_gate_oracle",
-    "projector",
     "ORACLE_PHOTON_CAP",
 ]
-
-
-class Basis(Enum):
-    """Single-photon basis labelling a symmetric basis family."""
-
-    Z = "z"
-    X = "x"
-    Y = "y"
-
-
-#: Eighth root of unity, eigenvalue unit of the quarter-turn below.
-OMEGA = np.exp(1j * np.pi / 4)
 
 # The self-inverse Hadamard (X + Z)/sqrt(2), whose lift K every lift reads.
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 #: The quarter-turn about the y axis used as the x-basis phase modulation, H Z.
 #: Not the self-inverse Hadamard: it maps |0_z> -> |0_x>, |1_z> -> -|1_x>,
-#: and has eigenvectors |0_y>, |1_y> with eigenvalues OMEGA**-1, OMEGA**+1.
+#: and has eigenvectors |0_y>, |1_y> with eigenvalues e^(-i pi/4), e^(i pi/4).
 X_MODULATION = _HADAMARD * [1.0, -1.0]
-
-# Columns are the basis kets |0_b>, |1_b> in z coordinates.
-_FRAMES = {
-    Basis.Z: np.eye(2, dtype=complex),
-    Basis.X: np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
-    Basis.Y: np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2.0),
-}
 
 #: Cap on the brute-force oracle's photon number (full space dimension 2**N).
 ORACLE_PHOTON_CAP = 8
@@ -78,37 +51,8 @@ _UNITARY_ATOL = 1e-12
 # (2**13 raised the peak RSS of verify --nmax 40 by up to 0.3 MB).
 _STACK_ENTRIES = 2**10
 
-for _m in (_HADAMARD, X_MODULATION, *_FRAMES.values()):
+for _m in (_HADAMARD, X_MODULATION):
     _m.setflags(write=False)
-
-
-def qubit_frame(basis: Basis) -> np.ndarray:
-    """2x2 matrix whose columns are |0_basis>, |1_basis> in z coordinates."""
-    return _FRAMES[basis]
-
-
-def sym_basis_state(n_photons: int, b: int) -> np.ndarray:
-    """Symmetric basis state with N-b photons in mode "0" and b in mode "1".
-
-    Returns the read-only complex amplitude vector of length N+1 with a
-    single 1 at component b.  The components are labelled by whichever
-    basis the caller means; the rest of the package reads them in the
-    canonical Z basis, and :func:`basis_change_matrix` converts between
-    labels.
-
-    Parameters
-    ----------
-    n_photons : int
-        Photon number N >= 0.
-    b : int
-        Number of photons in the "1" mode, 0 <= b <= N.
-    """
-    if not 0 <= b <= n_photons:
-        raise ValueError(f"b must satisfy 0 <= b <= {n_photons}, got {b}")
-    amps = np.zeros(n_photons + 1, dtype=complex)
-    amps[b] = 1.0
-    amps.setflags(write=False)
-    return amps
 
 
 def _require_unitary(gate: np.ndarray, n_photons: int) -> np.ndarray:
@@ -227,27 +171,3 @@ def lift_gate_oracle(gate: np.ndarray, n_photons: int) -> np.ndarray:
             cols = gates[s] @ cols.reshape(-1, 2**k, 2, dim // 2 ** (k + 1) * (n + 1))
         out[s] = iso.T @ cols.reshape(-1, dim, n + 1)
     return out.reshape(u.shape[:-2] + (n + 1, n + 1))
-
-
-def basis_change_matrix(n_photons: int, from_basis: Basis, to_basis: Basis) -> np.ndarray:
-    """Unitary converting symmetric-state components between basis labels.
-
-    The returned (N+1)x(N+1) matrix U satisfies
-    U @ (components in `from_basis`) = (components in `to_basis`), and is
-    the symmetric lift of the single-qubit frame change.
-    """
-    q = _FRAMES[to_basis].conj().T @ _FRAMES[from_basis]
-    return lift_gate(q, n_photons)
-
-
-def projector(amps: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |psi><psi| onto a normalized amplitude vector.
-
-    Raises ValueError if the norm of `amps` is off 1 by more than 1e-9
-    or is not finite.
-    """
-    amps = np.asarray(amps, dtype=complex)
-    dev = abs(float(np.linalg.norm(amps)) - 1.0)
-    if not dev <= 1e-9:
-        raise ValueError(f"state is not normalized (norm deviation {dev:.3e})")
-    return np.outer(amps, amps.conj())

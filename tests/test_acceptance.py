@@ -27,7 +27,7 @@ from squashkit.squash import (
     verify_completeness,
     verify_hadamard_invariance,
 )
-from squashkit.symfock import lift_gate, lift_gate_oracle, projector, sym_basis_state
+from squashkit.symfock import lift_gate, lift_gate_oracle
 
 from test_protocol import law_chi_square_pvalue
 
@@ -195,7 +195,7 @@ def test_criterion_9_bbm92():
     result = run_simulation("bbm92", "actual", honest, 100_000, 606)
     assert result.e_bit == 0.0
     assert result.key_rate == 1.0
-    blk = projector(sym_basis_state(2, 1))
+    blk = np.diag([0.0, 1.0, 0.0])
     double = CompositeBlockState({(2, 2): (1.0, np.kron(blk, blk))})
     result = run_simulation("bbm92", "actual", double, 100_000, 607)
     sigma = np.sqrt(0.25 / result.sifted)

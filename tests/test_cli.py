@@ -1076,6 +1076,18 @@ def test_verify_runs_no_complex_eigensolver():
     assert "PASS: 42 checks" in proc.stdout
 
 
+@pytest.mark.parametrize("module", ["squashkit", "squashkit.symfock", "squashkit.squash",
+                                    "squashkit.povm", "squashkit.protocol", "squashkit.cli"])
+def test_every_public_name_resolves(module):
+    # a name left in __all__ after its deletion breaks the star import, and in
+    # the package it would reach the lazy __getattr__ and fail only on use
+    import importlib
+
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(importlib.import_module(module).__all__)
+
+
 class TestKeyrate:
     def test_point_evaluation(self, runner):
         result = runner.invoke(main, ["keyrate", "--ebit", "0", "--eph", "0"])

@@ -17,7 +17,6 @@ from squashkit.povm import (
     virtual_povm,
 )
 from squashkit.squash import build_squash
-from squashkit.symfock import Basis, qubit_frame
 
 
 class TestActualPovm:
@@ -94,8 +93,8 @@ class TestSideStateEffects:
             assert np.array_equal(stack, [[[0]], [[0]], [[1]]])
         if n == 1:
             # one photon: the projective qubit measurement of the basis
-            frame = qubit_frame(Basis.X if basis_is_x else Basis.Z)
-            qubit = np.array([np.outer(v, v.conj()) for v in frame.T] + [np.zeros((2, 2))])
+            kets = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0) if basis_is_x else np.eye(2)
+            qubit = np.array([np.outer(v, v) for v in kets] + [np.zeros((2, 2))])
             if mode == "actual":
                 assert np.array_equal(stack, qubit)
             else:

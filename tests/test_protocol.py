@@ -31,7 +31,6 @@ from squashkit.protocol import (
     run_simulation,
 )
 from squashkit.sampler import _binomial, _multinomial
-from squashkit.symfock import projector, sym_basis_state
 
 
 def binomial_4sigma(p, n):
@@ -39,7 +38,7 @@ def binomial_4sigma(p, n):
 
 
 def double_coincidence_attack():
-    blk = projector(sym_basis_state(2, 1))
+    blk = np.diag([0.0, 1.0, 0.0])
     rho = np.kron(blk, blk)
     return CompositeBlockState({(2, 2): (1.0, rho)})
 
@@ -173,7 +172,7 @@ class TestEveState:
         state = eve_state(CoincidenceInjection(2, 1))
         assert set(state.blocks) == {(1, 2)}
         _, rho = state.blocks[(1, 2)]
-        expected = np.kron(np.eye(2) / 2, projector(sym_basis_state(2, 1)))
+        expected = np.kron(np.eye(2) / 2, np.diag([0.0, 1.0, 0.0]))
         assert np.max(np.abs(rho - expected)) < 1e-14
 
     def test_custom_duplicate_block_rejected(self):

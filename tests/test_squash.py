@@ -19,18 +19,9 @@ from squashkit.squash import (
     verify_completeness,
     verify_hadamard_invariance,
 )
-from squashkit.symfock import (
-    OMEGA,
-    X_MODULATION,
-    Basis,
-    basis_change_matrix,
-    lift_gate,
-    projector,
-    qubit_frame,
-    sym_basis_state,
-)
+from squashkit.symfock import X_MODULATION, lift_gate
 
-from test_symfock import exact_hadamard_lift
+from test_symfock import OMEGA, Y_FRAME, exact_hadamard_lift
 
 
 def random_density(dim, rng):
@@ -55,7 +46,7 @@ def squash_kraus(n):
     z -> y basis change K diag((-i)^b), K the lift of the Hadamard from its
     exact Krawtchouk entries, so each operator acts on z coordinates.
     """
-    y0, y1 = qubit_frame(Basis.Y).T
+    y0, y1 = Y_FRAME.T
     to_y = exact_hadamard_lift(n) * np.array([1, -1j, -1, 1j])[np.arange(n + 1) % 4]
     scale = 2.0 ** (-(n - 1) / 2)
     return {
@@ -114,8 +105,7 @@ class TestBuildSquash:
 
     def test_single_photon_from_direct_expansion(self):
         # at N = 1 the only operator is |1_y><1_y| + |0_y><0_y|
-        y0 = qubit_frame(Basis.Y)[:, 0]
-        y1 = qubit_frame(Basis.Y)[:, 1]
+        y0, y1 = Y_FRAME.T
         expected = np.outer(y1, y1.conj()) + np.outer(y0, y0.conj())
         choi = choi_from_kraus([expected])
         assert np.max(np.abs(build_squash(1).choi - choi)) < 1e-14
@@ -189,11 +179,11 @@ class TestBuildSquash:
         assert build_squash(n).choi.dtype == np.float64
 
     def test_build_memory_is_bounded(self):
-        # the blocks are written into one array, the Choi matrix is handed
-        # over uncopied and the check holds one regrouped copy: under three
-        # complex Choi matrices (2.6 MB each at N = 200), where a copy for the
-        # channel and whole-matrix Hermiticity temporaries read 5.2; the real
-        # build, its lift included, reads 4.1
+        # the blocks are written into one real array, the Choi matrix is
+        # handed over uncopied and the check holds one regrouped copy: the
+        # build, its lift included, reads 4.05 MB at N = 200, 3.13 real Choi
+        # matrices (1.29 MB each), under 3.5 of them; a copy for the channel
+        # taken while the blocks are written reads 5.0 MB
         import squashkit.symfock as symfock
 
         n = 200
@@ -204,7 +194,7 @@ class TestBuildSquash:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.75 * (2 * (n + 1)) ** 2 * 16
+        assert peak < 3.5 * (2 * (n + 1)) ** 2 * 8
 
     def test_equality_is_identity_and_repr_is_short(self):
         # pytest prints a failing case's channel, so its repr must not
@@ -259,7 +249,7 @@ class TestApplyChannel:
         assert np.max(np.abs(apply_channel(channel, rho) - rho)) < 1e-14
 
     def test_coincidence_state_squashes_to_unbiased_bit(self):
-        rho = projector(sym_basis_state(2, 1))
+        rho = np.diag([0.0, 1.0, 0.0])
         sigma = apply_channel(build_squash(2), rho)
         assert abs(sigma[0, 0].real - 0.5) < 1e-12
         assert abs(np.trace(sigma).real - 1.0) < 1e-12
@@ -500,6 +490,6 @@ class TestHadamardInvariance:
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
         assert abs(np.trace(rho) - 1.0) < 1e-14
         assert np.linalg.eigvalsh(rho)[0] > 0.0
-        to_y = basis_change_matrix(n, Basis.Z, Basis.Y)
+        to_y = lift_gate(Y_FRAME.conj().T, n)
         for r in (rho, to_y @ rho @ to_y.conj().T):  # z, then y coordinates
             assert np.max(np.abs(r - np.diag(np.diag(r)))) > 1e-3

@@ -4,25 +4,16 @@ from math import comb, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from squashkit.symfock import (
-    OMEGA,
-    X_MODULATION,
-    Basis,
-    _hadamard_lift,
-    basis_change_matrix,
-    lift_gate,
-    lift_gate_oracle,
-    projector,
-    qubit_frame,
-    sym_basis_state,
-)
+from squashkit.symfock import X_MODULATION, _hadamard_lift, lift_gate, lift_gate_oracle
 
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+#: Columns |0_y>, |1_y> in z coordinates; its adjoint lifts the z -> y basis change.
+Y_FRAME = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2.0)
+#: Eighth root of unity: X_MODULATION's eigenvalues are OMEGA^-1 and OMEGA.
+OMEGA = np.exp(1j * np.pi / 4)
 
 
 def random_unitary(rng):
@@ -63,70 +54,18 @@ def exact_hadamard_lift(n):
     return out
 
 
-class TestSymBasisState:
-    def test_all_photons_one_mode(self):
-        state = sym_basis_state(2, 0)
-        assert np.allclose(state, [1, 0, 0])
-
-    def test_symmetrized_middle_state(self):
-        # (|01> + |10>)/sqrt(2) is component b = 1 of the N = 2 family
-        state = sym_basis_state(2, 1)
-        assert np.allclose(state, [0, 1, 0])
-
-    def test_vacuum_is_one_dimensional(self):
-        state = sym_basis_state(0, 0)
-        assert state.shape == (1,)
-        assert state[0] == 1.0
-
-    @pytest.mark.parametrize("b", [-1, 3])
-    def test_out_of_range(self, b):
-        with pytest.raises(ValueError):
-            sym_basis_state(2, b)
-
-    def test_amps_are_immutable(self):
-        state = sym_basis_state(3, 1)
-        with pytest.raises(ValueError):
-            state[0] = 5.0
-
-
 class TestBasisChange:
-    def test_single_photon_matches_qubit_frame_change(self):
-        u = basis_change_matrix(1, Basis.Z, Basis.Y)
-        expected = qubit_frame(Basis.Y).conj().T @ qubit_frame(Basis.Z)
-        assert np.allclose(u, expected, atol=1e-15)
-
-    def test_identity_when_labels_equal(self):
-        for n in (0, 1, 5):
-            assert np.allclose(
-                basis_change_matrix(n, Basis.Z, Basis.Z), np.eye(n + 1), atol=1e-15
-            )
-
     def test_all_zeros_state_in_y_basis(self):
         # coefficients 2^(-N/2) sqrt(C(N, b)) at N = 3
-        from math import comb, sqrt
-
-        state = basis_change_matrix(3, Basis.Z, Basis.Y) @ sym_basis_state(3, 0)
+        state = lift_gate(Y_FRAME.conj().T, 3) @ np.eye(4)[0]
         expected = [2.0 ** (-1.5) * sqrt(comb(3, b)) for b in range(4)]
         assert np.allclose(state, expected, atol=1e-14)
-
-    @given(
-        n=st.integers(min_value=0, max_value=10),
-        pair=st.sampled_from(
-            [(a, b) for a in Basis for b in Basis]
-        ),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip_is_identity(self, n, pair):
-        a, b = pair
-        fwd = basis_change_matrix(n, a, b)
-        back = basis_change_matrix(n, b, a)
-        assert np.max(np.abs(back @ fwd - np.eye(n + 1))) < 1e-12
 
 
 class TestLiftGate:
     def test_bit_flip_reverses_all_photons(self):
-        out = lift_gate(PAULI_X, 3) @ sym_basis_state(3, 0)
-        assert np.allclose(out, sym_basis_state(3, 3), atol=1e-14)
+        out = lift_gate(PAULI_X, 3) @ np.eye(4)[0]
+        assert np.allclose(out, np.eye(4)[3], atol=1e-14)
 
     def test_bit_flip_two_photons_is_antidiagonal(self):
         expected = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
@@ -139,14 +78,14 @@ class TestLiftGate:
     def test_modulation_is_diagonal_in_y_basis(self):
         # eigenvalue OMEGA^(2b-N) on component b of the y-labelled family
         for n in (1, 3, 6):
-            to_y = basis_change_matrix(n, Basis.Z, Basis.Y)
+            to_y = lift_gate(Y_FRAME.conj().T, n)
             diag = to_y @ lift_gate(X_MODULATION, n) @ to_y.conj().T
             expected = np.diag([OMEGA ** (2 * b - n) for b in range(n + 1)])
             assert np.max(np.abs(diag - expected)) < 1e-12
 
     def test_modulation_phase_three_photons(self):
         n, b = 3, 1
-        state = basis_change_matrix(n, Basis.Y, Basis.Z) @ sym_basis_state(n, b)
+        state = lift_gate(Y_FRAME, n) @ np.eye(n + 1)[b]
         out = lift_gate(X_MODULATION, n) @ state
         assert np.allclose(out, OMEGA**-1 * state, atol=1e-13)
 
@@ -181,11 +120,10 @@ class TestLiftGate:
         with pytest.raises(ValueError):
             lift_gate(np.stack([np.eye(2), [[1, 1], [0, 1]]]), 2)
 
-    def test_negative_photon_number_rejected(self):
-        with pytest.raises(ValueError):
-            lift_gate(PAULI_X, -1)
+    @pytest.mark.parametrize("lift", [lift_gate, lift_gate_oracle])
+    def test_negative_photon_number_rejected(self, lift):
         with pytest.raises(ValueError, match="n_photons must be >= 0, got -1"):
-            basis_change_matrix(-1, Basis.Z, Basis.Y)
+            lift(PAULI_X, -1)
 
     @pytest.mark.parametrize("lift", [lift_gate, lift_gate_oracle])
     def test_zero_photons_lift_to_exactly_one(self, lift):
@@ -277,22 +215,3 @@ class TestLiftOracle:
         with pytest.raises(ValueError):
             lift_gate_oracle(PAULI_X, 9)
 
-
-class TestProjector:
-    def test_single_photon_projectors(self):
-        assert np.allclose(projector(sym_basis_state(1, 0)), np.diag([1, 0]))
-        assert np.allclose(projector(sym_basis_state(2, 1)), np.diag([0, 1, 0]))
-
-    def test_projector_laws(self):
-        rng = np.random.default_rng(3)
-        for n in (1, 4, 8):
-            amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-            amps /= np.linalg.norm(amps)
-            p = projector(amps)
-            assert abs(np.trace(p) - 1.0) < 1e-12
-            assert np.max(np.abs(p @ p - p)) < 1e-12
-            assert np.max(np.abs(p - p.conj().T)) < 1e-12
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            projector(np.array([1.0, 1.0]))
