@@ -87,13 +87,16 @@ def classify_click(b: int, n_photons: int) -> ClickClass:
 def validate_density(rho: np.ndarray) -> np.ndarray:
     """A complex copy of a density operator, checked Hermitian, unit-trace and PSD.
 
-    A 1-D state vector a stands for the pure state |a><a| and is returned
-    as a vector: only its trace ||a||^2 is checked, since |a><a| is
-    Hermitian and positive semidefinite by construction.  Each check fails
-    on NaN, so a non-finite matrix or vector is rejected too.
+    A 2-D array is a dense density operator.  A 1-D vector a stands for
+    |a><a|, and a 3-D stack A of amplitude tables a_j (each the vector
+    reshaped to the block's (m+1, n+1) table) for sum_j |a_j><a_j|: such a
+    factor is returned as a factor, and only its trace ||A||_F^2 is checked,
+    since the state it stands for is Hermitian and positive semidefinite by
+    construction.  Each check fails on NaN, so a non-finite matrix or factor
+    is rejected too.
     """
     rho = np.array(rho, dtype=complex)
-    if rho.ndim == 1:
+    if rho.ndim in (1, 3):
         trace_dev = abs(np.vdot(rho, rho).real - 1.0)  # NaN for any inf entry
         if not trace_dev <= 1e-10:
             raise ValueError(f"density operator trace deviates by {trace_dev:.3e}")
@@ -235,16 +238,21 @@ class CompositeBlockState:
     """Joint photon-number-block-diagonal state on (left side) x (right side).
 
     Keys are photon-number pairs (m, n); each block holds a weight and a
-    read-only density operator on the (m+1)(n+1)-dimensional product of
-    symmetric subspaces, or a read-only state vector a of that length,
-    which stands for |a><a| and costs (m+1)(n+1) entries, not their
-    square.  Every block is copied once (see :func:`validate_density`),
-    so the caller's arrays stay its own.  ``spec``, when set, is the
-    description a named attack was made from (its kind and parameters),
-    which :func:`squashkit.protocol.attack_to_dict` echoes in place of the
-    blocks.  Two states are equal when their weights and density operators
-    are, whatever their ``spec``: a vector block is compared through its
-    outer product.
+    read-only state on the (m+1)(n+1)-dimensional product of symmetric
+    subspaces, in one of two forms.  A dense density operator is a 2-D
+    array, as a ``fixed_block`` attack gives it.  A factor is a stack of r
+    amplitude vectors a_j standing for rho = sum_j |a_j><a_j|: a 1-D state
+    vector (r = 1, as a ``custom`` attack gives it), or an (r, m+1, n+1)
+    stack of amplitude tables, as the named constructors of
+    :mod:`squashkit.protocol` build it.  A factor costs r(m+1)(n+1) entries,
+    not their square, and is checked by its trace alone (see
+    :func:`validate_density`).  Every block is copied once, so the caller's
+    arrays stay its own.  ``spec``, when set, is the description a named
+    attack was made from (its kind and parameters), which
+    :func:`squashkit.protocol.attack_to_dict` echoes in place of the
+    blocks.  Two states are equal when their weights and density
+    operators are, whatever their ``spec``: a factor is compared through
+    the density operator it stands for.
     """
 
     blocks: Mapping[tuple[int, int], tuple[float, np.ndarray]]
@@ -257,11 +265,10 @@ class CompositeBlockState:
             if not w >= -1e-12:
                 raise ValueError(f"block weight must be >= 0, got {w}")
             rho = validate_density(rho)
-            dim = (m + 1) * (n + 1)
-            if rho.shape[0] != dim:
-                raise ValueError(
-                    f"block ({m}, {n}) has dimension {rho.shape[0]}, expected {dim}"
-                )
+            shape, want = ((rho.shape[1:], (m + 1, n + 1)) if rho.ndim == 3
+                           else (rho.shape[0], (m + 1) * (n + 1)))
+            if shape != want:
+                raise ValueError(f"block ({m}, {n}) has dimension {shape}, expected {want}")
             rho.setflags(write=False)
             cleaned[(m, n)] = (float(w), rho)
             total += w
@@ -270,9 +277,12 @@ class CompositeBlockState:
         object.__setattr__(self, "blocks", cleaned)
 
     def density(self, key: tuple[int, int]) -> np.ndarray:
-        """The density operator of block `key`; a vector block's outer product is built."""
+        """The density operator of block `key`; a factor's sum of outer products is built."""
         rho = self.blocks[key][1]
-        return np.outer(rho, rho.conj()) if rho.ndim == 1 else rho
+        if rho.ndim == 2:
+            return rho
+        first, *rest = rho.reshape(len(rho), -1) if rho.ndim == 3 else [rho]
+        return sum((np.outer(a, a.conj()) for a in rest), np.outer(first, first.conj()))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

@@ -209,25 +209,32 @@ def bell_state() -> np.ndarray:
 # Each named attack is a constructor: it checks its parameters and returns
 # the joint block state, with the kind and parameters its echo reports.  For
 # BB84 the left factor is the sender's virtual reference qubit (photon
-# number 1); for BBM92 both factors are incoming pulses.
+# number 1); for BBM92 both factors are incoming pulses.  Each builds its
+# block as a factor in closed form: a stack of amplitude tables a_j with
+# rho = sum_j |a_j><a_j|, checked by its trace alone.
+
+#: The Bell vectors Phi+, Phi-, Psi+, Psi- as (2, 2) amplitude tables, times sqrt(2).
+_BELL_TABLES = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]])
 
 
 def Depolarize(p: float) -> CompositeBlockState:
-    """Bell pair mixed with white noise in the single-photon block."""
+    """Bell pair mixed with white noise in the single-photon block.
+
+    (1 - p) Phi+ + p I/4 is (1 - 3p/4) Phi+ plus p/4 of each other Bell state.
+    """
     p = _number(p, "depolarizing probability")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing probability must be in [0, 1], got {p}")
-    rho = (1.0 - p) * bell_state() + p * np.eye(4) / 4.0
-    return CompositeBlockState({(1, 1): (1.0, rho)}, {"kind": "depolarize", "p": p})
+    scale = np.sqrt([(1.0 - 0.75 * p) / 2.0, p / 8.0, p / 8.0, p / 8.0])
+    factor = scale[:, None, None] * _BELL_TABLES
+    return CompositeBlockState({(1, 1): (1.0, factor)}, {"kind": "depolarize", "p": p})
 
 
 def InterceptResend() -> CompositeBlockState:
-    """Eve measures the flying qubit in a random z/x basis and resends."""
-    rho = np.zeros((4, 4), dtype=complex)
-    for v in (*np.eye(2), *_HADAMARD):  # the z kets, then the x kets
-        vv = np.outer(v, v).ravel()  # |v>|v>
-        rho += 0.25 * np.outer(vv, vv)
-    return CompositeBlockState({(1, 1): (1.0, rho)}, {"kind": "intercept_resend"})
+    """Eve measures the flying qubit in a random z/x basis and resends:
+    |vv>/2 for each z ket, then each x ket v."""
+    factor = np.array([0.5 * np.outer(v, v) for v in (*np.eye(2), *_HADAMARD)])
+    return CompositeBlockState({(1, 1): (1.0, factor)}, {"kind": "intercept_resend"})
 
 
 def CoincidenceInjection(n_photons: int, c: int) -> CompositeBlockState:
@@ -237,17 +244,17 @@ def CoincidenceInjection(n_photons: int, c: int) -> CompositeBlockState:
     detector and N-c on the other, which always fires both detectors.
     """
     n_photons, c = _integer(n_photons, "n_photons"), _integer(c, "c")
-    if n_photons > 379_625_061:  # the (2N + 2)^2 complex entries within numpy's 2**63 - 1 bytes
-        raise _bad("n_photons", "an integer in [0, 379625061], a block numpy can index", n_photons)
+    if n_photons > 438_353_263:  # each side's (6, N + 1, N + 1) effects within 2**63 - 1 bytes
+        raise _bad("n_photons", "an integer in [0, 438353263], whose effects numpy can index",
+                   n_photons)
     if n_photons < 2:
         raise ValueError("coincidence injection needs N >= 2")
     if not 1 <= c <= n_photons - 1:
         raise ValueError(f"c must lie strictly between 0 and N = {n_photons}, got {c}")
-    d = n_photons + 1
-    rho = np.zeros((2 * d, 2 * d), dtype=complex)
-    rho[c, c] = rho[d + c, d + c] = 0.5  # beside a maximally mixed reference qubit
+    factor = np.zeros((2, 2, n_photons + 1))
+    factor[0, 0, c] = factor[1, 1, c] = np.sqrt(0.5)  # |0>|c> and |1>|c>, each of weight 1/2
     spec = {"kind": "coincidence_injection", "n_photons": n_photons, "c": c}
-    return CompositeBlockState({(1, n_photons): (1.0, rho)}, spec)
+    return CompositeBlockState({(1, n_photons): (1.0, factor)}, spec)
 
 
 #: The attack grammar: each kind's constructor, and its fields with their readers.
@@ -331,22 +338,29 @@ def key_rate(e_bit: float, e_ph: float, single_photon_fraction: float = 1.0) -> 
 def _born(a_effects: np.ndarray, b_effects: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Tr[(E_p tensor F_q) rho] for every pair of stacked real symmetric effects E_p, F_q.
 
-    ``rho`` is a density operator on the (da*db)-dimensional product, or a
-    state vector psi standing for |psi><psi|.  Such effects read only the
-    real part of the state, exactly, so every product is real.  A vector is
-    never expanded: with Psi = psi reshaped to (da, db), M_p = Re Psi^dagger
-    E_p Psi and the law is sum_kl M_p[k, l] F_q[k, l], so memory stays O(da*db).
+    ``rho`` is a dense density operator on the (da*db)-dimensional product,
+    or a factor: amplitude vectors psi_j standing for sum_j |psi_j><psi_j|
+    (see :class:`squashkit.povm.CompositeBlockState`).  Such effects read
+    only the real part of the state, exactly, so every product is real.  A
+    factor is never expanded: with Psi_j = psi_j reshaped to (da, db), the
+    smaller side's effects meet the larger side's effects pulled back
+    through every Psi_j, sum_j Re Psi_j^dagger E_p Psi_j on Bob's side or
+    sum_j Re Psi_j F_q Psi_j^T on Alice's side, so no intermediate holds
+    more than r*(P + Q)*da*db entries: linear in the larger side.
     """
     da, db = a_effects.shape[1], b_effects.shape[1]
-    b = b_effects.reshape(len(b_effects), -1)
-    if rho.ndim == 1:
-        psi = rho.reshape(da, db)
-        a_pulled = psi.real.T @ a_effects @ psi.real  # (P, db, db), plus the imaginary part's
-        a_pulled += psi.imag.T @ a_effects @ psi.imag
-        return a_pulled.reshape(len(a_effects), -1) @ b.T
-    # Re rho[(j, l), (i, k)] regrouped as [(i, j), (k, l)], matching E[i, j] F[k, l]
-    rho_t = rho.real.reshape(da, db, da, db).transpose(2, 0, 3, 1).reshape(da * da, db * db)
-    return a_effects.reshape(len(a_effects), -1) @ rho_t @ b.T
+    a, b = a_effects.reshape(len(a_effects), -1), b_effects.reshape(len(b_effects), -1)
+    if rho.ndim == 2:
+        # Re rho[(j, l), (i, k)] regrouped as [(i, j), (k, l)], matching E[i, j] F[k, l]
+        rho_t = rho.real.reshape(da, db, da, db).transpose(2, 0, 3, 1).reshape(da * da, db * db)
+        return a @ rho_t @ b.T
+    psi = rho.reshape(-1, 1, da, db)  # (r, 1, da, db): the 1 broadcasts over an effect stack
+    re, im = psi.real, psi.imag
+    if db > da:  # Bob's effects pulled back onto Alice's side, (Q, da, da)
+        pulled = (re @ b_effects @ re.swapaxes(2, 3) + im @ b_effects @ im.swapaxes(2, 3)).sum(0)
+        return a @ pulled.reshape(len(b), -1).T
+    pulled = (re.swapaxes(2, 3) @ a_effects @ re + im.swapaxes(2, 3) @ a_effects @ im).sum(0)
+    return pulled.reshape(len(a), -1) @ b.T
 
 
 def _require_bb84_blocks(attack: CompositeBlockState) -> None:

@@ -517,6 +517,36 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "trace deviates" in result.output
 
+    @pytest.mark.parametrize("amps, shown", [
+        ("[[1.0000000001,0],[0,0]]", "2.000e-10"),
+        ("[[NaN,0],[0,0]]", "nan"),
+        ("[[0.6,0],[Infinity,0]]", "nan"),
+        ("[[0.6,-Infinity],[0.8,0]]", "nan"),
+    ], ids=["norm", "nan", "inf", "minus-inf"])
+    def test_custom_factor_reads_the_trace_message(self, runner, amps, shown):
+        # a factor's whole check is its trace, without a RuntimeWarning
+        attack = CUSTOM % amps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = runner.invoke(main, [
+                "simulate", "--protocol", "bbm92", "--attack", attack,
+                "--trials", "100", "--seed", "1",
+            ])
+        assert result.exit_code == 2
+        assert result.output.endswith(
+            f"malformed attack spec: attack: density operator trace deviates by {shown}\n")
+
+    def test_non_psd_fixed_block_names_its_eigenvalue(self, runner):
+        # a caller's dense rho keeps its eigensolve
+        attack = FIXED % "[[[1.5,0],[0,0]],[[0,0],[-0.5,0]]]"
+        result = runner.invoke(main, [
+            "simulate", "--protocol", "bbm92", "--attack", attack,
+            "--trials", "100", "--seed", "1",
+        ])
+        assert result.exit_code == 2
+        assert result.output.endswith(
+            "malformed attack spec: attack: density operator has negative eigenvalue -5.000e-01\n")
+
     @pytest.mark.parametrize("source", ["--attack", "--attack-file"])
     @pytest.mark.parametrize("attack, message", [
         (CUSTOM % "[[true,0],[0,0]]",
@@ -696,34 +726,35 @@ class TestSimulate:
 
     @pytest.mark.parametrize("error", [MemoryError, type("_ArrayMemoryError", (MemoryError,), {})])
     def test_attack_too_large_for_memory_exits_one(self, runner, monkeypatch, error):
-        # building the named state, while the attack is parsed, is where a
-        # huge attack's allocation fails (here its one block); numpy
-        # raises a private subclass, reported by its public name
+        # the named state is a factor of 4(N + 1) entries, so a huge attack's
+        # allocation fails in the run, at the receiver's (6, N + 1, N + 1)
+        # effect stack; numpy raises a private subclass, reported by its public name
         real = np.zeros
 
         def failing(shape, *args, **kwargs):
-            if shape == (2 * 10**7 + 2, 2 * 10**7 + 2):
-                raise error("Unable to allocate 1.5 PiB")
+            if shape == (6, 10**5 + 1, 10**5 + 1):
+                raise error("Unable to allocate 447 GiB")
             return real(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "zeros", failing)
         result = runner.invoke(main, [
             "simulate", "--protocol", "bb84",
-            "--attack", '{"kind":"coincidence_injection","n_photons":10000000,"c":1}',
+            "--attack", '{"kind":"coincidence_injection","n_photons":100000,"c":1}',
             "--trials", "10", "--seed", "1",
         ])
         assert result.exit_code == 1
-        assert result.output == "simulation failed: MemoryError: Unable to allocate 1.5 PiB\n"
+        assert result.output == "simulation failed: MemoryError: Unable to allocate 447 GiB\n"
 
     @pytest.mark.parametrize("n_photons, code, message", [
-        (379_625_062, 2, "malformed attack spec: attack: n_photons: expected an integer in "
-                         "[0, 379625061], a block numpy can index, got 379625062\n"),
+        (438_353_264, 2, "malformed attack spec: attack: n_photons: expected an integer in "
+                         "[0, 438353263], whose effects numpy can index, got 438353264\n"),
         (10**5, 1, "simulation failed: MemoryError: Unable to allocate "),
-        (379_625_061, 1, "simulation failed: MemoryError: Unable to allocate "),
+        (438_353_263, 1, "simulation failed: MemoryError: Unable to allocate "),
     ], ids=["too-large-to-index", "too-large-to-allocate", "largest-to-index"])
     def test_photon_number_numpy_cannot_index_is_usage_error(self, n_photons, code, message):
-        # numpy cannot index the (2N + 2)-square complex block past N = 379625061,
-        # so a larger N is a usage error; the child's address space is capped
+        # numpy cannot index a side's (6, N + 1, N + 1) float64 effect stack,
+        # the largest array of the run, past N = 438353263, so a larger N is
+        # a usage error; the child's address space is capped
         # at 1 GiB, so that N = 1e5 fails to allocate whatever the machine's memory
         import resource
         import subprocess

@@ -243,6 +243,29 @@ class TestStateVectorBlocks:
             with pytest.raises(ValueError, match="trace deviates"):
                 validate_density(a)
 
+    @pytest.mark.parametrize("defect", ["norm", "nan", "inf"])
+    def test_factor_stack_checked_by_its_trace_without_warning(self, defect):
+        # two amplitude tables of a (1, 2) block: a factor, never solved
+        factor = np.stack([self.unit_vector(6, seed).reshape(2, 3) for seed in (3, 4)])
+        factor /= np.sqrt(2.0)
+        state = CompositeBlockState({(1, 2): (1.0, factor)})
+        vectors = factor.reshape(2, -1)
+        assert np.array_equal(state.density((1, 2)), sum(np.outer(a, a.conj()) for a in vectors))
+        if defect == "norm":
+            factor *= np.sqrt(1.0 + 2e-10)
+        else:
+            factor[1, 0, 2] = np.nan if defect == "nan" else np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="trace deviates"):
+                CompositeBlockState({(1, 2): (1.0, factor)})
+
+    def test_factor_stack_shape_checked(self):
+        factor = np.full((1, 3, 2), 1.0 / np.sqrt(6.0))  # the (2, 1) table, not (1, 2)'s
+        CompositeBlockState({(2, 1): (1.0, factor)})
+        with pytest.raises(ValueError, match=r"block \(1, 2\) has dimension \(3, 2\)"):
+            CompositeBlockState({(1, 2): (1.0, factor)})
+
     def test_composite_from_vectors_equals_from_outer_products(self):
         keys = [(0, 0), (1, 2), (3, 1)]
         vectors = {k: self.unit_vector((k[0] + 1) * (k[1] + 1), i) for i, k in enumerate(keys)}

@@ -158,22 +158,20 @@ class TestEveState:
     def test_noiseless_depolarize_is_bell(self):
         state = eve_state(Depolarize(0.0))
         assert set(state.blocks) == {(1, 1)}
-        w, rho = state.blocks[(1, 1)]
+        w, _ = state.blocks[(1, 1)]
         assert w == pytest.approx(1.0)
-        assert np.max(np.abs(rho - bell_state())) < 1e-14
+        assert np.max(np.abs(state.density((1, 1)) - bell_state())) < 1e-14
 
     def test_depolarize_mixture(self):
         state = eve_state(Depolarize(0.4))
-        _, rho = state.blocks[(1, 1)]
         expected = 0.6 * bell_state() + 0.4 * np.eye(4) / 4
-        assert np.max(np.abs(rho - expected)) < 1e-14
+        assert np.max(np.abs(state.density((1, 1)) - expected)) < 1e-14
 
     def test_coincidence_injection_block(self):
         state = eve_state(CoincidenceInjection(2, 1))
         assert set(state.blocks) == {(1, 2)}
-        _, rho = state.blocks[(1, 2)]
         expected = np.kron(np.eye(2) / 2, np.diag([0.0, 1.0, 0.0]))
-        assert np.max(np.abs(rho - expected)) < 1e-14
+        assert np.max(np.abs(state.density((1, 2)) - expected)) < 1e-14
 
     def test_custom_duplicate_block_rejected(self):
         block = {"m": 0, "n": 1, "weight": 0.5, "amps": [[1.0, 0.0], [0.0, 0.0]]}
@@ -684,13 +682,11 @@ def reference_table(attack, protocol, mode):
     pairs = ((False, False), (False, True), (True, False), (True, True))
     cells = np.zeros((len(pairs), len(state.blocks), 3, 3))
     for p_i, (a_x, b_x) in enumerate(pairs):
-        for k_i, ((m, n), (w, rho)) in enumerate(state.blocks.items()):
+        for k_i, ((m, n), (w, _)) in enumerate(state.blocks.items()):
             ea = side_state_effects(m, sender_mode)[3 * a_x : 3 * a_x + 3]
             eb = side_state_effects(n, mode)[3 * b_x : 3 * b_x + 3]
-            if rho.ndim == 1:  # a pure block is stored as its state vector
-                rho = np.outer(rho, rho.conj())
             # rho[(j, l), (i, k)] pairs with E[i, j] F[k, l]
-            rho = rho.reshape(m + 1, n + 1, m + 1, n + 1)
+            rho = state.density((m, n)).reshape(m + 1, n + 1, m + 1, n + 1)
             born = np.einsum("pij,qkl,jlik->pq", ea, eb, rho).real
             cells[p_i, k_i] = np.maximum(0.25 * w * born, 0.0)
     return list(state.blocks), cells
@@ -746,6 +742,78 @@ class TestVectorBorn:
             tracemalloc.stop()
         assert cells.sum() == pytest.approx(1.0, abs=1e-12)
         assert peak < 1.5e6
+
+
+class TestFactorBorn:
+    @pytest.mark.parametrize("rank", [1, 2, 5])
+    @pytest.mark.parametrize("da, db", [(2, 9), (9, 2), (4, 13), (13, 4)])
+    def test_factor_equals_its_density(self, rank, da, db):
+        # the smaller side's effects meet the larger side's pulled back
+        rng = np.random.default_rng(1000 * rank + 10 * da + db)
+        factor = rng.normal(size=(rank, da, db)) + 1j * rng.normal(size=(rank, da, db))
+        factor /= np.linalg.norm(factor)
+        vectors = factor.reshape(rank, -1)
+        density = vectors.T @ vectors.conj()
+        a, b = stacked_effects(da - 1, "edp1"), stacked_effects(db - 1, "actual")
+        from_factor = _born(a, b, vectors[0] if rank == 1 else factor)  # r = 1: a vector
+        from_density = _born(a, b, density)
+        assert from_factor.shape == from_density.shape == (len(a), len(b))
+        assert np.max(np.abs(from_factor - from_density)) <= 1e-14
+
+
+def dense_named_state(name, *args):
+    """A named attack's block as the dense matrix written out entry by entry."""
+    if name == "Depolarize":
+        (p,) = args
+        return (1.0 - p) * bell_state() + p * np.eye(4) / 4.0
+    if name == "InterceptResend":
+        rho = np.zeros((4, 4), dtype=complex)
+        for v in (*np.eye(2), *(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))):
+            vv = np.outer(v, v).ravel()  # |v>|v>
+            rho += 0.25 * np.outer(vv, vv)
+        return rho
+    n, c = args
+    d = n + 1
+    rho = np.zeros((2 * d, 2 * d), dtype=complex)
+    rho[c, c] = rho[d + c, d + c] = 0.5
+    return rho
+
+
+class TestNamedFactors:
+    @pytest.mark.parametrize("make, args", [
+        (Depolarize, (0.0,)), (Depolarize, (0.05,)), (Depolarize, (1.0,)),
+        (InterceptResend, ()),
+        (CoincidenceInjection, (2, 1)), (CoincidenceInjection, (8, 3)),
+        (CoincidenceInjection, (600, 200)),
+    ], ids=["depolarize-0", "depolarize-0.05", "depolarize-1", "intercept-resend",
+            "coincidence-2", "coincidence-8", "coincidence-600"])
+    def test_density_equals_the_dense_matrix(self, make, args):
+        attack = make(*args)
+        (key,) = attack.blocks
+        factor = attack.blocks[key][1]
+        assert factor.ndim == 3 and factor.shape[1:] == (key[0] + 1, key[1] + 1)
+        dev = np.max(np.abs(attack.density(key) - dense_named_state(make.__name__, *args)))
+        assert dev <= 1e-15
+
+    def test_no_eigensolve_on_a_state_the_package_builds(self, monkeypatch):
+        # a factor's check is its trace; a caller's dense rho is still solved
+        class Solved(Exception):
+            pass
+
+        def solving(*args, **kwargs):
+            raise Solved
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", solving)
+        monkeypatch.setattr(np.linalg, "eigh", solving)
+        amps = [[0.6, 0.0], [0.0, 0.8]]
+        for data in ({"kind": "depolarize", "p": 0.05}, {"kind": "intercept_resend"},
+                     {"kind": "coincidence_injection", "n_photons": 1000, "c": 333},
+                     {"kind": "custom", "blocks": [{"m": 0, "n": 1, "weight": 1, "amps": amps}]}):
+            attack_from_dict(data)
+        rho = [[[0.36, 0.0], [0.48, 0.0]], [[0.48, 0.0], [0.64, 0.0]]]
+        with pytest.raises(Solved):
+            attack_from_dict({"kind": "fixed_block",
+                              "blocks": [{"m": 0, "n": 1, "weight": 1, "rho": rho}]})
 
 
 class TestTable:

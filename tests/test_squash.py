@@ -196,6 +196,21 @@ class TestBuildSquash:
             tracemalloc.stop()
         assert peak < 3.5 * (2 * (n + 1)) ** 2 * 8
 
+    def test_channel_check_memory_is_bounded(self):
+        # the channel keeps a read-only Choi matrix that owns its data as it
+        # is, and its check holds one regrouped copy: 1.36 MB at N = 200, 1.05
+        # Choi matrices (1.29 MB each), under 1.25 of them; a Choi-sized copy
+        # held across the check reads 2.05
+        n = 200
+        choi = build_squash(n).choi
+        tracemalloc.start()
+        try:
+            KrausChannel(n + 1, 2, choi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * choi.nbytes
+
     def test_equality_is_identity_and_repr_is_short(self):
         # pytest prints a failing case's channel, so its repr must not
         # format the Choi matrix of the N = 200 channel
